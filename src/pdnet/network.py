@@ -6,6 +6,13 @@ A :class:`NetworkInstance` holds capacities, demands and unit costs; a
 DC-to-retailer).  Evaluation is pure: total cost decomposes into four linear
 terms and constraint checks produce signed residuals (positive = slack,
 negative = breach).
+
+Batched evaluation takes each block sum once, stacks every residual into one
+matrix (one column per constraint) beside its tolerance scale, applies the
+breach rule to all of them in one pass, and prices a plan with one dot
+product against a flat unit-cost vector.  A row's results depend on that row
+alone, so a plan evaluated in a batch, on its own or through
+``evaluate_constraints`` gives the same bits.
 """
 
 from __future__ import annotations
@@ -22,13 +29,23 @@ class DimensionMismatchError(ValueError):
     """A flow matrix or cost matrix does not match the instance counts."""
 
 
-def _as_array(x, ndim):
+def _as_array(x):
+    """Read-only float64 array; a wrong shape is left to ``validate_instance`` to report."""
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim != ndim:
-        # keep as-is; validate_instance reports the breach instead of raising
-        pass
     a.setflags(write=False)
     return a
+
+
+_ARRAY_FIELDS = (
+    "supplier_capacity",
+    "plant_capacity",
+    "dc_capacity",
+    "demand",
+    "raw_unit_cost",
+    "holding_unit_cost",
+    "plant_dc_unit_cost",
+    "dc_retailer_unit_cost",
+)
 
 
 @dataclass(frozen=True)
@@ -54,20 +71,25 @@ class NetworkInstance:
     dc_retailer_unit_cost: np.ndarray
     utilization: float
     strict_per_dc: bool = False
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, nd in [
-            ("supplier_capacity", 1),
-            ("plant_capacity", 1),
-            ("dc_capacity", 1),
-            ("demand", 1),
-            ("raw_unit_cost", 1),
-            ("holding_unit_cost", 1),
-            ("plant_dc_unit_cost", 2),
-            ("dc_retailer_unit_cost", 2),
-        ]:
-            object.__setattr__(self, name, _as_array(getattr(self, name), nd))
+        for name in _ARRAY_FIELDS:
+            object.__setattr__(self, name, _as_array(getattr(self, name)))
         object.__setattr__(self, "utilization", float(self.utilization))
+
+    def derived(self, build):
+        """``build(self)``, computed on the first call and kept with the instance.
+
+        An instance never changes, so neither does anything computed from it:
+        evaluation and decoding keep their per-instance constants here instead
+        of recomputing them on every call.
+        """
+        try:
+            return self._derived[build]
+        except KeyError:
+            value = self._derived[build] = build(self)
+            return value
 
     def __eq__(self, other):
         if not isinstance(other, NetworkInstance):
@@ -79,19 +101,7 @@ class NetworkInstance:
             or self.strict_per_dc != other.strict_per_dc
         ):
             return False
-        return all(
-            np.array_equal(getattr(self, n), getattr(other, n))
-            for n in (
-                "supplier_capacity",
-                "plant_capacity",
-                "dc_capacity",
-                "demand",
-                "raw_unit_cost",
-                "holding_unit_cost",
-                "plant_dc_unit_cost",
-                "dc_retailer_unit_cost",
-            )
-        )
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _ARRAY_FIELDS)
 
     @property
     def counts(self):
@@ -113,7 +123,7 @@ class FlowPlan:
 
     def __post_init__(self):
         for name in ("raw_flow", "plant_dc_flow", "dc_retailer_flow"):
-            object.__setattr__(self, name, _as_array(getattr(self, name), 2))
+            object.__setattr__(self, name, _as_array(getattr(self, name)))
 
     def __eq__(self, other):
         if not isinstance(other, FlowPlan):
@@ -237,62 +247,98 @@ def batch_cost_terms(instance: NetworkInstance, r, p, t):
     return raw, plant_dc, holding, dc_retailer, total
 
 
-def batch_residuals(instance: NetworkInstance, r, p, t):
-    """All signed constraint residuals for stacked flows (dict of arrays)."""
-    u = instance.utilization
-    prod_per_plant = p.sum(axis=2)  # (n, K)
-    res = {
-        "dc_storage": np.broadcast_to(
-            np.float64(instance.dc_capacity.sum() - instance.demand.sum()), (r.shape[0],)
-        ),
-        "production_vs_shipment": p.sum(axis=(1, 2)) - t.sum(axis=(1, 2)),
-        "demand_mismatch": t.sum(axis=1) - instance.demand[None, :],
-        "raw_per_plant": r.sum(axis=1) - u * prod_per_plant,
-        "plant_capacity": instance.plant_capacity[None, :] - u * prod_per_plant,
-        "supplier_capacity": instance.supplier_capacity[None, :] - r.sum(axis=2),
-        "_shipped_total": t.sum(axis=(1, 2)),
-    }
+class _Layout:
+    """Per-instance constants of batched evaluation.
+
+    Every constraint is one column of a stacked residual matrix, grouped by
+    family.  Each column is a breach when its residual falls below
+    ``-tolerance * max(1, |scale|)``; the demand equality is two such
+    columns, shortfall (shipped minus demand) and oversupply (the negation).
+    ``scale`` holds the scales that do not depend on the plan; the columns
+    whose scale does (shipments, u x production, DC arrivals) read 0 here.
+    """
+
+    def __init__(self, instance: NetworkInstance):
+        s, k, j, i = instance.counts
+        demand = instance.demand
+        families = [  # (name, scale of each column)
+            ("dc_storage", [demand.sum()]),
+            ("production_vs_shipment", [0.0]),  # scaled by the shipments
+            ("demand_mismatch", demand),
+            ("demand_oversupply", demand),
+            ("raw_per_plant", np.zeros(k)),  # scaled by u x the plant's production
+            ("plant_capacity", instance.plant_capacity),
+            ("supplier_capacity", instance.supplier_capacity),
+        ]
+        if instance.strict_per_dc:
+            families += [("dc_capacity", instance.dc_capacity), ("dc_throughput", np.zeros(j))]  # by the arrivals
+        ends = np.cumsum([len(scale) for _, scale in families])
+        self.columns = {name: slice(end - len(scale), end) for (name, scale), end in zip(families, ends)}
+        self.width = int(ends[-1])
+        self.scale = np.concatenate([scale for _, scale in families])
+        self.storage_slack = instance.dc_capacity.sum() - demand.sum()
+        # unit cost of every flow variable, r (S,K) | p (K,J) | t (J,I) row-major
+        self.cost = np.concatenate(
+            [
+                np.repeat(instance.raw_unit_cost, k),
+                (instance.plant_dc_unit_cost + instance.holding_unit_cost[None, :]).ravel(),
+                instance.dc_retailer_unit_cost.ravel(),
+            ]
+        )
+        self.scale.setflags(write=False)
+        self.cost.setflags(write=False)
+
+
+def _c_order(r, p, t):
+    """The flows as C-ordered float arrays, so that every sum below adds in the
+    same order whatever the layout of the input and whichever batch holds a plan."""
+    return [np.ascontiguousarray(a, dtype=np.float64) for a in (r, p, t)]
+
+
+def _residuals(instance: NetworkInstance, r, p, t):
+    """Stacked signed residuals (n, F) of C-ordered stacked flows, and the scale of each entry (n, F)."""
+    layout = instance.derived(_Layout)
+    col = layout.columns
+    need = instance.utilization * np.einsum("nkj->nk", p)  # raw each plant needs: u x its production
+    arrivals = np.einsum("nkj->nj", p)
+    delivered = np.einsum("nji->ni", t)
+    shipped = delivered.sum(axis=1)
+    res = np.empty((r.shape[0], layout.width))
+    res[:, col["dc_storage"]] = layout.storage_slack
+    res[:, col["production_vs_shipment"]] = (arrivals.sum(axis=1) - shipped)[:, None]
+    res[:, col["demand_mismatch"]] = delivered - instance.demand
+    res[:, col["demand_oversupply"]] = instance.demand - delivered
+    res[:, col["raw_per_plant"]] = np.einsum("nsk->nk", r) - need
+    res[:, col["plant_capacity"]] = instance.plant_capacity - need
+    res[:, col["supplier_capacity"]] = instance.supplier_capacity - np.einsum("nsk->ns", r)
+    scale = np.empty_like(res)
+    scale[:] = layout.scale
+    scale[:, col["production_vs_shipment"]] = shipped[:, None]
+    scale[:, col["raw_per_plant"]] = need
     if instance.strict_per_dc:
-        arrivals = p.sum(axis=1)  # (n, J)
-        res["dc_capacity"] = instance.dc_capacity[None, :] - arrivals
-        res["dc_throughput"] = arrivals - t.sum(axis=2)
-    return res
+        res[:, col["dc_capacity"]] = instance.dc_capacity - arrivals
+        res[:, col["dc_throughput"]] = arrivals - np.einsum("nji->nj", t)
+        scale[:, col["dc_throughput"]] = arrivals
+    return res, scale
 
 
-def _neg_beyond(residual, scale, tolerance):
-    """Magnitude of the breach where residual < -tolerance * max(1, scale)."""
-    thr = tolerance * np.maximum(1.0, np.abs(scale))
-    return np.where(residual < -thr, -residual, 0.0)
-
-
-def batch_total_violation(instance: NetworkInstance, res, tolerance):
-    """Aggregate residuals into one nonnegative violation per sample."""
-    demand_scale = instance.demand[None, :]
-    prod_scale = instance.plant_capacity[None, :] - res["plant_capacity"]  # = u * production
-    total = _neg_beyond(res["dc_storage"], instance.demand.sum(), tolerance)
-    total = total + _neg_beyond(res["production_vs_shipment"], res["_shipped_total"], tolerance)
-    mism = res["demand_mismatch"]
-    thr = tolerance * np.maximum(1.0, np.abs(demand_scale))
-    total = total + np.where(np.abs(mism) > thr, np.abs(mism), 0.0).sum(axis=1)
-    total = total + _neg_beyond(res["raw_per_plant"], prod_scale, tolerance).sum(axis=1)
-    total = total + _neg_beyond(
-        res["plant_capacity"], instance.plant_capacity[None, :], tolerance
-    ).sum(axis=1)
-    total = total + _neg_beyond(
-        res["supplier_capacity"], instance.supplier_capacity[None, :], tolerance
-    ).sum(axis=1)
-    if instance.strict_per_dc:
-        arrivals = instance.dc_capacity[None, :] - res["dc_capacity"]
-        total = total + _neg_beyond(res["dc_capacity"], instance.dc_capacity[None, :], tolerance).sum(axis=1)
-        total = total + _neg_beyond(res["dc_throughput"], arrivals, tolerance).sum(axis=1)
-    return total
+def _violation(res, scale, tolerance):
+    """Total breach per row: the magnitude of every residual below -tolerance * max(1, |scale|)."""
+    breach = -res
+    return np.where(breach > tolerance * np.maximum(1.0, np.abs(scale)), breach, 0.0).sum(axis=1)
 
 
 def batch_evaluate(instance: NetworkInstance, r, p, t, tolerance=DEFAULT_TOLERANCE):
-    """(cost totals, total violations) for stacked flows; the GA hot path."""
-    *_, total_cost = batch_cost_terms(instance, r, p, t)
-    violation = batch_total_violation(instance, batch_residuals(instance, r, p, t), tolerance)
-    return total_cost, violation
+    """(cost totals, total violations) for stacked flows; the GA hot path.
+
+    Each row's results depend only on that row: evaluating a plan alone, in
+    any batch, or through ``evaluate_constraints`` gives the same bits.
+    """
+    r, p, t = _c_order(r, p, t)
+    n = r.shape[0]
+    flows = np.concatenate([r.reshape(n, -1), p.reshape(n, -1), t.reshape(n, -1)], axis=1)
+    cost = np.einsum("nl,l->n", flows, instance.derived(_Layout).cost)
+    return cost, _violation(*_residuals(instance, r, p, t), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -324,21 +370,19 @@ def evaluate_constraints(
     _check_plan_shapes(instance, plan)
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    r = plan.raw_flow[None]
-    p = plan.plant_dc_flow[None]
-    t = plan.dc_retailer_flow[None]
-    res = batch_residuals(instance, r, p, t)
-    total = batch_total_violation(instance, res, tolerance)
+    flows = _c_order(plan.raw_flow[None], plan.plant_dc_flow[None], plan.dc_retailer_flow[None])
+    res, scale = _residuals(instance, *flows)
+    family = {name: res[0, cols] for name, cols in instance.derived(_Layout).columns.items()}
     return ConstraintReport(
-        residual_dc_storage=float(res["dc_storage"][0]),
-        residual_production_vs_shipment=float(res["production_vs_shipment"][0]),
-        demand_mismatch=res["demand_mismatch"][0].copy(),
-        residual_raw_per_plant=res["raw_per_plant"][0].copy(),
-        residual_plant_capacity=res["plant_capacity"][0].copy(),
-        residual_supplier_capacity=res["supplier_capacity"][0].copy(),
-        total_violation=float(total[0]),
-        residual_dc_capacity=res["dc_capacity"][0].copy() if instance.strict_per_dc else None,
-        residual_dc_throughput=res["dc_throughput"][0].copy() if instance.strict_per_dc else None,
+        residual_dc_storage=float(family["dc_storage"][0]),
+        residual_production_vs_shipment=float(family["production_vs_shipment"][0]),
+        demand_mismatch=family["demand_mismatch"],
+        residual_raw_per_plant=family["raw_per_plant"],
+        residual_plant_capacity=family["plant_capacity"],
+        residual_supplier_capacity=family["supplier_capacity"],
+        total_violation=float(_violation(res, scale, tolerance)[0]),
+        residual_dc_capacity=family.get("dc_capacity"),
+        residual_dc_throughput=family.get("dc_throughput"),
     )
 
 

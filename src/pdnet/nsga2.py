@@ -25,6 +25,15 @@ near-feasible individuals alive; collapsing feasible comparisons to cost
 alone starves the population of diversity under the low mutation rate and
 stalls far from the optimum, so that mode is available in the sort but not
 used by the loop.
+
+A generation does only the work that depends on it.  What depends on the
+instance alone (gene slices, arc boxes, the arcs in route-cost order, the
+suppliers in price order and their running capacity) is built on first use
+and kept with the instance.  Variation draws random numbers only where they
+are used: spread factors for the pairs that cross, and the mutation sites as
+geometric gaps between successive mutated genes, which is an exact per-gene
+Bernoulli(p_m) draw.  A seed therefore gives a different run than it did when
+every generation drew full blocks of numbers; the distributions are the same.
 """
 
 from __future__ import annotations
@@ -121,15 +130,46 @@ class SolveResult:
 # Genotype <-> phenotype
 # ---------------------------------------------------------------------------
 
-def _greedy_fill(room: np.ndarray, need: np.ndarray) -> np.ndarray:
+def _greedy_fill(room: np.ndarray, need: np.ndarray, out=None) -> np.ndarray:
     """Amounts taken from the slots of ``room`` (..., M), first slot first, to cover ``need`` (...)."""
     before = np.cumsum(room, axis=-1) - room
-    return np.minimum(room, np.maximum(np.asarray(need)[..., None] - before, 0.0))
+    return np.minimum(room, np.maximum(np.asarray(need)[..., None] - before, 0.0), out=out)
 
 
-def _arc_box(instance: NetworkInstance) -> np.ndarray:
-    """Upper bound D_k/(u*J) of each plant's flow to one DC."""
-    return instance.plant_capacity / (instance.utilization * instance.num_dcs)
+class _Codec:
+    """Per-instance constants of decoding and repair, built once per instance.
+
+    ``arcs`` (G, M) lists the flat plant-DC arc indices k*J + j of each group
+    whose production is matched to its shipments, cheapest route c_kj + h_j
+    first: one group of all K*J arcs in aggregate mode, the K arcs into each
+    DC in strict per-DC mode.
+    """
+
+    def __init__(self, instance: NetworkInstance):
+        s, k, j, i = instance.counts
+        self.plant_dc_genes = slice(s * k, s * k + k * j)
+        self.allocation_genes = slice(s * k + k * j, None)
+        box = instance.plant_capacity / (instance.utilization * j)  # arc box D_k/(u*J)
+        self.gene_box = np.repeat(box, j)  # (K*J,) box of each plant-DC gene
+        self.gene_demand = np.repeat(instance.demand, j)  # (I*J,) demand of each allocation gene's retailer
+        route = instance.plant_dc_unit_cost + instance.holding_unit_cost[None, :]  # (K, J)
+        if instance.strict_per_dc:
+            self.arcs = (np.argsort(route, axis=0, kind="stable") * j + np.arange(j)).T
+        else:
+            self.arcs = np.argsort(route.ravel(), kind="stable")[None, :]
+        self.arc_box = self.gene_box[self.arcs]
+        # strict per-DC mode: what a DC can take, its capacity and what its inbound arcs supply
+        self.dc_room = np.minimum(instance.dc_capacity, box.sum())
+        cheapest = np.argsort(instance.raw_unit_cost, kind="stable")
+        self.supplier_rank = np.argsort(cheapest)  # position of each supplier in that order
+        self.supplied = np.concatenate([[0.0], np.cumsum(instance.supplier_capacity[cheapest])])  # (S+1,)
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+
+
+def _codec(instance: NetworkInstance) -> _Codec:
+    return instance.derived(_Codec)
 
 
 def _raw_fill(production: np.ndarray, instance: NetworkInstance) -> np.ndarray:
@@ -139,15 +179,13 @@ def _raw_fill(production: np.ndarray, instance: NetworkInstance) -> np.ndarray:
     for the given production.  Plants are served in index order; once the
     suppliers run dry the rest stays uncovered and shows as a violation.
     """
+    codec = _codec(instance)
     need = instance.utilization * production  # (n, K)
-    order = np.argsort(instance.raw_unit_cost, kind="stable")
-    supplied = np.concatenate([[0.0], np.cumsum(instance.supplier_capacity[order])])  # (S+1,)
     need_before = np.cumsum(need, axis=1) - need
-    # covered[:, s, k]: how much of plant k's need the s cheapest suppliers cover
-    covered = np.clip(supplied[None, :, None] - need_before[:, None, :], 0.0, need[:, None, :])
-    raw = np.empty((need.shape[0], instance.num_suppliers, instance.num_plants))
-    raw[:, order, :] = np.diff(covered, axis=1)
-    return raw
+    # covered[:, q, k]: how much of plant k's need the q cheapest suppliers cover
+    covered = codec.supplied[None, :, None] - need_before[:, None, :]
+    covered = np.minimum(np.maximum(covered, 0.0), need[:, None, :])
+    return np.diff(covered, axis=1)[:, codec.supplier_rank]
 
 
 def decode_batch(genes: np.ndarray, instance: NetworkInstance):
@@ -166,12 +204,14 @@ def decode_batch(genes: np.ndarray, instance: NetworkInstance):
         raise DimensionMismatchError(
             f"chromosome length {genes.shape[1]}, expected {instance.num_genes}"
         )
-    p = genes[:, s * k : s * k + k * j].reshape(n, k, j) * _arc_box(instance)[None, :, None]
-    w = genes[:, s * k + k * j :].reshape(n, i, j)
-    wsum = w.sum(axis=2, keepdims=True)
-    frac = np.where(wsum > 0, w / np.where(wsum > 0, wsum, 1.0), 1.0 / j)
-    t = (frac * instance.demand[None, :, None]).transpose(0, 2, 1)
-    return _raw_fill(p.sum(axis=2), instance), p, t
+    codec = _codec(instance)
+    p = (genes[:, codec.plant_dc_genes] * codec.gene_box).reshape(n, k, j)
+    # weight sums repeated per gene: broadcasting them over the short DC axis is slow in numpy
+    w = genes[:, codec.allocation_genes]  # (n, I*J)
+    wsum = np.repeat(np.einsum("nij->ni", w.reshape(n, i, j)), j, axis=1)
+    frac = np.divide(w, wsum, out=np.full(w.shape, 1.0 / j), where=wsum > 0)
+    t = np.ascontiguousarray((frac * codec.gene_demand).reshape(n, i, j).transpose(0, 2, 1))
+    return _raw_fill(np.einsum("nkj->nk", p), instance), p, t
 
 
 def _repair_delivery(w: np.ndarray, instance: NetworkInstance) -> np.ndarray:
@@ -182,51 +222,67 @@ def _repair_delivery(w: np.ndarray, instance: NetworkInstance) -> np.ndarray:
     index order, fill DCs in weight order up to the room left in each (its
     capacity, and no more than its inbound arcs can supply); a retailer that
     finds every DC full puts the rest on its favourite DC.
+
+    Until a row's first overflow every retailer takes its favourite DC
+    whole, so those retailers are assigned at once, and a running sum from
+    each DC's room gives the room they leave, rounded as the sequential fill
+    rounds it.  The fill goes retailer by retailer only from the earliest
+    overflow in any row on.
     """
     n, i, j = w.shape
-    shares = (w.argmax(axis=2)[..., None] == np.arange(j)).astype(np.float64)
+    favourite = w.argmax(axis=2)
+    shares = np.zeros((n, i, j))
+    shares.reshape(-1)[np.arange(n * i) * j + favourite.ravel()] = 1.0
     if not instance.strict_per_dc:
         return shares
-    capacity = np.minimum(instance.dc_capacity, _arc_box(instance).sum())
-    over = np.flatnonzero((np.einsum("nij,i->nj", shares, instance.demand) > capacity).any(axis=1))
+    demand = instance.demand
+    dc_room = _codec(instance).dc_room
+    over = np.flatnonzero((np.einsum("nij,i->nj", shares, demand) > dc_room).any(axis=1))
     if over.size == 0:
         return shares
     m = over.size
-    order = np.argsort(-w[over], axis=2, kind="stable")
+    favourite_over = shares[over]
+    # room[:, r]: what each DC has left for retailer r if all before it took their favourite whole
+    taken = favourite_over * np.maximum(demand, 0.0)[None, :, None]
+    room = np.cumsum(np.concatenate([np.broadcast_to(dc_room, (m, 1, j)), -taken], axis=1), axis=1)
+    # the sequential fill gives a retailer its favourite whole when the demand fits the room there
+    # by more than the rounding of the fill's running sums, at most a few ulps of the total room
+    margin = 4.0 * np.finfo(np.float64).eps * dc_room.sum()
+    fits = demand <= np.einsum("mij,mij->mi", room[:, :-1], favourite_over) - margin
+    overflows = np.flatnonzero(~(fits | (demand <= 0)).all(axis=0))
+    if overflows.size == 0:
+        return shares
+    start = overflows[0]
+    order = np.argsort(-w[over, start:], axis=2, kind="stable")  # DCs in weight order
     at = np.arange(m)[:, None, None] * j + order  # flat index into room of each DC in weight order
-    room = np.tile(capacity, m)
-    filled = np.empty((m, i, j))  # shares in weight order
-    for r, d in enumerate(instance.demand):
+    room = room[:, start].ravel()
+    rest = demand[start:]
+    taken = np.empty((m, i - start, j))  # amounts in weight order
+    for f, d in enumerate(rest):
         if d <= 0:
-            filled[:, r, :] = 0.0
-            filled[:, r, 0] = 1.0
+            taken[:, f, :] = 0.0
+            taken[:, f, 0] = 1.0  # all of nothing on the favourite
             continue
-        left = room[at[:, r]]
-        take = _greedy_fill(left, d)
+        left = room[at[:, f]]
+        take = _greedy_fill(left, d, out=taken[:, f, :])
         take[:, 0] += np.maximum(d - take.sum(axis=1), 0.0)
-        room[at[:, r]] = np.maximum(left - take, 0.0)
-        filled[:, r, :] = take / d
-    np.put_along_axis(filled, order, filled.copy(), axis=2)
-    shares[over] = filled
+        room[at[:, f]] = np.maximum(left - take, 0.0)
+    tail = np.empty_like(taken)  # the shares in DC order
+    tail.reshape(-1)[np.arange(m * (i - start)).reshape(m, -1, 1) * j + order] = taken
+    tail /= np.where(rest > 0, rest, 1.0)[:, None]
+    shares[over, start:] = tail
     return shares
 
 
-def _match_production(p: np.ndarray, upper: np.ndarray, route_cost: np.ndarray, target: np.ndarray):
-    """Trim or top up flows p (n,G,M) so each group sums to target (n,G).
+def _match_production(x: np.ndarray, upper: np.ndarray, target: np.ndarray):
+    """Trim or top up arc flows x (n,G,M), cheapest arc first, so each group sums to target (n,G).
 
     Surplus comes off the costliest arcs first; a shortfall is filled on the
-    cheapest arcs first, each up to its box ``upper`` (G,M).  ``route_cost``
-    (G,M) orders the arcs.
+    cheapest arcs first, each up to its box ``upper`` (G,M).
     """
-    idx = np.broadcast_to(np.argsort(route_cost, axis=-1, kind="stable"), p.shape)
-    x = np.take_along_axis(p, idx, axis=-1)
-    room = np.take_along_axis(np.broadcast_to(upper, p.shape), idx, axis=-1) - x
     gap = target - x.sum(axis=-1)
-    x = x + _greedy_fill(room, np.maximum(gap, 0.0))
-    x = x - _greedy_fill(x[..., ::-1], np.maximum(-gap, 0.0))[..., ::-1]
-    out = np.empty_like(x)
-    np.put_along_axis(out, idx, x, axis=-1)
-    return out
+    x = x + _greedy_fill(upper - x, np.maximum(gap, 0.0))
+    return x - _greedy_fill(x[..., ::-1], np.maximum(-gap, 0.0))[..., ::-1]
 
 
 def repair_batch(genes: np.ndarray, instance: NetworkInstance) -> np.ndarray:
@@ -239,22 +295,18 @@ def repair_batch(genes: np.ndarray, instance: NetworkInstance) -> np.ndarray:
     """
     s, k, j, i = instance.counts
     n = genes.shape[0]
-    box = _arc_box(instance)
-    p = genes[:, s * k : s * k + k * j].reshape(n, k, j) * box[None, :, None]
-    shares = _repair_delivery(genes[:, s * k + k * j :].reshape(n, i, j), instance)
-    route_cost = instance.plant_dc_unit_cost + instance.holding_unit_cost[None, :]  # (K, J)
+    codec = _codec(instance)
+    shares = _repair_delivery(genes[:, codec.allocation_genes].reshape(n, i, j), instance)
     if instance.strict_per_dc:
         shipped = np.einsum("nij,i->nj", shares, instance.demand)
-        p = _match_production(p.transpose(0, 2, 1), box[None, :], route_cost.T, shipped).transpose(0, 2, 1)
     else:
         shipped = np.full((n, 1), instance.demand.sum())
-        p = _match_production(
-            p.reshape(n, 1, k * j), np.repeat(box, j)[None, :], route_cost.reshape(1, k * j), shipped
-        ).reshape(n, k, j)
+    x = np.take(genes[:, codec.plant_dc_genes], codec.arcs, axis=1) * codec.arc_box  # (n,G,M), C order
+    x = _match_production(x, codec.arc_box, shipped)
     repaired = genes.copy()
-    gene_p = np.divide(p, box[None, :, None], out=np.zeros_like(p), where=box[None, :, None] > 0)
-    repaired[:, s * k : s * k + k * j] = np.clip(gene_p, 0.0, 1.0).reshape(n, k * j)
-    repaired[:, s * k + k * j :] = shares.reshape(n, i * j)
+    gene_x = np.divide(x, codec.arc_box, out=np.zeros_like(x), where=codec.arc_box > 0)
+    repaired[:, codec.plant_dc_genes][:, codec.arcs] = np.clip(gene_x, 0.0, 1.0)
+    repaired[:, codec.allocation_genes] = shares.reshape(n, i * j)
     return repaired
 
 
@@ -262,20 +314,6 @@ def decode(chromosome: np.ndarray, instance: NetworkInstance) -> FlowPlan:
     chromosome = np.asarray(chromosome, dtype=np.float64)
     r, p, t = decode_batch(chromosome[None, :], instance)
     return FlowPlan(r[0], p[0], t[0])
-
-
-def evaluate(individual: Individual, instance: NetworkInstance):
-    """Objectives (cost total, total violation) of a decoded individual."""
-    plan = individual.plan
-    cost, violation = batch_evaluate(
-        instance,
-        plan.raw_flow[None],
-        plan.plant_dc_flow[None],
-        plan.dc_retailer_flow[None],
-    )
-    individual.cost = float(cost[0])
-    individual.violation = float(violation[0])
-    return individual.objectives
 
 
 def init_population(instance: NetworkInstance, config: SolverConfig, rng) -> Population:
@@ -318,34 +356,50 @@ def mutate(chromosome: np.ndarray, config: SolverConfig, rng) -> np.ndarray:
     return np.where(hit, np.clip(chromosome + delta, 0.0, 1.0), chromosome)
 
 
+def _mutation_sites(size: int, prob: float, rng) -> np.ndarray:
+    """Sorted indices below ``size``, each drawn independently with probability ``prob``.
+
+    The gaps between successive successes of Bernoulli(prob) trials are
+    geometric, so about size * prob numbers are drawn instead of size.
+    """
+    if prob <= 0.0 or size == 0:
+        return np.empty(0, dtype=np.int64)
+    batch = int(size * prob + 4.0 * np.sqrt(size * prob)) + 1
+    # a gap clipped to size + 1 still ends past the last index, and the sums cannot overflow
+    sites = np.cumsum(np.minimum(rng.geometric(prob, batch), size + 1)) - 1
+    while sites[-1] < size:
+        more = sites[-1] + np.cumsum(np.minimum(rng.geometric(prob, batch), size + 1))
+        sites = np.concatenate([sites, more])
+    return sites[: np.searchsorted(sites, size)]
+
+
 def _make_offspring(parent_genes: np.ndarray, config: SolverConfig, rng) -> np.ndarray:
     """Crossover + mutation over the whole mating pool in one batch.
 
     Pairs are consecutive rows.  Matches the scalar operators: SBX fires per
     pair with probability crossover_prob, polynomial mutation per gene with
-    probability mutation_prob, genes stay clamped to [0,1].  Every random
-    draw is made for the whole pool, but the spread factors are computed
-    only for the pairs and genes they apply to.
+    probability mutation_prob, genes stay clamped to [0,1].  Random numbers
+    are drawn only where they are used: spread factors for the pairs that
+    cross, and the sites and deltas of the genes that mutate.
     """
     n, length = parent_genes.shape
-    fire = rng.random(n // 2) < config.crossover_prob
-    u = rng.random((n // 2, length))[fire]
     children = parent_genes.copy()
-    if fire.any():
+    fire = np.flatnonzero(rng.random(n // 2) < config.crossover_prob)
+    if fire.size:
+        u = rng.random((fire.size, length))
         exp = 1.0 / (config.sbx_eta + 1.0)
-        low = u <= 0.5
-        beta = np.empty_like(u)
-        beta[low] = (2.0 * u[low]) ** exp
-        beta[~low] = (1.0 / (2.0 * (1.0 - u[~low]))) ** exp
-        a = parent_genes[0::2][fire]
-        b = parent_genes[1::2][fire]
-        children[0::2][fire] = np.clip(0.5 * ((1.0 + beta) * a + (1.0 - beta) * b), 0.0, 1.0)
-        children[1::2][fire] = np.clip(0.5 * ((1.0 - beta) * a + (1.0 + beta) * b), 0.0, 1.0)
-    hit = rng.random((n, length)) < config.mutation_prob
-    um = rng.random((n, length))[hit]
-    expm = 1.0 / (config.pm_eta + 1.0)
-    delta = np.where(um < 0.5, (2.0 * um) ** expm - 1.0, 1.0 - (2.0 * (1.0 - um)) ** expm)
-    children[hit] = np.clip(children[hit] + delta, 0.0, 1.0)
+        beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** exp
+        a = parent_genes[2 * fire]
+        b = parent_genes[2 * fire + 1]
+        children[2 * fire] = np.clip(0.5 * ((1.0 + beta) * a + (1.0 - beta) * b), 0.0, 1.0)
+        children[2 * fire + 1] = np.clip(0.5 * ((1.0 - beta) * a + (1.0 + beta) * b), 0.0, 1.0)
+    sites = _mutation_sites(n * length, config.mutation_prob, rng)
+    if sites.size:
+        um = rng.random(sites.size)
+        expm = 1.0 / (config.pm_eta + 1.0)
+        delta = np.where(um < 0.5, (2.0 * um) ** expm - 1.0, 1.0 - (2.0 * (1.0 - um)) ** expm)
+        flat = children.reshape(-1)  # a view: children is a fresh contiguous copy
+        flat[sites] = np.clip(flat[sites] + delta, 0.0, 1.0)
     return children
 
 
@@ -537,18 +591,19 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
                 break
 
     front0 = np.flatnonzero(pop.rank == 0)
-    final_front = []
-    for idx in front0:
-        final_front.append(
-            Individual(
-                genes=pop.genes[idx].copy(),
-                plan=decode(pop.genes[idx], instance),
-                cost=float(pop.cost[idx]),
-                violation=float(pop.violation[idx]),
-                rank=0,
-                crowding=float(pop.crowding[idx]),
-            )
+    front_genes = pop.genes[front0]
+    r, p, t = decode_batch(front_genes, instance)
+    final_front = [
+        Individual(
+            genes=front_genes[q],
+            plan=FlowPlan(r[q], p[q], t[q]),
+            cost=float(pop.cost[idx]),
+            violation=float(pop.violation[idx]),
+            rank=0,
+            crowding=float(pop.crowding[idx]),
         )
+        for q, idx in enumerate(front0)
+    ]
 
     best_feasible = None
     if best_flows is not None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -194,10 +195,17 @@ def load_schedule_csv(text: str) -> ScheduleTable:
         if len(row) != len(col_labels) + 1:
             raise ValueError(f"line {lineno}: expected {len(col_labels) + 1} cells, got {len(row)}")
         row_labels.append(row[0].strip())
-        try:
-            values.append([float(c) for c in row[1:]])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-numeric cell ({exc})") from exc
+        cells = []
+        for column, (label, cell) in enumerate(zip(col_labels, row[1:]), start=2):
+            where = f"line {lineno}, column {column} ({label})"
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric cell {cell.strip()!r}") from None
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{where}: cell {cell.strip()!r} must be a finite number >= 0")
+            cells.append(value)
+        values.append(cells)
     return ScheduleTable(values=np.array(values), row_labels=row_labels, col_labels=col_labels)
 
 

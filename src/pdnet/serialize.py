@@ -101,6 +101,11 @@ def save_instance(instance: NetworkInstance, path):
     _atomic_write(path, dumps_instance(instance))
 
 
+def _is_number(x) -> bool:
+    """An int or float, not a bool (which Python counts as an int)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def load_instance(text: str) -> NetworkInstance:
     """Parse and fully validate an instance document; raises InstanceLoadError."""
     try:
@@ -117,21 +122,21 @@ def load_instance(text: str) -> NetworkInstance:
     count_vals = {}
     for key in ("suppliers", "plants", "dcs", "retailers"):
         v = counts.get(key)
-        if not isinstance(v, int) or v < 1:
-            errors.append(f"counts.{key} must be an integer >= 1")
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            errors.append(f"counts.{key} must be an integer >= 1, got {json.dumps(v)}")
             v = 1
         count_vals[key] = v
     fields = {}
     for key in _VECTOR_KEYS:
         v = doc.get(key)
-        if not isinstance(v, list) or not all(isinstance(x, (int, float)) for x in v):
+        if not isinstance(v, list) or not all(_is_number(x) for x in v):
             errors.append(f"'{key}' must be a numeric array")
             v = [0.0]
         fields[key] = v
     for key in _MATRIX_KEYS:
         v = doc.get(key)
         ok = isinstance(v, list) and v and all(
-            isinstance(row, list) and all(isinstance(x, (int, float)) for x in row) for row in v
+            isinstance(row, list) and all(_is_number(x) for x in row) for row in v
         )
         rect = ok and len({len(row) for row in v}) == 1
         if not rect:
@@ -139,7 +144,7 @@ def load_instance(text: str) -> NetworkInstance:
             v = [[0.0]]
         fields[key] = v
     utilization = doc.get("utilization")
-    if not isinstance(utilization, (int, float)):
+    if not _is_number(utilization):
         errors.append("'utilization' must be a number")
         utilization = 1.0
     strict = doc.get("strict_per_dc", False)

@@ -63,6 +63,24 @@ class TestInstanceIO:
         with pytest.raises(InstanceLoadError, match="rectangular"):
             load_instance(json.dumps(doc))
 
+    def test_boolean_demand_rejected_by_name(self):
+        doc = json.loads(dumps_instance(single_chain()))
+        doc["demand"] = [True]  # json.loads gives bool, which Python counts as an int
+        with pytest.raises(InstanceLoadError, match="'demand'"):
+            load_instance(json.dumps(doc))
+
+    def test_boolean_count_rejected_by_name(self):
+        doc = json.loads(dumps_instance(single_chain()))
+        doc["counts"]["suppliers"] = True
+        with pytest.raises(InstanceLoadError, match="counts.suppliers must be an integer >= 1, got true"):
+            load_instance(json.dumps(doc))
+
+    def test_boolean_utilization_rejected_by_name(self):
+        doc = json.loads(dumps_instance(single_chain()))
+        doc["utilization"] = True
+        with pytest.raises(InstanceLoadError, match="'utilization'"):
+            load_instance(json.dumps(doc))
+
 
 class TestResultIO:
     def test_canonical_reserialization_is_byte_identical(self):

@@ -1,19 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdnet.network import (
+    DEFAULT_TOLERANCE,
     DimensionMismatchError,
     FlowPlan,
     NetworkInstance,
+    batch_evaluate,
     evaluate_constraints,
     evaluate_cost,
     is_feasible,
     validate_instance,
 )
+from pdnet.nsga2 import decode_batch, repair_batch
 
-from conftest import random_instance, random_plan, single_chain
+from conftest import random_instance, random_plan, single_chain, tiny_oracle_instance
 
 
 def chain_plan(r=10.0, p=10.0, t=10.0):
@@ -270,3 +275,162 @@ class TestProperties:
         plan = random_plan(rng, inst)
         b = evaluate_cost(inst, plan)
         assert b.total == b.raw_cost + b.plant_to_dc_cost + b.holding_cost + b.dc_to_retailer_cost
+
+
+def reference_violation(instance, plan, tolerance):
+    """Every constraint checked on its own, one family after another."""
+    r, p, t = plan.raw_flow, plan.plant_dc_flow, plan.dc_retailer_flow
+    s, k, j, i = instance.counts
+    u = instance.utilization
+
+    def breach(residual, scale):
+        return -residual if residual < -tolerance * max(1.0, abs(scale)) else 0.0
+
+    total = breach(instance.dc_capacity.sum() - instance.demand.sum(), instance.demand.sum())
+    total += breach(p.sum() - t.sum(), t.sum())
+    for ii in range(i):
+        mismatch = t[:, ii].sum() - instance.demand[ii]
+        if abs(mismatch) > tolerance * max(1.0, instance.demand[ii]):
+            total += abs(mismatch)
+    for kk in range(k):
+        need = u * p[kk].sum()
+        total += breach(r[:, kk].sum() - need, need)
+        total += breach(instance.plant_capacity[kk] - need, instance.plant_capacity[kk])
+    for ss in range(s):
+        total += breach(instance.supplier_capacity[ss] - r[ss].sum(), instance.supplier_capacity[ss])
+    if instance.strict_per_dc:
+        for jj in range(j):
+            arrivals = p[:, jj].sum()
+            total += breach(instance.dc_capacity[jj] - arrivals, instance.dc_capacity[jj])
+            total += breach(arrivals - t[jj].sum(), arrivals)
+    return total
+
+
+def reference_cost(instance, plan):
+    r, p, t = plan.raw_flow, plan.plant_dc_flow, plan.dc_retailer_flow
+    return float(
+        (instance.raw_unit_cost[:, None] * r).sum()
+        + ((instance.plant_dc_unit_cost + instance.holding_unit_cost[None, :]) * p).sum()
+        + (instance.dc_retailer_unit_cost * t).sum()
+    )
+
+
+def tight_plans(instance, rng, rows=6):
+    """Repaired, decoded plans: every residual within rounding of zero on tiny instances."""
+    genes = rng.random((rows, instance.num_genes))
+    r, p, t = decode_batch(repair_batch(genes, instance), instance)
+    return [FlowPlan(r[q], p[q], t[q]) for q in range(rows)]
+
+
+# fractions of a breach threshold just inside and just outside it; irrational, so
+# that a move in one family does not land another family's residual on its own
+# threshold (integer instances have thresholds in small integer ratios)
+INSIDE, OUTSIDE = 0.5 ** 0.5, 3.0 ** 0.5
+
+
+def threshold_plans(instance, plan, tolerance):
+    """(plan, outside) pairs: copies of ``plan`` with one residual per family moved
+    just inside or just outside its breach threshold."""
+    r, p, t = (np.array(a) for a in (plan.raw_flow, plan.plant_dc_flow, plan.dc_retailer_flow))
+    k0, j0 = np.unravel_index(np.argmax(p), p.shape)
+    s0 = int(np.argmax(r[:, k0]))
+    i0 = int(np.argmax(t[j0]))
+
+    def threshold(scale):
+        return tolerance * max(1.0, abs(scale))
+
+    out = []
+    for f in (INSIDE, OUTSIDE):
+        for sign in (-1.0, 1.0):  # retailer i0 short of its demand, then oversupplied
+            moved = t.copy()
+            moved[j0, i0] += sign * f * threshold(instance.demand[i0])
+            out.append((FlowPlan(r, p, moved), f > 1))
+        moved = p.copy()  # production below shipments (and, strict, DC j0 ships more than arrives)
+        moved[k0, j0] -= f * threshold(t.sum())
+        out.append((FlowPlan(r, moved, t), f > 1))
+        moved = r.copy()  # plant k0 short of raw material
+        moved[s0, k0] -= f * threshold(instance.utilization * p[k0].sum())
+        out.append((FlowPlan(moved, p, t), f > 1))
+        if instance.strict_per_dc:
+            moved = p.copy()  # DC j0 ships more than arrives, production short by less than its threshold
+            moved[k0, j0] -= f * threshold(p[:, j0].sum())
+            out.append((FlowPlan(r, moved, t), f > 1))
+    return out
+
+
+def threshold_instances(instance, plan, tolerance):
+    """(instance, outside) pairs: ``instance`` with one capacity per family squeezed to
+    ``plan``'s load less a fraction of its breach threshold, inside or outside it."""
+    need = instance.utilization * plan.plant_dc_flow.sum(axis=1)
+    bought = plan.raw_flow.sum(axis=1)
+    arrivals = plan.plant_dc_flow.sum(axis=0)
+
+    def squeezed(capacity, at, load, f):
+        capacity = np.array(capacity)
+        capacity[at] = load - f * tolerance * max(1.0, load)
+        return capacity
+
+    out = []
+    for f in (INSIDE, OUTSIDE):
+        k0, s0, j0 = int(np.argmax(need)), int(np.argmax(bought)), int(np.argmax(arrivals))
+        out.append((replace(instance, plant_capacity=squeezed(instance.plant_capacity, k0, need[k0], f)), f > 1))
+        out.append((replace(instance, supplier_capacity=squeezed(instance.supplier_capacity, s0, bought[s0], f)), f > 1))
+        if instance.strict_per_dc:
+            out.append((replace(instance, dc_capacity=squeezed(instance.dc_capacity, j0, arrivals[j0], f)), f > 1))
+        else:  # storage in total; per DC it would also overload one of them
+            total = instance.demand.sum()
+            storage = instance.dc_capacity * ((total - f * tolerance * max(1.0, total)) / instance.dc_capacity.sum())
+            out.append((replace(instance, dc_capacity=storage), f > 1))
+    return out
+
+
+class TestBatchInvariance:
+    """A plan's cost and violation do not depend on the batch it is evaluated in."""
+
+    def check(self, instance, plans, tolerance):
+        r = np.stack([plan.raw_flow for plan in plans])
+        p = np.stack([plan.plant_dc_flow for plan in plans])
+        t = np.stack([plan.dc_retailer_flow for plan in plans])
+        cost, violation = batch_evaluate(instance, r, p, t, tolerance)
+        back_cost, back_violation = batch_evaluate(instance, r[::-1], p[::-1], t[::-1], tolerance)
+        assert np.array_equal(back_cost[::-1], cost) and np.array_equal(back_violation[::-1], violation)
+        t_by_retailer = np.ascontiguousarray(t.transpose(0, 2, 1)).transpose(0, 2, 1)  # same values, other layout
+        other_cost, other_violation = batch_evaluate(instance, r, p, t_by_retailer, tolerance)
+        assert np.array_equal(other_cost, cost) and np.array_equal(other_violation, violation)
+        for q, plan in enumerate(plans):
+            one_cost, one_violation = batch_evaluate(instance, r[q : q + 1], p[q : q + 1], t[q : q + 1], tolerance)
+            assert one_cost[0] == cost[q]
+            assert one_violation[0] == violation[q]
+            assert evaluate_constraints(instance, plan, tolerance).total_violation == violation[q]
+            # a threshold decided the other way would differ by at least half a threshold, ~1e-9
+            assert violation[q] == pytest.approx(reference_violation(instance, plan, tolerance), rel=1e-12, abs=1e-11)
+            assert cost[q] == pytest.approx(reference_cost(instance, plan), rel=1e-12, abs=1e-12)
+        return violation
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_alone_and_report_agree_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        aggregate = tiny_oracle_instance(rng)
+        for instance in (aggregate, replace(aggregate, strict_per_dc=True)):
+            tolerance = DEFAULT_TOLERANCE
+            tight = tight_plans(instance, rng)
+            assert np.all(self.check(instance, tight, tolerance) == 0.0)
+            moved = threshold_plans(instance, tight[0], tolerance)
+            wild = [random_plan(rng, instance) for _ in range(3)]
+            violation = self.check(instance, tight + [plan for plan, _ in moved] + wild, tolerance)
+            outside = np.array([o for _, o in moved])
+            assert np.all(violation[len(tight) : len(tight) + len(moved)][outside] > 0.0)
+            for squeezed, out in threshold_instances(instance, tight[0], tolerance):
+                violation = self.check(squeezed, tight + wild, tolerance)
+                assert (violation[0] > 0.0) == out
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=40, deadline=None)
+    def test_random_instances_and_tolerances(self, seed):
+        rng = np.random.default_rng(seed)
+        aggregate = random_instance(rng, i=int(rng.integers(1, 12)))
+        tolerance = float(10.0 ** rng.uniform(-12, -3))
+        for instance in (aggregate, replace(aggregate, strict_per_dc=True)):
+            plans = tight_plans(instance, rng) + [random_plan(rng, instance) for _ in range(4)]
+            self.check(instance, plans, tolerance)

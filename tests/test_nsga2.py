@@ -20,7 +20,7 @@ from pdnet.nsga2 import (
     select_next_generation,
     solve,
 )
-from pdnet.nsga2 import Population, _make_offspring, _rank_and_crowd
+from pdnet.nsga2 import Population, _make_offspring, _mutation_sites, _rank_and_crowd, _repair_delivery
 
 from conftest import random_instance, single_chain, tiny_oracle_instance
 
@@ -102,6 +102,58 @@ def repaired(inst, seed, rows=16):
     genes = np.random.default_rng(seed + 1).random((rows, inst.num_genes))
     after = repair_batch(genes, inst)
     return genes, after, decode_batch(after, inst)
+
+
+def sequential_delivery(w, instance):
+    """Reference strict-mode delivery: each overloaded row filled retailer by retailer."""
+    n, i, j = w.shape
+    shares = np.eye(j)[w.argmax(axis=2)]
+    box = instance.plant_capacity / (instance.utilization * j)
+    capacity = np.minimum(instance.dc_capacity, box.sum())
+    over = np.flatnonzero((np.einsum("nij,i->nj", shares, instance.demand) > capacity).any(axis=1))
+    for row in over:
+        room = capacity.copy()
+        for r, d in enumerate(instance.demand):
+            order = np.argsort(-w[row, r], kind="stable")  # DCs in weight order
+            shares[row, r] = 0.0
+            if d <= 0:
+                shares[row, r, order[0]] = 1.0
+                continue
+            left = room[order]
+            take = np.minimum(left, np.maximum(d - (np.cumsum(left) - left), 0.0))
+            take[0] += max(d - take.sum(), 0.0)  # every DC full: the rest on the favourite
+            room[order] = np.maximum(left - take, 0.0)
+            shares[row, r, order] = take / d
+    return shares
+
+
+def overloaded_population(rng, rows=30):
+    """A strict instance whose DCs hold about the total demand, and weights with ties and zeros.
+
+    About half the draws are integer-valued, so that demands meet the room left exactly.
+    """
+    s, k, j, i = (int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(2, 10)), int(rng.integers(2, 25)))
+    integer = rng.random() < 0.5
+    demand = rng.integers(0, 6, i).astype(float) if integer else rng.uniform(0, 10, i) * (rng.random(i) > 0.1)
+    dc_capacity = demand.sum() / j * rng.uniform(0.6, 1.4, j)
+    inst = NetworkInstance(
+        num_suppliers=s,
+        num_plants=k,
+        num_dcs=j,
+        num_retailers=i,
+        supplier_capacity=rng.uniform(50, 100, s),
+        plant_capacity=rng.uniform(50, 100, k) * j,
+        dc_capacity=np.round(dc_capacity) if integer else dc_capacity,
+        demand=demand,
+        raw_unit_cost=rng.uniform(0.1, 10, s),
+        holding_unit_cost=rng.uniform(0.1, 10, j),
+        plant_dc_unit_cost=rng.uniform(0.1, 10, (k, j)),
+        dc_retailer_unit_cost=rng.uniform(0.1, 10, (j, i)),
+        utilization=1.0,
+        strict_per_dc=True,
+    )
+    w = np.round(rng.random((rows, i, j)), 1)  # ties between DCs and all-zero weights occur
+    return inst, w
 
 
 class TestRepair:
@@ -222,6 +274,20 @@ class TestRepair:
         assert plan.plant_dc_flow == pytest.approx(np.array([[10.0, 13.0]]))
 
     @given(st.integers(0, 10**9))
+    @settings(max_examples=100, deadline=None)
+    def test_strict_delivery_equals_the_per_retailer_fill(self, seed):
+        rng = np.random.default_rng(seed)
+        inst, w = overloaded_population(rng)
+        assert np.array_equal(_repair_delivery(w, inst), sequential_delivery(w, inst))
+
+    def test_the_strict_test_populations_overload(self):
+        refilled = 0
+        for seed in range(20):
+            inst, w = overloaded_population(np.random.default_rng(seed))
+            refilled += not np.array_equal(sequential_delivery(w, inst), np.eye(inst.num_dcs)[w.argmax(axis=2)])
+        assert refilled >= 15
+
+    @given(st.integers(0, 10**9))
     @settings(max_examples=30, deadline=None)
     def test_repaired_tiny_plans_do_not_lean_on_the_default_tolerance(self, seed):
         # the tiny instances admit every repaired plan in both modes, and the
@@ -297,6 +363,40 @@ class TestVariation:
         for _ in range(3):
             genes = _make_offspring(genes, cfg, rng)
         assert np.all((genes >= 0.0) & (genes <= 1.0))
+
+    def test_offspring_mutation_rate_is_binomial(self):
+        # 10^6 genes at p_m 0.001: 1000 hits expected, standard deviation 31.6
+        parents = np.full((1000, 1000), 0.5)
+        cfg = SolverConfig(crossover_prob=0.0, mutation_prob=0.001)
+        children = _make_offspring(parents, cfg, np.random.default_rng(5))
+        hits = int(np.count_nonzero(children != parents))
+        assert 800 <= hits <= 1200
+
+    def test_no_variation_leaves_every_gene_and_full_mutation_changes_every_gene(self):
+        rng = np.random.default_rng(8)
+        parents = rng.uniform(0.01, 0.99, (20, 30))
+        same = _make_offspring(parents, SolverConfig(crossover_prob=0.0, mutation_prob=0.0), rng)
+        assert np.array_equal(same, parents)
+        changed = _make_offspring(parents, SolverConfig(crossover_prob=0.0, mutation_prob=1.0), rng)
+        assert np.all(changed != parents)
+
+    def test_mutation_sites_are_independent_per_gene(self):
+        rng = np.random.default_rng(12)
+        hit = np.zeros((20_000, 10), dtype=bool)
+        for row in hit:
+            row[_mutation_sites(10, 0.3, rng)] = True
+        # per gene 0.3 +- 0.0032, both of two neighbours 0.09 +- 0.002, each a 5-sigma bound
+        assert np.all(np.abs(hit.mean(axis=0) - 0.3) < 0.017)
+        assert np.all(np.abs((hit[:, 1:] & hit[:, :-1]).mean(axis=0) - 0.09) < 0.011)
+        assert abs(hit.sum(axis=1).var() - 10 * 0.3 * 0.7) < 0.1
+
+    def test_mutation_sites_draw_more_gaps_until_past_the_end(self):
+        class ShortGaps:  # every gap 1: the first batch of gaps ends short of the end
+            def geometric(self, p, size):
+                return np.ones(size, dtype=np.int64)
+
+        assert np.array_equal(_mutation_sites(1000, 0.001, ShortGaps()), np.arange(1000))
+        assert _mutation_sites(1000, 0.0, ShortGaps()).size == 0
 
     def test_batched_operators_match_scalar_semantics(self):
         # same shape and closure guarantees; children differ from parents when SBX fires
@@ -559,6 +659,14 @@ class TestSolve:
                     x < y for x, y in zip(objs[a], objs[b])
                 )
                 assert not dominates
+
+    def test_final_front_plans_are_their_genes_decoded(self):
+        rng = np.random.default_rng(4)
+        inst = dataclasses.replace(random_instance(rng, s=2, k=3, j=3, i=6), strict_per_dc=True)
+        res = solve(inst, SolverConfig(seed=4, max_generations=30))
+        assert len(res.final_front) > 1
+        for ind in res.final_front:
+            assert ind.plan == decode(ind.genes, inst)
 
     def test_infeasible_instance_reports_no_best(self):
         # demand exceeds what the DC can store: never feasible

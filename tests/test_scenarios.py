@@ -60,6 +60,18 @@ class TestScheduleParsing:
         with pytest.raises(ValueError, match="line 2"):
             load_schedule_csv(",Plant 1\nDC 1,lots\n")
 
+    def test_nan_cell_names_line_and_column(self):
+        with pytest.raises(ValueError, match=r"line 3, column 3 \(Plant 2\): cell 'nan'"):
+            load_schedule_csv(",Plant 1,Plant 2\nDC 1,5,6\nDC 2,7,nan\n")
+
+    def test_infinite_cell_names_line_and_column(self):
+        with pytest.raises(ValueError, match=r"line 2, column 2 \(Plant 1\): cell 'inf'"):
+            load_schedule_csv(",Plant 1,Plant 2\nDC 1,inf,6\n")
+
+    def test_negative_cell_names_line_and_column(self):
+        with pytest.raises(ValueError, match=r"line 2, column 3 \(Plant 2\): cell '-4'"):
+            load_schedule_csv(",Plant 1,Plant 2\nDC 1,5,-4\n")
+
     def test_header_required(self):
         with pytest.raises(ValueError):
             load_schedule_csv("\n")
