@@ -4,50 +4,29 @@
 For each randomized tiny instance (at most 1 supplier, 2 plants, 2 DCs,
 2 retailers, integer data) the script reports the median relative gap between
 the solver's best feasible cost and the exact lattice optimum over a set of
-seeds, together with the lower-bound sanity check.  This is the measurement
-behind the oracle-agreement acceptance test; run it directly to study how the
-gap responds to generation budget or operator settings.
+seeds, together with the lower-bound sanity check.  The instances and the
+loop are criterion 4's own (``oracle_agreement`` in ``tests/conftest.py``);
+run it directly to study how the gap responds to the generation budget.
 
 Usage: python scripts/oracle_benchmark.py [--instances N] [--seeds N]
        [--generations N] [--master-seed N]
 """
 
 import argparse
+import importlib.util
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from pdnet.nsga2 import SolverConfig, solve
-from pdnet.oracle import brute_force_optimum, lower_bound
-from pdnet.network import NetworkInstance
 
-
-def tiny_instance(rng):
-    """Integer instance whose grid-1 lattice contains the continuous optimum."""
-    k = int(rng.integers(1, 3))
-    j = int(rng.integers(1, 3))
-    i = int(rng.integers(1, 3))
-    demand = rng.integers(1, 4, size=i).astype(float)
-    total = demand.sum()
-    plant_cap = 2.0 * np.ceil((total / k + rng.integers(0, 3, size=k)) / 2.0) + 2.0
-    dc_cap = rng.integers(int(total), int(total) + 6, size=j).astype(float)
-    supplier_cap = np.array([2.0 * np.ceil(total / 2.0) + 2.0 * rng.integers(1, 4)])
-    return NetworkInstance(
-        num_suppliers=1,
-        num_plants=k,
-        num_dcs=j,
-        num_retailers=i,
-        supplier_capacity=supplier_cap,
-        plant_capacity=plant_cap,
-        dc_capacity=dc_cap,
-        demand=demand,
-        raw_unit_cost=rng.integers(1, 6, size=1).astype(float),
-        holding_unit_cost=rng.integers(1, 4, size=j).astype(float),
-        plant_dc_unit_cost=rng.integers(1, 8, size=(k, j)).astype(float),
-        dc_retailer_unit_cost=rng.integers(1, 8, size=(j, i)).astype(float),
-        utilization=1.0,
-    )
+def _oracle_agreement():
+    path = Path(__file__).resolve().parent.parent / "tests" / "conftest.py"
+    spec = importlib.util.spec_from_file_location("criterion_conftest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.oracle_agreement
 
 
 def main(argv=None):
@@ -58,35 +37,24 @@ def main(argv=None):
     parser.add_argument("--master-seed", type=int, default=20260823)
     args = parser.parse_args(argv)
 
-    rng = np.random.default_rng(args.master_seed)
     t0 = time.perf_counter()
-    medians = []
-    print(f"{'instance':>8} {'topology':>12} {'optimum':>9} {'bound':>7} {'median gap':>11}")
-    for idx in range(args.instances):
-        instance = tiny_instance(rng)
-        _, optimum = brute_force_optimum(instance, grid_step=1.0)
-        bound = lower_bound(instance)
-        gaps = []
-        for seed in range(args.seeds):
-            result = solve(instance, SolverConfig(seed=seed, max_generations=args.generations))
-            if result.best_feasible is None:
-                gaps.append(float("inf"))
-                continue
-            cost = result.best_feasible[1].total
-            assert cost >= bound - 1e-9, "feasible cost fell below the lower bound"
-            gaps.append((cost - optimum) / optimum)
-        med = float(np.median(gaps))
-        medians.append(med)
-        shape = "x".join(str(c) for c in instance.counts)
-        print(f"{idx:>8} {shape:>12} {optimum:>9.1f} {bound:>7.1f} {med:>10.2%}")
-
+    rows = _oracle_agreement()(args.master_seed, args.instances, args.seeds, args.generations)
     elapsed = time.perf_counter() - t0
+    print(f"{'instance':>8} {'topology':>12} {'optimum':>9} {'bound':>7} {'median gap':>11}")
+    for idx, row in enumerate(rows):
+        shape = "x".join(str(c) for c in row.instance.counts)
+        print(f"{idx:>8} {shape:>12} {row.optimum:>9.1f} {row.bound:>7.1f} {row.median_gap:>10.2%}")
+
+    medians = [row.median_gap for row in rows]
     within = sum(m <= 0.02 for m in medians)
     print(
         f"\n{within}/{args.instances} instance medians within 2%; "
         f"median of medians {np.median(medians):.2%}; {elapsed:.1f}s total"
     )
-    return 0 if within == args.instances else 1
+    below = [idx for idx, row in enumerate(rows) if row.below_bound]
+    if below:
+        print(f"a feasible cost fell below the lower bound on instances {below}", file=sys.stderr)
+    return 0 if within == args.instances and not below else 1
 
 
 if __name__ == "__main__":

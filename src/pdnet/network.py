@@ -134,18 +134,6 @@ class FlowPlan:
             and np.array_equal(self.dc_retailer_flow, other.dc_retailer_flow)
         )
 
-    def scaled(self, alpha: float) -> "FlowPlan":
-        return FlowPlan(
-            alpha * self.raw_flow, alpha * self.plant_dc_flow, alpha * self.dc_retailer_flow
-        )
-
-    def __add__(self, other: "FlowPlan") -> "FlowPlan":
-        return FlowPlan(
-            self.raw_flow + other.raw_flow,
-            self.plant_dc_flow + other.plant_dc_flow,
-            self.dc_retailer_flow + other.dc_retailer_flow,
-        )
-
 
 @dataclass(frozen=True)
 class CostBreakdown:

@@ -23,8 +23,7 @@ objectives; the tournament reuses the ranks and crowding distances assigned
 at survival.  Ranking with plain Pareto domination keeps a spread of
 near-feasible individuals alive; collapsing feasible comparisons to cost
 alone starves the population of diversity under the low mutation rate and
-stalls far from the optimum, so that mode is available in the sort but not
-used by the loop.
+stalls far from the optimum.
 
 A generation does only the work that depends on it.  What depends on the
 instance alone (gene slices, arc boxes, the arcs in route-cost order, the
@@ -54,6 +53,10 @@ from .network import (
 )
 
 
+SBX_ETA = 15.0  # distribution index of simulated binary crossover
+PM_ETA = 20.0  # distribution index of polynomial mutation
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     population_size: int = 50
@@ -63,8 +66,6 @@ class SolverConfig:
     stall_generations: int = 50
     stall_tolerance: float = 1e-6
     seed: int = 0
-    sbx_eta: float = 15.0
-    pm_eta: float = 20.0
 
     def __post_init__(self):
         if self.population_size < 4 or self.population_size % 2:
@@ -83,12 +84,6 @@ class Individual:
     plan: FlowPlan
     cost: float
     violation: float
-    rank: Optional[int] = None
-    crowding: Optional[float] = None
-
-    @property
-    def objectives(self):
-        return (self.cost, self.violation)
 
 
 @dataclass
@@ -327,35 +322,6 @@ def init_population(instance: NetworkInstance, config: SolverConfig, rng) -> Pop
 # Variation operators
 # ---------------------------------------------------------------------------
 
-def sbx_pair(parent_a: np.ndarray, parent_b: np.ndarray, eta: float, rng):
-    """Simulated binary crossover, gene-wise, children clamped to [0,1]."""
-    u = rng.random(parent_a.size)
-    exp = 1.0 / (eta + 1.0)
-    beta = np.where(u <= 0.5, (2.0 * u) ** exp, (1.0 / (2.0 * (1.0 - u))) ** exp)
-    child_a = 0.5 * ((1.0 + beta) * parent_a + (1.0 - beta) * parent_b)
-    child_b = 0.5 * ((1.0 - beta) * parent_a + (1.0 + beta) * parent_b)
-    return np.clip(child_a, 0.0, 1.0), np.clip(child_b, 0.0, 1.0)
-
-
-def crossover(parent_a: np.ndarray, parent_b: np.ndarray, config: SolverConfig, rng):
-    """With probability crossover_prob apply SBX, otherwise copy the parents."""
-    if parent_a.size != parent_b.size:
-        raise DimensionMismatchError("parents have different gene lengths")
-    if rng.random() < config.crossover_prob:
-        return sbx_pair(parent_a, parent_b, config.sbx_eta, rng)
-    return parent_a.copy(), parent_b.copy()
-
-
-def mutate(chromosome: np.ndarray, config: SolverConfig, rng) -> np.ndarray:
-    """Polynomial mutation applied per gene with probability mutation_prob."""
-    n = chromosome.size
-    hit = rng.random(n) < config.mutation_prob
-    u = rng.random(n)
-    exp = 1.0 / (config.pm_eta + 1.0)
-    delta = np.where(u < 0.5, (2.0 * u) ** exp - 1.0, 1.0 - (2.0 * (1.0 - u)) ** exp)
-    return np.where(hit, np.clip(chromosome + delta, 0.0, 1.0), chromosome)
-
-
 def _mutation_sites(size: int, prob: float, rng) -> np.ndarray:
     """Sorted indices below ``size``, each drawn independently with probability ``prob``.
 
@@ -376,8 +342,8 @@ def _mutation_sites(size: int, prob: float, rng) -> np.ndarray:
 def _make_offspring(parent_genes: np.ndarray, config: SolverConfig, rng) -> np.ndarray:
     """Crossover + mutation over the whole mating pool in one batch.
 
-    Pairs are consecutive rows.  Matches the scalar operators: SBX fires per
-    pair with probability crossover_prob, polynomial mutation per gene with
+    Pairs are consecutive rows.  Simulated binary crossover fires per pair
+    with probability crossover_prob, polynomial mutation per gene with
     probability mutation_prob, genes stay clamped to [0,1].  Random numbers
     are drawn only where they are used: spread factors for the pairs that
     cross, and the sites and deltas of the genes that mutate.
@@ -387,7 +353,7 @@ def _make_offspring(parent_genes: np.ndarray, config: SolverConfig, rng) -> np.n
     fire = np.flatnonzero(rng.random(n // 2) < config.crossover_prob)
     if fire.size:
         u = rng.random((fire.size, length))
-        exp = 1.0 / (config.sbx_eta + 1.0)
+        exp = 1.0 / (SBX_ETA + 1.0)
         beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** exp
         a = parent_genes[2 * fire]
         b = parent_genes[2 * fire + 1]
@@ -396,7 +362,7 @@ def _make_offspring(parent_genes: np.ndarray, config: SolverConfig, rng) -> np.n
     sites = _mutation_sites(n * length, config.mutation_prob, rng)
     if sites.size:
         um = rng.random(sites.size)
-        expm = 1.0 / (config.pm_eta + 1.0)
+        expm = 1.0 / (PM_ETA + 1.0)
         delta = np.where(um < 0.5, (2.0 * um) ** expm - 1.0, 1.0 - (2.0 * (1.0 - um)) ** expm)
         flat = children.reshape(-1)  # a view: children is a fresh contiguous copy
         flat[sites] = np.clip(flat[sites] + delta, 0.0, 1.0)
@@ -434,27 +400,14 @@ def _front_ranks(cost: np.ndarray, violation: np.ndarray) -> np.ndarray:
     return out
 
 
-def fast_non_dominated_sort(objective_pairs, constrained: bool = False):
-    """Partition points into fronts: front 0 non-dominated, front n dominated only by earlier fronts.
-
-    Default domination is plain Pareto minimization.  With ``constrained=True``
-    the second objective is treated as a violation: zero-violation points
-    dominate positive-violation ones and two infeasible points compare by
-    violation alone.
-    """
+def fast_non_dominated_sort(objective_pairs):
+    """Partition points into Pareto fronts: front 0 non-dominated, front n dominated only by earlier fronts."""
     objectives = np.asarray(objective_pairs, dtype=np.float64)
     if objectives.ndim != 2 or objectives.shape[0] < 1:
         raise ValueError("need at least one objective pair")
     if not np.all(np.isfinite(objectives)):
         raise ValueError("objectives must be finite")
-    cost, violation = objectives[:, 0], objectives[:, 1]
-    if constrained:
-        # a strict weak order: feasible points by cost, then infeasible ones by violation
-        infeasible = violation != 0.0
-        key = np.stack([infeasible, np.where(infeasible, violation, cost)], axis=1)
-        ranks = np.unique(key, axis=0, return_inverse=True)[1].ravel()
-    else:
-        ranks = _front_ranks(cost, violation)
+    ranks = _front_ranks(objectives[:, 0], objectives[:, 1])
     return [np.flatnonzero(ranks == r).tolist() for r in range(ranks.max() + 1)]
 
 
@@ -599,8 +552,6 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
             plan=FlowPlan(r[q], p[q], t[q]),
             cost=float(pop.cost[idx]),
             violation=float(pop.violation[idx]),
-            rank=0,
-            crowding=float(pop.crowding[idx]),
         )
         for q, idx in enumerate(front0)
     ]

@@ -96,8 +96,8 @@ def brute_force_optimum(instance: NetworkInstance, grid_step: float = 1.0):
     grid_step clipped at the box bound) in lexicographic order, so cost ties
     resolve to the lexicographically smallest plan.
     """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
+    if not 0.0 < grid_step < np.inf:
+        raise ValueError("grid_step must be positive and finite")
     s, k, j, i = instance.counts
     uppers = _variable_boxes(instance)
     levels = (1 + np.ceil(uppers / grid_step)).astype(np.int64)

@@ -1,7 +1,11 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from pdnet.network import FlowPlan, NetworkInstance
+from pdnet.nsga2 import SolverConfig, solve
+from pdnet.oracle import brute_force_optimum, lower_bound
 
 
 def single_chain(d=10.0, u=1.0, c_s=2.0, c_kj=3.0, h_j=1.0, r_ji=4.0, cap=20.0):
@@ -85,6 +89,37 @@ def tiny_oracle_instance(rng):
         dc_retailer_unit_cost=rng.integers(1, 8, size=(j, i)).astype(float),
         utilization=1.0,
     )
+
+
+class Agreement(NamedTuple):
+    instance: NetworkInstance
+    optimum: float  # brute-force optimum on the grid-1 lattice
+    bound: float  # oracle.lower_bound
+    median_gap: float  # median over seeds of (cost - optimum) / optimum, inf for a run with no feasible plan
+    below_bound: bool  # some feasible cost fell more than 1e-9 below the bound
+
+
+def oracle_agreement(master_seed, instances, seeds, generations):
+    """The GA against the brute-force oracle on tiny instances (criterion 4): one Agreement per instance.
+
+    Draws ``instances`` instances with ``tiny_oracle_instance`` from
+    ``master_seed`` and solves each with solver seeds 0 .. seeds-1 for
+    ``generations`` generations, the other settings at their defaults.
+    """
+    rng = np.random.default_rng(master_seed)
+    rows = []
+    for _ in range(instances):
+        instance = tiny_oracle_instance(rng)
+        _, optimum = brute_force_optimum(instance, grid_step=1.0)
+        bound = lower_bound(instance)
+        costs = []
+        for seed in range(seeds):
+            result = solve(instance, SolverConfig(seed=seed, max_generations=generations))
+            costs.append(np.inf if result.best_feasible is None else result.best_feasible[1].total)
+        costs = np.array(costs)
+        median_gap = float(np.median((costs - optimum) / optimum))
+        rows.append(Agreement(instance, optimum, bound, median_gap, bool(np.any(costs < bound - 1e-9))))
+    return rows
 
 
 @pytest.fixture

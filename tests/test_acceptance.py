@@ -20,11 +20,10 @@ from pdnet.nsga2 import (
     fast_non_dominated_sort,
     solve,
 )
-from pdnet.oracle import brute_force_optimum, lower_bound
 from pdnet.scenarios import build_scenario, check_schedule, compare_scenarios, load_schedule_csv
 from pdnet.serialize import data_path, save_instance
 
-from conftest import random_instance, single_chain, tiny_oracle_instance
+from conftest import oracle_agreement, random_instance, single_chain, tiny_oracle_instance
 from test_nsga2 import brute_fronts
 
 
@@ -97,26 +96,11 @@ def test_criterion_3_percent_claims(capsys):
 
 
 def test_criterion_4_oracle_agreement(capsys):
-    rng = np.random.default_rng(20260823)
     t0 = time.perf_counter()
-    medians = []
-    never_below_lb = True
-    for _ in range(20):
-        instance = tiny_oracle_instance(rng)
-        _, optimum = brute_force_optimum(instance, grid_step=1.0)
-        bound = lower_bound(instance)
-        gaps = []
-        for seed in range(10):
-            result = solve(instance, SolverConfig(seed=seed, max_generations=300))
-            if result.best_feasible is None:
-                gaps.append(np.inf)
-                continue
-            cost = result.best_feasible[1].total
-            if cost < bound - 1e-9:
-                never_below_lb = False
-            gaps.append((cost - optimum) / optimum)
-        medians.append(float(np.median(gaps)))
+    rows = oracle_agreement(20260823, instances=20, seeds=10, generations=300)
     elapsed = time.perf_counter() - t0
+    medians = [row.median_gap for row in rows]
+    never_below_lb = not any(row.below_bound for row in rows)
     within_two_pct = [m <= 0.02 for m in medians]
     ok = all(within_two_pct) and never_below_lb and elapsed < 60.0
     announce(capsys, 4, "GA within 2% of brute-force oracle", ok)

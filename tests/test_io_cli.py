@@ -151,6 +151,28 @@ class TestCLI:
         save_instance(single_chain(d=30.0, cap=20.0), inst_path)
         assert main(["solve", str(inst_path), "--generations", "10"]) == EXIT_NO_RESULT
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--population", "3", "population_size"),
+            ("--crossover", "1.5", "crossover_prob"),
+            ("--mutation", "2", "mutation_prob"),
+            ("--generations", "0", "max_generations"),
+        ],
+    )
+    def test_solve_rejects_a_bad_setting_by_name(self, tmp_path, capsys, flag, value, field):
+        inst_path = tmp_path / "i.json"
+        save_instance(single_chain(), inst_path)
+        assert main(["solve", str(inst_path), flag, value]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {field}")
+
+    @pytest.mark.parametrize("grid", ["0", "nan", "inf"])
+    def test_oracle_rejects_a_bad_grid_by_name(self, tmp_path, capsys, grid):
+        inst_path = tmp_path / "i.json"
+        save_instance(single_chain(), inst_path)
+        assert main(["oracle", str(inst_path), "--grid", grid]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: grid_step")
+
     def test_oracle_tiny(self, tmp_path, capsys):
         inst_path = tmp_path / "i.json"
         save_instance(single_chain(), inst_path)

@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 from pdnet.network import DimensionMismatchError, FlowPlan, NetworkInstance, evaluate_constraints
 from pdnet.nsga2 import (
     SolverConfig,
-    crossover,
     crowding_distance,
     decode,
     decode_batch,
     fast_non_dominated_sort,
     init_population,
-    mutate,
     repair_batch,
-    sbx_pair,
     select_next_generation,
     solve,
 )
 from pdnet.nsga2 import Population, _make_offspring, _mutation_sites, _rank_and_crowd, _repair_delivery
+from pdnet.oracle import lower_bound
 
 from conftest import random_instance, single_chain, tiny_oracle_instance
 
@@ -327,32 +325,18 @@ class TestInit:
 
 
 class TestVariation:
-    def test_crossover_prob_zero_copies_parents(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.random(10), rng.random(10)
-        ca, cb = crossover(a, b, SolverConfig(crossover_prob=0.0), rng)
-        assert np.array_equal(ca, a) and np.array_equal(cb, b)
-
     def test_identical_parents_give_identical_children(self):
         rng = np.random.default_rng(1)
-        p = rng.random(10)
-        ca, cb = crossover(p, p.copy(), SolverConfig(crossover_prob=1.0), rng)
-        assert np.allclose(ca, p) and np.allclose(cb, p)
+        parents = np.repeat(rng.random((5, 10)), 2, axis=0)  # each pair is one parent twice
+        children = _make_offspring(parents, SolverConfig(crossover_prob=1.0, mutation_prob=0.0), rng)
+        assert np.allclose(children, parents)
 
     def test_sbx_preserves_parent_mean(self):
         rng = np.random.default_rng(3)
-        a = np.full(10_000, 0.2)
-        b = np.full(10_000, 0.8)
-        ca, cb = sbx_pair(a, b, eta=15.0, rng=rng)
-        pair_means = 0.5 * (ca + cb)
+        parents = np.array([[0.2], [0.8]]).repeat(10_000, axis=1)
+        children = _make_offspring(parents, SolverConfig(crossover_prob=1.0, mutation_prob=0.0), rng)
+        pair_means = children.mean(axis=0)
         assert abs(pair_means.mean() - 0.5) < 0.02
-
-    def test_mutation_rate(self):
-        rng = np.random.default_rng(5)
-        genes = np.full(10**6, 0.5)
-        mutated = mutate(genes, SolverConfig(mutation_prob=0.001), rng)
-        hits = int(np.count_nonzero(mutated != genes))
-        assert 800 <= hits <= 1200
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
@@ -398,8 +382,7 @@ class TestVariation:
         assert np.array_equal(_mutation_sites(1000, 0.001, ShortGaps()), np.arange(1000))
         assert _mutation_sites(1000, 0.0, ShortGaps()).size == 0
 
-    def test_batched_operators_match_scalar_semantics(self):
-        # same shape and closure guarantees; children differ from parents when SBX fires
+    def test_children_differ_from_parents_when_sbx_fires(self):
         rng = np.random.default_rng(9)
         parents = rng.random((10, 6))
         children = _make_offspring(parents, SolverConfig(crossover_prob=1.0), rng)
@@ -459,23 +442,6 @@ class TestSorting:
         fronts = fast_non_dominated_sort(objs)
         flat = sorted(idx for f in fronts for idx in f)
         assert flat == list(range(len(objs)))
-
-    @given(st.integers(0, 10**9))
-    @settings(max_examples=80, deadline=None)
-    def test_constrained_mode_feasible_outranks_infeasible(self, seed):
-        rng = np.random.default_rng(seed)
-        cost = rng.random(20) * 10
-        viol = np.where(rng.random(20) < 0.5, 0.0, rng.random(20))
-        if not (viol == 0).any() or not (viol > 0).any():
-            return
-        fronts = fast_non_dominated_sort(np.stack([cost, viol], axis=1), constrained=True)
-        rank = {}
-        for r, f in enumerate(fronts):
-            for idx in f:
-                rank[idx] = r
-        worst_feasible = max(rank[i] for i in range(20) if viol[i] == 0)
-        best_infeasible = min(rank[i] for i in range(20) if viol[i] > 0)
-        assert worst_feasible < best_infeasible
 
 
 class TestCrowding:
@@ -646,7 +612,8 @@ class TestSolve:
         plan, breakdown = res.best_feasible
         report = evaluate_constraints(inst, plan)
         assert report.total_violation == 0.0
-        assert breakdown.total == pytest.approx(breakdown.total)
+        assert breakdown.total == pytest.approx(res.trace[-1].best_feasible_cost, rel=1e-12)
+        assert breakdown.total >= lower_bound(inst) - 1e-9
 
     def test_final_front_mutually_non_dominated(self):
         res = solve(single_chain(), SolverConfig(seed=5, max_generations=40))

@@ -1,0 +1,38 @@
+"""Each script's main() run in process on a small budget."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_audit_tables(capsys):
+    load_script("audit_tables").main()
+    out = capsys.readouterr().out
+    for total in ("50493", "58558", "117110"):
+        assert f"grand total: {total} cases" in out
+    assert "13.77% (new basis)" in out and "56.88% (new basis)" in out
+
+
+def test_oracle_benchmark(capsys):
+    assert load_script("oracle_benchmark").main(["--instances", "2", "--seeds", "2"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 5  # header, two instances, a blank line, the summary
+    assert "2/2 instance medians within 2%" in out
+
+
+def test_solve_scenarios(tmp_path, capsys):
+    load_script("solve_scenarios").main(["--generations", "3", "--outdir", str(tmp_path)])
+    names = ("baseline", "dc_expansion", "network_expansion")
+    for name in names:
+        assert json.loads((tmp_path / f"{name}.result.json").read_text())["generations_run"] == 3
+        assert len((tmp_path / f"{name}.trace.csv").read_text().splitlines()) == 4
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == list(names)
