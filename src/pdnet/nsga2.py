@@ -497,8 +497,8 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
     pop = init_population(instance, config, rng)
     pop.rank, pop.crowding, _ = _rank_and_crowd(pop.cost, pop.violation)
 
-    best_cost = np.inf
-    best_flows = None
+    best_cost = np.inf  # batch price of the best plan: ranks improvements and drives the stall test
+    best_feasible = None  # (FlowPlan, CostBreakdown) of that plan
     best_history = []
     trace = []
     terminated_by = "max-generations"
@@ -520,7 +520,8 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
                 j = feas[np.argmin(cand.cost[feas])]
                 if cand.cost[j] < best_cost:
                     best_cost = float(cand.cost[j])
-                    best_flows = decode(cand.genes[j], instance)
+                    plan = decode(cand.genes[j], instance)
+                    best_feasible = (plan, evaluate_cost(instance, plan))
 
         pop = select_next_generation(pop, offspring, config)
 
@@ -528,7 +529,7 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
         trace.append(
             GenerationRecord(
                 generation=gen,
-                best_feasible_cost=None if not np.isfinite(best_cost) else best_cost,
+                best_feasible_cost=None if best_feasible is None else best_feasible[1].total,
                 mean_cost=float(pop.cost.mean()),
                 min_violation=float(pop.violation.min()),
                 feasible_count=feasible_count,
@@ -555,10 +556,6 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
         )
         for q, idx in enumerate(front0)
     ]
-
-    best_feasible = None
-    if best_flows is not None:
-        best_feasible = (best_flows, evaluate_cost(instance, best_flows))
 
     return SolveResult(
         best_feasible=best_feasible,

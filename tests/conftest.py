@@ -1,3 +1,4 @@
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -97,6 +98,7 @@ class Agreement(NamedTuple):
     bound: float  # oracle.lower_bound
     median_gap: float  # median over seeds of (cost - optimum) / optimum, inf for a run with no feasible plan
     below_bound: bool  # some feasible cost fell more than 1e-9 below the bound
+    oracle_s: float  # wall time of brute_force_optimum on this instance
 
 
 def oracle_agreement(master_seed, instances, seeds, generations):
@@ -110,7 +112,9 @@ def oracle_agreement(master_seed, instances, seeds, generations):
     rows = []
     for _ in range(instances):
         instance = tiny_oracle_instance(rng)
+        t0 = time.perf_counter()
         _, optimum = brute_force_optimum(instance, grid_step=1.0)
+        oracle_s = time.perf_counter() - t0
         bound = lower_bound(instance)
         costs = []
         for seed in range(seeds):
@@ -118,7 +122,7 @@ def oracle_agreement(master_seed, instances, seeds, generations):
             costs.append(np.inf if result.best_feasible is None else result.best_feasible[1].total)
         costs = np.array(costs)
         median_gap = float(np.median((costs - optimum) / optimum))
-        rows.append(Agreement(instance, optimum, bound, median_gap, bool(np.any(costs < bound - 1e-9))))
+        rows.append(Agreement(instance, optimum, bound, median_gap, bool(np.any(costs < bound - 1e-9)), oracle_s))
     return rows
 
 

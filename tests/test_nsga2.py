@@ -19,6 +19,7 @@ from pdnet.nsga2 import (
 )
 from pdnet.nsga2 import Population, _make_offspring, _mutation_sites, _rank_and_crowd, _repair_delivery
 from pdnet.oracle import lower_bound
+from pdnet.scenarios import default_instance
 
 from conftest import random_instance, single_chain, tiny_oracle_instance
 
@@ -612,8 +613,16 @@ class TestSolve:
         plan, breakdown = res.best_feasible
         report = evaluate_constraints(inst, plan)
         assert report.total_violation == 0.0
-        assert breakdown.total == pytest.approx(res.trace[-1].best_feasible_cost, rel=1e-12)
+        assert breakdown.total == res.trace[-1].best_feasible_cost
         assert breakdown.total >= lower_bound(inst) - 1e-9
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("scenario", ["baseline", "dc_expansion", "network_expansion"])
+    def test_traced_best_cost_is_the_reported_price(self, scenario, seed):
+        # the batch price and evaluate_cost can differ in the last bits; the
+        # trace must report the result's price of the plan, bit for bit
+        res = solve(default_instance(scenario), SolverConfig(seed=seed, max_generations=300))
+        assert res.trace[-1].best_feasible_cost == res.best_feasible[1].total
 
     def test_final_front_mutually_non_dominated(self):
         res = solve(single_chain(), SolverConfig(seed=5, max_generations=40))

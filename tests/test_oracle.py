@@ -1,14 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdnet import oracle
 from pdnet.network import NetworkInstance, evaluate_constraints, evaluate_cost
 from pdnet.oracle import (
     NoFeasibleLatticePointError,
     OracleError,
     SearchSpaceTooLargeError,
     TopologyError,
+    _cost_vector,
+    _variable_boxes,
     brute_force_optimum,
     lower_bound,
     single_chain_optimum,
@@ -51,6 +56,181 @@ class TestSingleChain:
             single_chain_optimum(single_chain(d=30.0, cap=20.0))
 
 
+def reference_violations(instance, x, grid_step):
+    """Total violation per lattice point, each row judged on its own; demand equality at grid_step/2."""
+    s, k, j, i = instance.counts
+    n = x.shape[0]
+    r = x[:, : s * k].reshape(n, s, k)
+    p = x[:, s * k : s * k + k * j].reshape(n, k, j)
+    t = x[:, s * k + k * j :].reshape(n, j, i)
+    u = instance.utilization
+    tol = 1e-9
+
+    v = np.zeros(n)
+    v += max(0.0, instance.demand.sum() - instance.dc_capacity.sum())
+    v += np.maximum(0.0, t.sum(axis=(1, 2)) - p.sum(axis=(1, 2)))
+    mism = np.abs(t.sum(axis=1) - instance.demand[None, :])
+    v += np.where(mism > grid_step / 2.0 + tol, mism, 0.0).sum(axis=1)
+    prod = p.sum(axis=2)
+    v += np.maximum(0.0, u * prod - r.sum(axis=1) - tol * np.maximum(1.0, u * prod)).sum(axis=1)
+    v += np.maximum(
+        0.0, u * prod - instance.plant_capacity[None, :] - tol * np.maximum(1.0, instance.plant_capacity[None, :])
+    ).sum(axis=1)
+    v += np.maximum(
+        0.0, r.sum(axis=2) - instance.supplier_capacity[None, :] - tol * np.maximum(1.0, instance.supplier_capacity[None, :])
+    ).sum(axis=1)
+    if instance.strict_per_dc:
+        arrivals = p.sum(axis=1)
+        v += np.maximum(0.0, arrivals - instance.dc_capacity[None, :]).sum(axis=1)
+        v += np.maximum(0.0, t.sum(axis=2) - arrivals).sum(axis=1)
+    return v
+
+
+def reference_lattice(instance, grid_step):
+    """Every lattice point in index (lexicographic) order, as rows of [r | p | t]."""
+    uppers = _variable_boxes(instance)
+    levels = (1 + np.ceil(uppers / grid_step)).astype(np.int64)
+    strides = np.ones(uppers.size, dtype=np.int64)
+    for v in range(uppers.size - 2, -1, -1):
+        strides[v] = strides[v + 1] * levels[v + 1]
+    idx = np.arange(int(np.prod(levels)), dtype=np.int64)
+    x = ((idx[:, None] // strides[None, :]) % levels[None, :]).astype(np.float64)
+    return np.minimum(x * grid_step, uppers[None, :])
+
+
+def reference_brute_force(instance, grid_step):
+    """Row-by-row enumeration of the whole lattice: (feasible, x or None, cost, smallest violation)."""
+    x = reference_lattice(instance, grid_step)
+    viol = reference_violations(instance, x, grid_step)
+    feas = np.flatnonzero(viol == 0.0)
+    if not feas.size:
+        return False, None, None, float(viol.min())
+    costs = x[feas] @ _cost_vector(instance)
+    a = int(np.argmin(costs))  # first occurrence: lexicographically smallest
+    return True, x[feas[a]], float(costs[a]), 0.0
+
+
+def flat(plan):
+    return np.concatenate([plan.raw_flow.ravel(), plan.plant_dc_flow.ravel(), plan.dc_retailer_flow.ravel()])
+
+
+def small_lattice_instance(rng, grid_step, integer, strict, max_points=3000):
+    """Random instance whose lattice at grid_step has at most max_points points.
+
+    Integer draws use u in {0.5, 1, 2}, so every box bound and every lattice
+    cost is exact in binary; fractional draws use any u in [0.5, 2].
+    Capacities reach below demand, so some draws are infeasible.
+    """
+    while True:
+        s, k, j, i = (int(c) for c in rng.integers(1, 3, size=4))
+        if integer:
+            draw = lambda lo, hi, size: rng.integers(lo, hi + 1, size=size).astype(float)
+            u = float(rng.choice([0.5, 1.0, 2.0]))
+        else:
+            draw = lambda lo, hi, size: rng.uniform(lo, hi, size=size)
+            u = float(rng.uniform(0.5, 2.0))
+        instance = NetworkInstance(
+            num_suppliers=s,
+            num_plants=k,
+            num_dcs=j,
+            num_retailers=i,
+            supplier_capacity=draw(0, 6, s),
+            plant_capacity=draw(0, 6, k),
+            dc_capacity=draw(0, 4, j),
+            demand=draw(0, 3, i),
+            raw_unit_cost=draw(1, 5, s),
+            holding_unit_cost=draw(0, 3, j),
+            plant_dc_unit_cost=draw(1, 7, (k, j)),
+            dc_retailer_unit_cost=draw(1, 7, (j, i)),
+            utilization=u,
+            strict_per_dc=strict,
+        )
+        if np.prod(1 + np.ceil(_variable_boxes(instance) / grid_step)) <= max_points:
+            return instance
+
+
+def assert_matches_reference(inst, grid_step, exact):
+    """Same feasibility verdict as the reference; on exact data the same plan
+    and cost, elsewhere cost within 1e-12 and the same plan unless another
+    plan ties within that; the same smallest violation when nothing is feasible."""
+    feasible, x_ref, cost_ref, min_violation = reference_brute_force(inst, grid_step)
+    if not feasible:
+        with pytest.raises(NoFeasibleLatticePointError) as exc:
+            brute_force_optimum(inst, grid_step)
+        assert exc.value.min_violation == pytest.approx(min_violation, rel=1e-12)
+        return
+    plan, cost = brute_force_optimum(inst, grid_step)
+    x = flat(plan)
+    if exact:
+        assert cost == cost_ref
+        assert np.array_equal(x, x_ref)
+        return
+    assert cost == pytest.approx(cost_ref, rel=1e-12)
+    if not np.array_equal(x, x_ref):
+        assert reference_violations(inst, x[None, :], grid_step)[0] == 0.0
+        assert x @ _cost_vector(inst) == pytest.approx(cost_ref, rel=1e-12)
+
+
+class TestAgainstTheRowByRowReference:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1.0, 0.5]),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_plan_cost_and_smallest_violation(self, seed, grid_step, integer, strict):
+        inst = small_lattice_instance(np.random.default_rng(seed), grid_step, integer, strict)
+        assert_matches_reference(inst, grid_step, exact=integer)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_chunks_smaller_than_a_block_give_the_same_answer(self, monkeypatch, chunk):
+        # many block chunks and pair sub-blocks: ties resolve across them
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            strict = bool(seed % 2)
+            inst = small_lattice_instance(rng, 1.0, integer=True, strict=strict, max_points=400)
+            assert_matches_reference(inst, 1.0, exact=True)
+
+    @pytest.mark.parametrize("chunk", [3, 5, 6, oracle._CHUNK])
+    def test_a_tie_across_delivery_chunks_goes_to_the_smaller_plan(self, monkeypatch, chunk):
+        # two plans cost 14: [r | p | t] = [1 1 | 0 1 1 1 | 1 2] and the larger
+        # [1 1 | 0 2 0 1 | 0 3]; at chunks of 3, 5 or 6 points the larger one
+        # lies in the same raw-and-production chunk but an earlier delivery chunk
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        inst = NetworkInstance(
+            num_suppliers=1,
+            num_plants=2,
+            num_dcs=2,
+            num_retailers=1,
+            supplier_capacity=[6],
+            plant_capacity=[4, 1],
+            dc_capacity=[4, 4],
+            demand=[3],
+            raw_unit_cost=[1],
+            holding_unit_cost=[1, 1],
+            plant_dc_unit_cost=[[2, 1], [2, 1]],
+            dc_retailer_unit_cost=[[1], [2]],
+            utilization=0.5,
+            strict_per_dc=True,
+        )
+        plan, cost = brute_force_optimum(inst, grid_step=1.0)
+        assert cost == 14.0
+        assert plan.raw_flow.tolist() == [[1.0, 1.0]]
+        assert plan.plant_dc_flow.tolist() == [[0.0, 1.0], [1.0, 1.0]]
+        assert plan.dc_retailer_flow.tolist() == [[1.0], [2.0]]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_criterion_4_instances(self, strict):
+        rng = np.random.default_rng(20260823)
+        for _ in range(20):
+            inst = dataclasses.replace(tiny_oracle_instance(rng), strict_per_dc=strict)
+            if np.prod(1 + np.ceil(_variable_boxes(inst))) > 300_000:
+                continue  # the reference takes about a second on the two 2e6-point lattices
+            assert_matches_reference(inst, 1.0, exact=True)
+
+
 class TestBruteForce:
     def test_worked_example(self):
         plan, cost = brute_force_optimum(single_chain(), grid_step=1.0)
@@ -85,6 +265,60 @@ class TestBruteForce:
         plan, cost = brute_force_optimum(inst, grid_step=1.0)
         assert plan.plant_dc_flow[1, 0] == 0.0
         assert plan.plant_dc_flow[0, 0] == 4.0
+
+    def test_cost_tie_goes_to_the_lexicographically_smallest_plan(self):
+        # both DCs cost 2 per case to fill and 3 per case to deliver from, so
+        # any split of the 2 cases is optimal; variables are ordered
+        # [r00 | p00 p01 | t00 t10] and the smallest such vector wins
+        inst = NetworkInstance(
+            num_suppliers=1,
+            num_plants=1,
+            num_dcs=2,
+            num_retailers=1,
+            supplier_capacity=[4],
+            plant_capacity=[4],
+            dc_capacity=[2, 2],
+            demand=[2],
+            raw_unit_cost=[1],
+            holding_unit_cost=[1, 0],
+            plant_dc_unit_cost=[[1, 2]],
+            dc_retailer_unit_cost=[[3], [3]],
+            utilization=1.0,
+        )
+        plan, cost = brute_force_optimum(inst, grid_step=1.0)
+        assert cost == 2 * (1 + 2 + 3)
+        assert plan.raw_flow.tolist() == [[2.0]]
+        assert plan.plant_dc_flow.tolist() == [[0.0, 2.0]]
+        assert plan.dc_retailer_flow.tolist() == [[0.0], [2.0]]
+
+    def test_strict_dc_capacity_forces_a_split(self):
+        # DC 0 is cheaper on both legs but holds 3 of the 4 cases demanded:
+        # in aggregate mode it takes all 4, in strict mode one goes via DC 1
+        inst = NetworkInstance(
+            num_suppliers=1,
+            num_plants=1,
+            num_dcs=2,
+            num_retailers=1,
+            supplier_capacity=[8],
+            plant_capacity=[8],
+            dc_capacity=[3, 3],
+            demand=[4],
+            raw_unit_cost=[1],
+            holding_unit_cost=[1, 1],
+            plant_dc_unit_cost=[[1, 2]],
+            dc_retailer_unit_cost=[[1], [3]],
+            utilization=1.0,
+        )
+        plan, cost = brute_force_optimum(inst, grid_step=1.0)
+        assert cost == 4 * 1 + 4 * (1 + 1) + 4 * 1
+        assert plan.plant_dc_flow.tolist() == [[4.0, 0.0]]
+        assert plan.dc_retailer_flow.tolist() == [[4.0], [0.0]]
+
+        plan, cost = brute_force_optimum(dataclasses.replace(inst, strict_per_dc=True), grid_step=1.0)
+        assert cost == 4 * 1 + 3 * (1 + 1) + 1 * (2 + 1) + 3 * 1 + 1 * 3
+        assert plan.raw_flow.tolist() == [[4.0]]
+        assert plan.plant_dc_flow.tolist() == [[3.0, 1.0]]
+        assert plan.dc_retailer_flow.tolist() == [[3.0], [1.0]]
 
     def test_optimum_is_feasible(self):
         rng = np.random.default_rng(31)

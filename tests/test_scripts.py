@@ -26,6 +26,7 @@ def test_oracle_benchmark(capsys):
     assert load_script("oracle_benchmark").main(["--instances", "2", "--seeds", "2"]) == 0
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 5  # header, two instances, a blank line, the summary
+    assert out.splitlines()[0].split()[-2:] == ["oracle", "ms"]
     assert "2/2 instance medians within 2%" in out
 
 
