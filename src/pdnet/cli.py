@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 infeasible / no result, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -34,6 +35,16 @@ EXIT_INPUT = 2
 EXIT_REFUSED = 3
 
 
+def _file_error(path, exc) -> int:
+    """Report a file that cannot be read or written under the user's path; the input-error exit code."""
+    if isinstance(exc, UnicodeDecodeError):
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    else:
+        reason = exc.strerror or str(exc)
+    print(f"error: {path}: {reason}", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def _load_instance_or_fail(path):
     try:
         return load_instance_file(path)
@@ -44,6 +55,8 @@ def _load_instance_or_fail(path):
         for err in exc.errors:
             print(f"error: {err}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(_file_error(path, exc))
 
 
 def _load_table_or_fail(path, scenario_name):
@@ -58,6 +71,8 @@ def _load_table_or_fail(path, scenario_name):
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(_file_error(path, exc))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
@@ -78,10 +93,12 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     result = solve(instance, config)
-    if args.out:
-        save_result(result, args.out)
-    if args.trace:
-        emit_trace(result, args.trace)
+    for path, write in ((args.out, save_result), (args.trace, emit_trace)):
+        if path:
+            try:
+                write(result, path)
+            except OSError as exc:
+                return _file_error(path, exc)
     print(f"generations run: {result.generations_run} (terminated by {result.terminated_by})")
     if result.best_feasible is None:
         best_viol = min(ind.violation for ind in result.final_front)
@@ -106,6 +123,8 @@ def cmd_check(args) -> int:
         for err in exc.errors:
             print(f"invalid: {err}")
         return EXIT_INPUT
+    except (OSError, UnicodeDecodeError) as exc:
+        return _file_error(args.instance, exc)
     s, k, j, i = instance.counts
     print(f"ok: {s} suppliers, {k} plants, {j} DCs, {i} retailers")
     return EXIT_OK
@@ -202,18 +221,26 @@ def cmd_scenario(args) -> int:
     except scenarios.UnknownScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    os.makedirs(args.emit, exist_ok=True)
     inst_path = os.path.join(args.emit, f"{args.name}.instance.json")
-    save_instance(instance, inst_path)
     table_name = scenarios.scenario_table_name(args.name)
+    table_path = os.path.join(args.emit, table_name)
     table_text = data_path(table_name).read_text(encoding="utf-8")
-    _atomic_write(os.path.join(args.emit, table_name), table_text)
+    path = args.emit  # the path being created or written, for the error message
+    try:
+        os.makedirs(path, exist_ok=True)
+        path = inst_path
+        save_instance(instance, path)
+        path = table_path
+        _atomic_write(path, table_text)
+    except OSError as exc:
+        return _file_error(path, exc)
     print(f"wrote {inst_path}")
-    print(f"wrote {os.path.join(args.emit, table_name)}")
+    print(f"wrote {table_path}")
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for all six commands; ``main`` builds one per process and reuses it."""
     parser = argparse.ArgumentParser(
         prog="pdnet",
         description="Four-echelon production-distribution network: NSGA-II solver, oracle and scenario audits",
@@ -262,8 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs about three times what check, audit or compare
+# themselves do.  argparse keeps no state between parse_args calls: each
+# returns a new namespace filled from the defaults.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as exc:

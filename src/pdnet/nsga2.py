@@ -19,8 +19,8 @@ initial population is left uniform.
 The engine minimizes the pair (total cost, total constraint violation) as a
 genuine bi-objective tradeoff and reports the cheapest zero-violation plan
 ever seen.  Each generation is ranked once, by a sort-and-sweep over the two
-objectives; the tournament reuses the ranks and crowding distances assigned
-at survival.  Ranking with plain Pareto domination keeps a spread of
+objectives; the tournament compares places in the survival order fixed at
+survival.  Ranking with plain Pareto domination keeps a spread of
 near-feasible individuals alive; collapsing feasible comparisons to cost
 alone starves the population of diversity under the low mutation rate and
 stalls far from the optimum.
@@ -90,14 +90,13 @@ class Individual:
 class Population:
     """Generation state as stacked arrays: genes (N,L), cost (N,), violation (N,).
 
-    ``rank`` and ``crowding`` are set once the population has been ranked.
+    ``rank`` is set once the population has been ranked.
     """
 
     genes: np.ndarray
     cost: np.ndarray
     violation: np.ndarray
     rank: Optional[np.ndarray] = None
-    crowding: Optional[np.ndarray] = None
 
     def __len__(self):
         return self.genes.shape[0]
@@ -459,31 +458,29 @@ def _rank_and_crowd(cost: np.ndarray, violation: np.ndarray):
 def select_next_generation(parents: Population, offspring: Population, config: SolverConfig) -> Population:
     """Elitist survival from the parent+offspring union by (rank, crowding).
 
-    The survivors keep the ranks and crowding distances they got in the
-    union, ready for the next tournament.
+    The survivors keep the ranks they got in the union and are stored in
+    survival order, so a survivor's index is its place in that order.
     """
     if len(parents) != config.population_size or len(offspring) != config.population_size:
         raise ValueError("parents and offspring must each have population_size members")
     genes = np.vstack([parents.genes, offspring.genes])
     cost = np.concatenate([parents.cost, offspring.cost])
     violation = np.concatenate([parents.violation, offspring.violation])
-    ranks, crowd, order = _rank_and_crowd(cost, violation)
+    ranks, _, order = _rank_and_crowd(cost, violation)
     keep = order[: config.population_size]
-    return Population(
-        genes=genes[keep], cost=cost[keep], violation=violation[keep], rank=ranks[keep], crowding=crowd[keep]
-    )
+    return Population(genes=genes[keep], cost=cost[keep], violation=violation[keep], rank=ranks[keep])
 
 
-def _tournament_indices(ranks, crowd, rng, n_select):
-    """Binary tournaments on (rank asc, crowding desc), ties to the lower index."""
-    cand = rng.integers(0, ranks.size, size=(n_select, 2))
+def _tournament_indices(place, rng, n_select):
+    """Binary tournaments: the member earlier in survival order wins.
+
+    ``place[m]`` is member m's place in the order (rank asc, crowding desc,
+    index asc), so one comparison decides what rank, then crowding, then
+    index would.
+    """
+    cand = rng.integers(0, place.size, size=(n_select, 2))
     a, b = cand[:, 0], cand[:, 1]
-    a_wins = (
-        (ranks[a] < ranks[b])
-        | ((ranks[a] == ranks[b]) & (crowd[a] > crowd[b]))
-        | ((ranks[a] == ranks[b]) & (crowd[a] == crowd[b]) & (a <= b))
-    )
-    return np.where(a_wins, a, b)
+    return np.where(place[a] <= place[b], a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +492,9 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
     rng = np.random.default_rng(config.seed)
     n = config.population_size
     pop = init_population(instance, config, rng)
-    pop.rank, pop.crowding, _ = _rank_and_crowd(pop.cost, pop.violation)
+    pop.rank, _, order = _rank_and_crowd(pop.cost, pop.violation)
+    place = np.argsort(order)  # the initial population stays unsorted, so that seeds keep their runs
+    survivor_place = np.arange(n)  # survivors are stored in survival order
 
     best_cost = np.inf  # batch price of the best plan: ranks improvements and drives the stall test
     best_feasible = None  # (FlowPlan, CostBreakdown) of that plan
@@ -504,7 +503,7 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
     terminated_by = "max-generations"
 
     for gen in range(1, config.max_generations + 1):
-        mating = _tournament_indices(pop.rank, pop.crowding, rng, n)
+        mating = _tournament_indices(place, rng, n)
 
         child_genes = repair_batch(_make_offspring(pop.genes[mating], config, rng), instance)
 
@@ -524,6 +523,7 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
                     best_feasible = (plan, evaluate_cost(instance, plan))
 
         pop = select_next_generation(pop, offspring, config)
+        place = survivor_place
 
         feasible_count = int(np.count_nonzero(pop.violation == 0.0))
         trace.append(

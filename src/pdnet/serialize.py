@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import stat
 from importlib import resources
 from typing import Union
 
@@ -32,12 +32,25 @@ def data_path(name: str):
 
 
 def _atomic_write(path, text: str):
+    """Write ``text`` to ``path`` through a temp file in its directory and a rename.
+
+    The file ends with the mode ``open(path, "w")`` would give it: a new file
+    0o666 less the umask (the kernel applies it when the temp file is
+    created), a replaced file its previous mode.
+    """
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".pdnet-tmp-")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp = os.path.join(d, f".pdnet-tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # O_EXCL: never an existing file
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

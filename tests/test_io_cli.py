@@ -1,10 +1,14 @@
+import argparse
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdnet import cli
 from pdnet.cli import EXIT_INPUT, EXIT_NO_RESULT, EXIT_OK, EXIT_REFUSED, main
 from pdnet.nsga2 import SolverConfig, solve
 from pdnet.serialize import (
@@ -14,8 +18,10 @@ from pdnet.serialize import (
     dumps_instance,
     load_instance,
     load_instance_file,
+    emit_trace,
     result_document,
     save_instance,
+    save_result,
     trace_csv,
 )
 
@@ -104,6 +110,34 @@ class TestResultIO:
         assert all(v > 0 for v in min_viol)
         doc = result_document(res)
         assert doc["best_feasible"] is None
+
+
+def file_mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+class TestWrittenFileModes:
+    def test_writes_honour_the_umask_and_keep_a_replaced_mode(self, tmp_path):
+        old_umask = os.umask(0o022)
+        try:
+            inst_path = tmp_path / "i.json"
+            save_instance(single_chain(), inst_path)
+            res = solve(single_chain(), SolverConfig(max_generations=3))
+            save_result(res, tmp_path / "r.json")
+            emit_trace(res, tmp_path / "t.csv")
+            emit_dir = tmp_path / "emit"
+            assert main(["scenario", "baseline", "--emit", str(emit_dir)]) == EXIT_OK
+            kept = tmp_path / "kept.json"
+            kept.write_text("{}")
+            os.chmod(kept, 0o640)
+            save_instance(single_chain(), kept)
+        finally:
+            os.umask(old_umask)
+        new = [inst_path, tmp_path / "r.json", tmp_path / "t.csv", emit_dir / "baseline.instance.json",
+               emit_dir / "table1.csv"]
+        assert {str(p): file_mode(p) for p in new} == {str(p): 0o644 for p in new}
+        assert file_mode(kept) == 0o640
+        assert load_instance_file(kept) == load_instance_file(inst_path)
 
 
 class TestCLI:
@@ -220,3 +254,74 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             main(["scenario", "mega", "--emit", "/tmp"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["solve"], ["oracle"], ["audit", "--scenario", "baseline"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_directory_is_an_input_error_that_names_it(self, tmp_path, capsys, argv):
+        assert main([argv[0], str(tmp_path), *argv[1:]]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["check"], ["solve"], ["audit", "--scenario", "baseline"]], ids=lambda argv: argv[0]
+    )
+    def test_a_non_utf8_file_is_an_input_error_that_names_it(self, tmp_path, capsys, argv):
+        path = tmp_path / "latin1.json"
+        path.write_bytes("{\"counts\": \"caf\u00e9\"}".encode("latin-1"))
+        assert main([argv[0], str(path), *argv[1:]]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+
+    def test_solve_into_a_missing_directory_names_the_output_path(self, tmp_path, capsys):
+        inst_path = tmp_path / "i.json"
+        save_instance(single_chain(), inst_path)
+        out = tmp_path / "missing" / "r.json"
+        assert main(["solve", str(inst_path), "--generations", "3", "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+        assert not (tmp_path / "missing").exists()
+
+    def test_scenario_emit_onto_a_file_names_it(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("mine")
+        assert main(["scenario", "baseline", "--emit", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {path}: File exists\n"
+        assert path.read_text() == "mine"
+
+
+class TestSharedParser:
+    def test_second_main_call_builds_no_parser(self, tmp_path, monkeypatch):
+        path = tmp_path / "i.json"
+        save_instance(single_chain(), path)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._shared_parser.cache_clear()
+        per_call = []
+        for _ in range(2):
+            before = len(built)
+            assert main(["check", str(path)]) == EXIT_OK
+            per_call.append(len(built) - before)
+        assert per_call == [7, 0]  # the parser and its six subparsers, once
+
+    def test_a_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
+        path = tmp_path / "i.json"
+        save_instance(single_chain(), path)
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "mega", "--emit", str(tmp_path)])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["check", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("ok:")
+
+    def test_a_parse_keeps_no_option_of_the_one_before(self):
+        parser = cli._shared_parser()
+        first = parser.parse_args(["solve", "x", "--seed", "5", "--generations", "3", "--out", "a"])
+        assert (first.seed, first.generations, first.out) == (5, 3, "a")
+        second = parser.parse_args(["solve", "x"])
+        assert (second.seed, second.generations, second.out) == (0, 200, None)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdnet import nsga2
 from pdnet.network import DimensionMismatchError, FlowPlan, NetworkInstance, evaluate_constraints
 from pdnet.nsga2 import (
     SolverConfig,
@@ -17,7 +18,14 @@ from pdnet.nsga2 import (
     select_next_generation,
     solve,
 )
-from pdnet.nsga2 import Population, _make_offspring, _mutation_sites, _rank_and_crowd, _repair_delivery
+from pdnet.nsga2 import (
+    Population,
+    _make_offspring,
+    _mutation_sites,
+    _rank_and_crowd,
+    _repair_delivery,
+    _tournament_indices,
+)
 from pdnet.oracle import lower_bound
 from pdnet.scenarios import default_instance
 
@@ -561,12 +569,61 @@ class TestRankAndCrowd:
         parents = pop_from(np.eye(4), [1, 2, 3, 4], [4, 3, 2, 1])
         offspring = pop_from(np.eye(4) * 2, [2, 3, 10, 10], [4, 3, 10, 10])
         nxt = select_next_generation(parents, offspring, cfg)
-        ranks, crowd, order = _rank_and_crowd(
+        ranks, _, order = _rank_and_crowd(
             np.concatenate([parents.cost, offspring.cost]), np.concatenate([parents.violation, offspring.violation])
         )
         keep = order[:4]
         assert np.array_equal(nxt.rank, ranks[keep])
-        assert np.array_equal(nxt.crowding, crowd[keep])
+
+
+def rank_crowd_tournament(ranks, crowd, rng, n_select):
+    """Reference tournament: rank asc, then crowding desc, then the lower index."""
+    cand = rng.integers(0, ranks.size, size=(n_select, 2))
+    a, b = cand[:, 0], cand[:, 1]
+    a_wins = (
+        (ranks[a] < ranks[b])
+        | ((ranks[a] == ranks[b]) & (crowd[a] > crowd[b]))
+        | ((ranks[a] == ranks[b]) & (crowd[a] == crowd[b]) & (a <= b))
+    )
+    return np.where(a_wins, a, b)
+
+
+class TestTournament:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=200, deadline=None)
+    def test_earlier_in_survival_order_is_the_rank_crowd_rule(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 61))
+        levels = int(rng.integers(1, 6))
+        cost = rng.integers(0, levels, n).astype(float)
+        violation = rng.integers(0, levels, n).astype(float)
+        ranks, crowd, order = _rank_and_crowd(cost, violation)
+        # survivors are stored in survival order; an initial population is not
+        for place, r, c in ((np.arange(n), ranks[order], crowd[order]), (np.argsort(order), ranks, crowd)):
+            got = _tournament_indices(place, np.random.default_rng(seed), 3 * n)
+            want = rank_crowd_tournament(r, c, np.random.default_rng(seed), 3 * n)
+            assert np.array_equal(got, want)
+
+    def test_solve_passes_each_members_place_in_survival_order(self, monkeypatch):
+        initial, places = [], []
+        init_population, tournament = nsga2.init_population, nsga2._tournament_indices
+
+        def recording_init(*args):
+            initial.append(init_population(*args))
+            return initial[-1]
+
+        def recording_tournament(place, rng, n_select):
+            places.append(place.copy())
+            return tournament(place, rng, n_select)
+
+        monkeypatch.setattr(nsga2, "init_population", recording_init)
+        monkeypatch.setattr(nsga2, "_tournament_indices", recording_tournament)
+        cfg = SolverConfig(population_size=20, max_generations=4, seed=3)
+        solve(random_instance(np.random.default_rng(3), s=2, k=2, j=2, i=3), cfg)
+        _, _, order = _rank_and_crowd(initial[0].cost, initial[0].violation)
+        assert not np.array_equal(order, np.arange(20))  # the initial population is not in survival order
+        assert np.array_equal(places[0][order], np.arange(20))
+        assert len(places) == 4 and all(np.array_equal(p, np.arange(20)) for p in places[1:])
 
 
 class TestSolve:
