@@ -16,11 +16,10 @@ from .network import (
     ValidationReport,
     evaluate_constraints,
     evaluate_cost,
-    is_feasible,
     validate_instance,
 )
 from .nsga2 import Individual, SolveResult, SolverConfig, solve
-from .oracle import brute_force_optimum, lower_bound, single_chain_optimum
+from .oracle import brute_force_optimum, lower_bound
 from .scenarios import (
     ScenarioSpec,
     ScheduleAudit,
@@ -61,13 +60,11 @@ __all__ = [
     "emit_trace",
     "evaluate_constraints",
     "evaluate_cost",
-    "is_feasible",
     "load_instance",
     "load_instance_file",
     "lower_bound",
     "save_instance",
     "save_result",
-    "single_chain_optimum",
     "solve",
     "validate_instance",
 ]

@@ -92,6 +92,11 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    for path in filter(None, (args.out, args.trace)):
+        try:  # a missing output directory fails before the solve; the trailing separator fails a file too
+            os.stat(os.path.join(os.path.dirname(path) or os.curdir, ""))
+        except OSError as exc:
+            return _file_error(path, exc)
     result = solve(instance, config)
     for path, write in ((args.out, save_result), (args.trace, emit_trace)):
         if path:
@@ -305,3 +310,7 @@ def main(argv=None) -> int:
 
 def entrypoint():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -109,8 +109,9 @@ class NetworkInstance:
 
     @property
     def num_genes(self):
-        s, k, j, i = self.counts
-        return s * k + k * j + j * i
+        """Chromosome length: one gene per plant-DC arc and one allocation weight per DC-retailer pair."""
+        _, k, j, i = self.counts
+        return k * j + j * i
 
 
 @dataclass(frozen=True)
@@ -316,8 +317,8 @@ def _violation(res, scale, tolerance):
     return np.where(breach > tolerance * np.maximum(1.0, np.abs(scale)), breach, 0.0).sum(axis=1)
 
 
-def batch_evaluate(instance: NetworkInstance, r, p, t, tolerance=DEFAULT_TOLERANCE):
-    """(cost totals, total violations) for stacked flows; the GA hot path.
+def batch_evaluate(instance: NetworkInstance, r, p, t):
+    """(cost totals, total violations at DEFAULT_TOLERANCE) for stacked flows; the GA hot path.
 
     Each row's results depend only on that row: evaluating a plan alone, in
     any batch, or through ``evaluate_constraints`` gives the same bits.
@@ -326,7 +327,7 @@ def batch_evaluate(instance: NetworkInstance, r, p, t, tolerance=DEFAULT_TOLERAN
     n = r.shape[0]
     flows = np.concatenate([r.reshape(n, -1), p.reshape(n, -1), t.reshape(n, -1)], axis=1)
     cost = np.einsum("nl,l->n", flows, instance.derived(_Layout).cost)
-    return cost, _violation(*_residuals(instance, r, p, t), tolerance)
+    return cost, _violation(*_residuals(instance, r, p, t), DEFAULT_TOLERANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +373,3 @@ def evaluate_constraints(
         residual_dc_capacity=family.get("dc_capacity"),
         residual_dc_throughput=family.get("dc_throughput"),
     )
-
-
-def is_feasible(report: ConstraintReport) -> bool:
-    return report.total_violation == 0.0

@@ -1,12 +1,12 @@
 """From-scratch NSGA-II engine for the production-distribution network.
 
 The genotype is a real vector in [0,1]^L laid out as
-[raw-flow block | plant-DC block | DC-retailer allocation block].  Decoding
-maps the plant-DC block linearly onto capacity-derived boxes, turns the
+[plant-DC block (K*J) | DC-retailer allocation block (J*I)].  Decoding maps
+the plant-DC block linearly onto capacity-derived boxes and turns the
 allocation block into per-retailer allocation weights, so every decoded plan
-meets demand exactly by construction, and buys the raw material each plant's
-production needs from the cheapest suppliers first.  The raw genes are kept
-in the layout but never read.
+meets demand exactly by construction.  Raw material is not searched for: the
+decoder buys what each plant's production needs from the cheapest suppliers
+first.  Every gene is read.
 
 Offspring are repaired before they are evaluated, and the repair is written
 back into their genes: each retailer is served by its highest-weight DC (in
@@ -55,6 +55,7 @@ from .network import (
 
 SBX_ETA = 15.0  # distribution index of simulated binary crossover
 PM_ETA = 20.0  # distribution index of polynomial mutation
+STALL_TOLERANCE = 1e-6  # relative gain in best cost below which a generation window counts as a stall
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,6 @@ class SolverConfig:
     mutation_prob: float = 0.001
     max_generations: int = 200
     stall_generations: int = 50
-    stall_tolerance: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -74,8 +74,9 @@ class SolverConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be >= 1")
+        for name in ("max_generations", "stall_generations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -140,9 +141,9 @@ class _Codec:
     """
 
     def __init__(self, instance: NetworkInstance):
-        s, k, j, i = instance.counts
-        self.plant_dc_genes = slice(s * k, s * k + k * j)
-        self.allocation_genes = slice(s * k + k * j, None)
+        _, k, j, _ = instance.counts
+        self.plant_dc_genes = slice(0, k * j)
+        self.allocation_genes = slice(k * j, None)
         box = instance.plant_capacity / (instance.utilization * j)  # arc box D_k/(u*J)
         self.gene_box = np.repeat(box, j)  # (K*J,) box of each plant-DC gene
         self.gene_demand = np.repeat(instance.demand, j)  # (I*J,) demand of each allocation gene's retailer
@@ -188,11 +189,10 @@ def decode_batch(genes: np.ndarray, instance: NetworkInstance):
     Plant-DC gene g_kj spans [0, D_k/(u*J)] so a plant's total production
     can reach D_k/u.  The last block holds J allocation weights per retailer;
     shipments are the demand split in proportion to the weights (uniform
-    split when all weights are zero).  The raw genes are not read: raw
-    material is bought for u x each plant's production, cheapest supplier
-    first, up to supplier capacity.
+    split when all weights are zero).  Raw material is bought for u x each
+    plant's production, cheapest supplier first, up to supplier capacity.
     """
-    s, k, j, i = instance.counts
+    _, k, j, i = instance.counts
     n = genes.shape[0]
     if genes.shape[1] != instance.num_genes:
         raise DimensionMismatchError(
@@ -399,17 +399,6 @@ def _front_ranks(cost: np.ndarray, violation: np.ndarray) -> np.ndarray:
     return out
 
 
-def fast_non_dominated_sort(objective_pairs):
-    """Partition points into Pareto fronts: front 0 non-dominated, front n dominated only by earlier fronts."""
-    objectives = np.asarray(objective_pairs, dtype=np.float64)
-    if objectives.ndim != 2 or objectives.shape[0] < 1:
-        raise ValueError("need at least one objective pair")
-    if not np.all(np.isfinite(objectives)):
-        raise ValueError("objectives must be finite")
-    ranks = _front_ranks(objectives[:, 0], objectives[:, 1])
-    return [np.flatnonzero(ranks == r).tolist() for r in range(ranks.max() + 1)]
-
-
 def _crowding(ranks: np.ndarray, objectives: np.ndarray) -> np.ndarray:
     """Deb-style crowding of every point within its front, all fronts in one pass per objective.
 
@@ -435,12 +424,6 @@ def _crowding(ranks: np.ndarray, objectives: np.ndarray) -> np.ndarray:
         dist[order[first]] = np.inf
         dist[order[last]] = np.inf
     return dist
-
-
-def crowding_distance(front_objectives) -> np.ndarray:
-    """Deb-style crowding: boundary points +inf, interiors sum normalized neighbor gaps."""
-    objs = np.asarray(front_objectives, dtype=np.float64)
-    return _crowding(np.zeros(objs.shape[0], dtype=np.int64), objs)
 
 
 def _rank_and_crowd(cost: np.ndarray, violation: np.ndarray):
@@ -540,7 +523,7 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
         w = config.stall_generations
         if gen > w and np.isfinite(best_history[-1 - w]):
             old = best_history[-1 - w]
-            if (old - best_cost) < config.stall_tolerance * max(1.0, abs(old)):
+            if (old - best_cost) < STALL_TOLERANCE * max(1.0, abs(old)):
                 terminated_by = "stall"
                 break
 

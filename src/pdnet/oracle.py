@@ -4,8 +4,8 @@
 flow at C_s/K and plant-DC flow at D_k/(u*J), and keeps the cheapest feasible
 point; it is the reference the evolutionary engine is validated against and
 shares no evaluation code with it.  It gives the optimum inside those boxes.
-The GA decoder keeps the plant-DC box but buys raw material without the raw
-box, so the GA may beat it.
+The GA has no raw genes: its decoder keeps the plant-DC box but buys raw
+material without the raw box, so the GA may beat it.
 
 The search is exhaustive but factorised.  Every check on a plan reads either
 the raw and production flows (r, p) or the delivery flows (t), except one:
@@ -15,8 +15,7 @@ only the points that pass their own checks are paired, through that one
 check; the cost of a pair is the sum of its two parts.  A lattice of 2e6
 points takes a few milliseconds instead of a second.
 
-``single_chain_optimum`` is the closed form on the 1x1x1x1 topology and
-``lower_bound`` the cheapest-path relaxation that ignores capacities.
+``lower_bound`` is the cheapest-path relaxation that ignores capacities.
 """
 
 from __future__ import annotations
@@ -45,10 +44,6 @@ class NoFeasibleLatticePointError(OracleError):
     def __init__(self, min_violation):
         self.min_violation = min_violation
         super().__init__(f"no feasible lattice point; minimal violation found: {min_violation}")
-
-
-class TopologyError(OracleError):
-    pass
 
 
 def _variable_boxes(instance: NetworkInstance):
@@ -224,22 +219,6 @@ def brute_force_optimum(instance: NetworkInstance, grid_step: float = 1.0):
         raise NoFeasibleLatticePointError(min_violation)
     plan = FlowPlan(x_o[: s * k].reshape(s, k), x_o[s * k :].reshape(k, j), x_d.reshape(j, i))
     return plan, best_cost
-
-
-def single_chain_optimum(instance: NetworkInstance) -> float:
-    """Closed-form optimum d*(u*c_s + c_kj + h_j + r_ji) on the 1x1x1x1 topology."""
-    if instance.counts != (1, 1, 1, 1):
-        raise TopologyError(f"single-chain oracle needs counts (1,1,1,1), got {instance.counts}")
-    d = float(instance.demand[0])
-    u = instance.utilization
-    if d > instance.dc_capacity[0] or u * d > instance.plant_capacity[0] or u * d > instance.supplier_capacity[0]:
-        raise OracleError("capacities do not admit the demand on the single chain")
-    return d * (
-        u * float(instance.raw_unit_cost[0])
-        + float(instance.plant_dc_unit_cost[0, 0])
-        + float(instance.holding_unit_cost[0])
-        + float(instance.dc_retailer_unit_cost[0, 0])
-    )
 
 
 def lower_bound(instance: NetworkInstance) -> float:

@@ -13,18 +13,12 @@ import pytest
 
 from pdnet.cli import EXIT_OK, main
 from pdnet.network import evaluate_constraints
-from pdnet.nsga2 import (
-    SolverConfig,
-    crowding_distance,
-    decode,
-    fast_non_dominated_sort,
-    solve,
-)
+from pdnet.nsga2 import SolverConfig, decode, solve
 from pdnet.scenarios import build_scenario, check_schedule, compare_scenarios, load_schedule_csv
 from pdnet.serialize import data_path, save_instance
 
 from conftest import oracle_agreement, random_instance, single_chain, tiny_oracle_instance
-from test_nsga2 import brute_fronts
+from test_nsga2 import brute_fronts, front_crowding, fronts_of
 
 
 def announce(capsys, criterion, label, ok):
@@ -147,14 +141,14 @@ def test_criterion_6_nsga2_unit_properties(capsys):
     sort_ok = True
     for _ in range(1000):
         objs = rng.integers(0, 8, size=(int(rng.integers(1, 33)), 2)).astype(float)
-        if [sorted(f) for f in fast_non_dominated_sort(objs)] != brute_fronts(objs):
+        if fronts_of(objs) != brute_fronts(objs):
             sort_ok = False
             break
 
     crowd_ok = True
     for _ in range(200):
         objs = rng.random((int(rng.integers(3, 24)), 2))
-        d = crowding_distance(objs)
+        d = front_crowding(objs)
         extremes = set()
         for m in range(2):
             col = objs[:, m]

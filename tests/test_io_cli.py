@@ -2,6 +2,8 @@ import argparse
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +28,10 @@ from pdnet.serialize import (
 )
 
 from conftest import random_instance, single_chain
+
+
+def no_solve(*args):
+    raise AssertionError("solve ran although an output path cannot be written")
 
 
 class TestInstanceIO:
@@ -273,13 +279,37 @@ class TestCLI:
         assert main([argv[0], str(path), *argv[1:]]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
 
-    def test_solve_into_a_missing_directory_names_the_output_path(self, tmp_path, capsys):
+    def test_solve_into_a_missing_directory_names_the_output_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "solve", no_solve)
         inst_path = tmp_path / "i.json"
         save_instance(single_chain(), inst_path)
         out = tmp_path / "missing" / "r.json"
-        assert main(["solve", str(inst_path), "--generations", "3", "--out", str(out)]) == EXIT_INPUT
-        assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+        for option in ("--out", "--trace"):
+            assert main(["solve", str(inst_path), "--generations", "3", option, str(out)]) == EXIT_INPUT
+            assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
         assert not (tmp_path / "missing").exists()
+        # an existing --out does not let a missing --trace through
+        assert main(["solve", str(inst_path), "--out", str(tmp_path / "r.json"), "--trace", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_solve_under_a_file_names_the_output_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "solve", no_solve)
+        inst_path = tmp_path / "i.json"
+        save_instance(single_chain(), inst_path)
+        out = inst_path / "r.json"
+        assert main(["solve", str(inst_path), "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {out}: Not a directory\n"
+
+    def test_python_dash_m_runs_a_command(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "pdnet.cli", "check", str(data_path("baseline.instance.json"))],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.startswith("ok: 5 suppliers, 4 plants, 4 DCs,")
 
     def test_scenario_emit_onto_a_file_names_it(self, tmp_path, capsys):
         path = tmp_path / "taken"

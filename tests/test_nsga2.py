@@ -9,10 +9,8 @@ from pdnet import nsga2
 from pdnet.network import DimensionMismatchError, FlowPlan, NetworkInstance, evaluate_constraints
 from pdnet.nsga2 import (
     SolverConfig,
-    crowding_distance,
     decode,
     decode_batch,
-    fast_non_dominated_sort,
     init_population,
     repair_batch,
     select_next_generation,
@@ -20,6 +18,8 @@ from pdnet.nsga2 import (
 )
 from pdnet.nsga2 import (
     Population,
+    _crowding,
+    _front_ranks,
     _make_offspring,
     _mutation_sites,
     _rank_and_crowd,
@@ -54,13 +54,13 @@ def alloc_instance():
 class TestDecode:
     def test_allocation_weights(self):
         inst = alloc_instance()
-        # genes: [raw | plant-dc x2 | allocation weights (0.2, 0.6)]
-        plan = decode(np.array([0.0, 0.0, 0.0, 0.2, 0.6]), inst)
+        # genes: [plant-dc x2 | allocation weights (0.2, 0.6)]
+        plan = decode(np.array([0.0, 0.0, 0.2, 0.6]), inst)
         assert plan.dc_retailer_flow[:, 0] == pytest.approx([3.0, 9.0])
 
     def test_zero_weights_fall_back_to_uniform(self):
         inst = alloc_instance()
-        plan = decode(np.array([0.0, 0.0, 0.0, 0.0, 0.0]), inst)
+        plan = decode(np.array([0.0, 0.0, 0.0, 0.0]), inst)
         assert plan.dc_retailer_flow[:, 0] == pytest.approx([6.0, 6.0])
 
     def test_plant_gene_spans_capacity_over_utilization(self):
@@ -80,13 +80,30 @@ class TestDecode:
             utilization=1.0,
         )
         genes = np.zeros(inst.num_genes)
-        genes[1] = 1.0  # first plant-dc gene
+        genes[0] = 1.0  # first plant-dc gene
         plan = decode(genes, inst)
         assert plan.plant_dc_flow[0, 0] == pytest.approx(3200.0)  # 12800 / (1 * 4)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             decode(np.zeros(3), alloc_instance())
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_every_gene_is_read(self, seed):
+        # with two or more DCs, positive demand and positive plant capacity,
+        # a change to any single gene changes the decoded plan
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, j=int(rng.integers(2, 4)))
+        _, k, j, i = inst.counts
+        assert inst.num_genes == k * j + j * i
+        assert np.all(inst.demand > 0) and np.all(inst.plant_capacity > 0)
+        genes = rng.uniform(0.05, 0.95, inst.num_genes)
+        plan = decode(genes, inst)
+        for g in range(inst.num_genes):
+            changed = genes.copy()
+            changed[g] = 1.0 - changed[g] if abs(changed[g] - 0.5) > 0.01 else 0.9
+            assert decode(changed, inst) != plan, f"gene {g} is not read"
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
@@ -230,12 +247,14 @@ class TestRepair:
     @settings(max_examples=60, deadline=None)
     def test_decoding_the_repaired_genes_gives_back_the_repaired_plan(self, seed):
         for inst in repaired_instances(seed):
-            s, k, j, i = inst.counts
+            _, k, j, i = inst.counts
             before, after, (r, p, t) = repaired(inst, seed)
-            # raw genes are left alone; the other blocks hold the repaired plan
-            assert np.array_equal(after[:, : s * k], before[:, : s * k])
+            # the plant-DC block holds the repaired production, the allocation block the repaired shares
+            assert after.shape == before.shape
             assert np.all((after >= 0.0) & (after <= 1.0))
-            shares = after[:, s * k + k * j :].reshape(-1, i, j)
+            box = inst.plant_capacity / (inst.utilization * j)
+            assert np.array_equal(p, (after[:, : k * j] * np.repeat(box, j)).reshape(-1, k, j))
+            shares = after[:, k * j :].reshape(-1, i, j)
             assert np.allclose(shares.sum(axis=2)[:, inst.demand > 0], 1.0, rtol=0, atol=1e-12)
             assert np.allclose(t, (shares * inst.demand[None, :, None]).transpose(0, 2, 1), rtol=1e-12, atol=1e-12)
             if not inst.strict_per_dc:  # one DC per retailer
@@ -264,7 +283,7 @@ class TestRepair:
             strict_per_dc=True,
         )
         # both retailers prefer DC 1, which holds 10: the second one spills 4 onto DC 2
-        genes = np.array([[0.5, 0.5, 0.5, 0.9, 0.1, 0.8, 0.3]])
+        genes = np.array([[0.5, 0.5, 0.9, 0.1, 0.8, 0.3]])
         plan = decode(repair_batch(genes, inst)[0], inst)
         assert plan.dc_retailer_flow == pytest.approx(np.array([[8.0, 2.0], [0.0, 4.0]]))
         assert plan.plant_dc_flow == pytest.approx(np.array([[10.0, 4.0]]))
@@ -275,7 +294,7 @@ class TestRepair:
         inst = dataclasses.replace(
             inst, num_retailers=3, demand=[8, 6, 9], dc_retailer_unit_cost=[[1, 1, 1], [1, 1, 1]]
         )
-        genes = np.array([[0.5, 0.5, 0.5, 0.9, 0.1, 0.8, 0.3, 0.2, 0.7]])
+        genes = np.array([[0.5, 0.5, 0.9, 0.1, 0.8, 0.3, 0.2, 0.7]])
         plan = decode(repair_batch(genes, inst)[0], inst)
         assert plan.dc_retailer_flow == pytest.approx(np.array([[8.0, 2.0, 0.0], [0.0, 4.0, 9.0]]))
         assert plan.plant_dc_flow == pytest.approx(np.array([[10.0, 13.0]]))
@@ -325,9 +344,9 @@ class TestInit:
 
     def test_uniform_sampler_mean(self):
         rng = np.random.default_rng(7)
-        inst = random_instance(rng, s=3, k=3, j=3, i=3)  # 27 genes
+        inst = random_instance(rng, s=3, k=3, j=3, i=3)  # 18 genes
         genes = np.vstack(
-            [init_population(inst, SolverConfig(), np.random.default_rng(s)).genes for s in range(8)]
+            [init_population(inst, SolverConfig(), np.random.default_rng(s)).genes for s in range(12)]
         )
         assert genes.size >= 10_000
         assert 0.48 <= genes.mean() <= 0.52
@@ -420,50 +439,58 @@ def brute_fronts(objs):
     return fronts
 
 
+def fronts_of(objs):
+    """Pareto fronts of (cost, violation) points as index lists, from the ranks ``_front_ranks`` gives."""
+    objs = np.asarray(objs, dtype=float)
+    ranks = _front_ranks(objs[:, 0], objs[:, 1])
+    return [np.flatnonzero(ranks == r).tolist() for r in range(ranks.max() + 1)]
+
+
+def front_crowding(objs):
+    """``_crowding`` of points that all lie on one front."""
+    objs = np.asarray(objs, dtype=float)
+    return _crowding(np.zeros(objs.shape[0], dtype=np.int64), objs)
+
+
 class TestSorting:
     def test_strict_domination(self):
-        assert fast_non_dominated_sort([(1, 1), (2, 2)]) == [[0], [1]]
+        assert fronts_of([(1, 1), (2, 2)]) == [[0], [1]]
 
     def test_mutually_non_dominated(self):
-        assert fast_non_dominated_sort([(1, 2), (2, 1)]) == [[0, 1]]
+        assert fronts_of([(1, 2), (2, 1)]) == [[0, 1]]
 
     def test_four_point_example(self):
-        fronts = fast_non_dominated_sort([(1, 3), (2, 2), (3, 1), (3, 3)])
-        assert [sorted(f) for f in fronts] == [[0, 1, 2], [3]]
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            fast_non_dominated_sort([(1.0, np.inf)])
+        assert fronts_of([(1, 3), (2, 2), (3, 1), (3, 3)]) == [[0, 1, 2], [3]]
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force_oracle(self, seed):
         rng = np.random.default_rng(seed)
         objs = rng.integers(0, 6, size=(int(rng.integers(1, 33)), 2)).astype(float)
-        fronts = [sorted(f) for f in fast_non_dominated_sort(objs)]
-        assert fronts == brute_fronts(objs)
+        assert fronts_of(objs) == brute_fronts(objs)
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=80, deadline=None)
     def test_fronts_partition_population(self, seed):
+        # every point gets a front, and no front index between 0 and the largest is skipped
         rng = np.random.default_rng(seed)
         objs = rng.random((int(rng.integers(1, 40)), 2))
-        fronts = fast_non_dominated_sort(objs)
-        flat = sorted(idx for f in fronts for idx in f)
-        assert flat == list(range(len(objs)))
+        fronts = fronts_of(objs)
+        assert all(fronts)
+        assert sorted(idx for f in fronts for idx in f) == list(range(len(objs)))
 
 
 class TestCrowding:
     def test_two_point_front(self):
-        assert np.all(np.isinf(crowding_distance([(1, 2), (2, 1)])))
+        assert np.all(np.isinf(front_crowding([(1, 2), (2, 1)])))
 
     def test_three_point_front(self):
-        d = crowding_distance([(1, 3), (2, 2), (3, 1)])
+        d = front_crowding([(1, 3), (2, 2), (3, 1)])
         assert np.isinf(d[0]) and np.isinf(d[2])
         assert d[1] == pytest.approx(2.0)
 
     def test_identical_points(self):
-        d = crowding_distance([(1, 1)] * 5)
+        d = front_crowding([(1, 1)] * 5)
         assert np.count_nonzero(np.isinf(d)) >= 2
         assert np.all(d[np.isfinite(d)] == 0.0)
 
@@ -472,7 +499,7 @@ class TestCrowding:
     def test_extremes_are_infinite(self, seed):
         rng = np.random.default_rng(seed)
         objs = rng.random((int(rng.integers(3, 20)), 2))
-        d = crowding_distance(objs)
+        d = front_crowding(objs)
         for m in range(2):
             assert np.isinf(d[np.argmin(objs[:, m])])
             assert np.isinf(d[np.argmax(objs[:, m])])
@@ -657,7 +684,7 @@ class TestSolve:
     def test_stall_termination(self):
         res = solve(
             single_chain(),
-            SolverConfig(seed=2, max_generations=500, stall_generations=20, stall_tolerance=1e-3),
+            SolverConfig(seed=2, max_generations=500, stall_generations=20),
         )
         assert res.terminated_by == "stall"
         assert res.generations_run < 500
@@ -719,6 +746,11 @@ class TestConfig:
             SolverConfig(crossover_prob=1.5)
         with pytest.raises(ValueError):
             SolverConfig(mutation_prob=-0.1)
+
+    @pytest.mark.parametrize("stall", [0, -5])
+    def test_stall_window_below_one_rejected_by_name(self, stall):
+        with pytest.raises(ValueError, match="stall_generations"):
+            SolverConfig(stall_generations=stall)
 
     def test_defaults_match_reported_configuration(self):
         cfg = SolverConfig()

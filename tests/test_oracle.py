@@ -11,49 +11,13 @@ from pdnet.oracle import (
     NoFeasibleLatticePointError,
     OracleError,
     SearchSpaceTooLargeError,
-    TopologyError,
     _cost_vector,
     _variable_boxes,
     brute_force_optimum,
     lower_bound,
-    single_chain_optimum,
 )
 
 from conftest import single_chain, tiny_oracle_instance
-
-
-class TestSingleChain:
-    def test_worked_example(self):
-        assert single_chain_optimum(single_chain()) == pytest.approx(100.0)
-
-    def test_zero_demand(self):
-        assert single_chain_optimum(single_chain(d=0.0)) == 0.0
-
-    def test_utilization_doubles_raw_purchase(self):
-        assert single_chain_optimum(single_chain(d=10, u=2.0, cap=40.0)) == pytest.approx(120.0)
-
-    def test_wrong_topology_rejected(self):
-        inst = NetworkInstance(
-            num_suppliers=2,
-            num_plants=1,
-            num_dcs=1,
-            num_retailers=1,
-            supplier_capacity=[10, 10],
-            plant_capacity=[10],
-            dc_capacity=[10],
-            demand=[5],
-            raw_unit_cost=[1, 1],
-            holding_unit_cost=[1],
-            plant_dc_unit_cost=[[1]],
-            dc_retailer_unit_cost=[[1]],
-            utilization=1.0,
-        )
-        with pytest.raises(TopologyError):
-            single_chain_optimum(inst)
-
-    def test_capacity_shortfall_rejected(self):
-        with pytest.raises(OracleError):
-            single_chain_optimum(single_chain(d=30.0, cap=20.0))
 
 
 def reference_violations(instance, x, grid_step):
@@ -246,6 +210,13 @@ class TestBruteForce:
         assert plan.plant_dc_flow.sum() == 0.0
         assert plan.dc_retailer_flow.sum() == 0.0
 
+    def test_utilization_doubles_raw_purchase(self):
+        # 10 cases at u = 2 need 20 raw: 2*20 + (3 + 1 + 4)*10
+        plan, cost = brute_force_optimum(single_chain(d=10, u=2.0, cap=40.0), grid_step=1.0)
+        assert cost == pytest.approx(120.0)
+        assert plan.raw_flow[0, 0] == 20.0
+        assert plan.plant_dc_flow[0, 0] == 10.0
+
     def test_routes_through_cheap_plant(self):
         inst = NetworkInstance(
             num_suppliers=1,
@@ -350,9 +321,11 @@ class TestBruteForce:
         assert exc.value.size > 10**8
 
     def test_no_feasible_point_reports_min_violation(self):
+        # the single chain's capacities of 20 fall short of a demand of 30
         inst = single_chain(d=30.0, cap=20.0)
         with pytest.raises(NoFeasibleLatticePointError) as exc:
             brute_force_optimum(inst, grid_step=1.0)
+        assert isinstance(exc.value, OracleError)
         assert exc.value.min_violation > 0
 
     def test_invalid_grid_rejected(self):
