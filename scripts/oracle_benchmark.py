@@ -4,10 +4,13 @@
 For each randomized tiny instance (at most 1 supplier, 2 plants, 2 DCs,
 2 retailers, integer data) the script reports the median relative gap between
 the solver's best feasible cost and the exact lattice optimum over a set of
-seeds, together with the lower-bound sanity check and the time the oracle
-took on the instance.  The instances and the loop are criterion 4's own
-(``oracle_agreement`` in ``tests/conftest.py``); run it directly to study how
-the gap responds to the generation budget.
+seeds, together with the lower-bound sanity check, the median number of
+generations the solves ran and the time the oracle took on the instance.  A
+solve whose best plan reaches the lower bound stops there, so instances whose
+optimum equals the bound show 1 generation or close to it.  The instances
+and the loop are criterion 4's own (``oracle_agreement`` in
+``tests/conftest.py``); run it directly to study how the gap responds to the
+generation budget.
 
 Usage: python scripts/oracle_benchmark.py [--instances N] [--seeds N]
        [--generations N] [--master-seed N]
@@ -41,12 +44,15 @@ def main(argv=None):
     t0 = time.perf_counter()
     rows = _oracle_agreement()(args.master_seed, args.instances, args.seeds, args.generations)
     elapsed = time.perf_counter() - t0
-    print(f"{'instance':>8} {'topology':>12} {'optimum':>9} {'bound':>7} {'median gap':>11} {'oracle ms':>10}")
+    print(
+        f"{'instance':>8} {'topology':>12} {'optimum':>9} {'bound':>7} {'median gap':>11} {'gens':>5}"
+        f" {'oracle ms':>10}"
+    )
     for idx, row in enumerate(rows):
         shape = "x".join(str(c) for c in row.instance.counts)
         print(
             f"{idx:>8} {shape:>12} {row.optimum:>9.1f} {row.bound:>7.1f} {row.median_gap:>10.2%}"
-            f" {1e3 * row.oracle_s:>10.2f}"
+            f" {row.generations:>5.0f} {1e3 * row.oracle_s:>10.2f}"
         )
 
     medians = [row.median_gap for row in rows]

@@ -17,6 +17,7 @@ from .oracle import (
     NoFeasibleLatticePointError,
     SearchSpaceTooLargeError,
     brute_force_optimum,
+    lower_bound,
 )
 from .serialize import (
     InstanceLoadError,
@@ -115,6 +116,12 @@ def cmd_solve(args) -> int:
         f"  raw {breakdown.raw_cost:.6f} | plant->dc {breakdown.plant_to_dc_cost:.6f} | "
         f"holding {breakdown.holding_cost:.6f} | dc->retailer {breakdown.dc_to_retailer_cost:.6f}"
     )
+    bound = lower_bound(instance)
+    if bound > 0:
+        gap = f"best {(breakdown.total - bound) / bound:.2%} above it"
+    else:
+        gap = "gap undefined: the bound is zero"
+    print(f"lower bound: {bound:.6f} ({gap})")
     return EXIT_OK
 
 

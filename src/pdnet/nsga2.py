@@ -25,6 +25,12 @@ near-feasible individuals alive; collapsing feasible comparisons to cost
 alone starves the population of diversity under the low mutation rate and
 stalls far from the optimum.
 
+A run ends at max_generations or on a stall: the best price gained too
+little over the last stall_generations generations.  A run whose best price
+reaches ``oracle.lower_bound`` ends as a stall at once, when the stall
+window still fits in the budget, because no plan can improve on it and the
+window would close on the same plan (branch and bound's pruning rule).
+
 A generation does only the work that depends on it.  What depends on the
 instance alone (gene slices, arc boxes, the arcs in route-cost order, the
 suppliers in price order and their running capacity) is built on first use
@@ -51,6 +57,7 @@ from .network import (
     batch_evaluate,
     evaluate_cost,
 )
+from .oracle import lower_bound
 
 
 SBX_ETA = 15.0  # distribution index of simulated binary crossover
@@ -68,6 +75,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population_size", "max_generations", "stall_generations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.population_size < 4 or self.population_size % 2:
             raise ValueError("population_size must be even and >= 4")
         for name in ("crossover_prob", "mutation_prob"):
@@ -118,7 +129,7 @@ class SolveResult:
     final_front: list  # Individuals with rank 0
     trace: list  # GenerationRecord per generation
     generations_run: int
-    terminated_by: str  # "max-generations" | "stall"
+    terminated_by: str  # "max-generations" | "stall": the window closed or the best price reached lower_bound
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +482,14 @@ def _tournament_indices(place, rng, n_select):
 # ---------------------------------------------------------------------------
 
 def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> SolveResult:
-    """Run NSGA-II until max_generations or stall; deterministic per seed."""
+    """Run NSGA-II until max_generations or stall; deterministic per seed.
+
+    The run also ends as a stall at the first generation ``gen`` whose best
+    price is at or below ``oracle.lower_bound`` while ``gen +
+    stall_generations <= max_generations``: no feasible plan costs less, so
+    the window would close by then on the same plan.  The bound is computed
+    only when the window is shorter than the budget.
+    """
     rng = np.random.default_rng(config.seed)
     n = config.population_size
     pop = init_population(instance, config, rng)
@@ -484,6 +502,8 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
     best_history = []
     trace = []
     terminated_by = "max-generations"
+    w = config.stall_generations
+    bound = lower_bound(instance) if w < config.max_generations else -np.inf
 
     for gen in range(1, config.max_generations + 1):
         mating = _tournament_indices(place, rng, n)
@@ -520,7 +540,9 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
         )
         best_history.append(best_cost)
 
-        w = config.stall_generations
+        if best_cost <= bound and gen + w <= config.max_generations:
+            terminated_by = "stall"
+            break
         if gen > w and np.isfinite(best_history[-1 - w]):
             old = best_history[-1 - w]
             if (old - best_cost) < STALL_TOLERANCE * max(1.0, abs(old)):

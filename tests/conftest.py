@@ -92,12 +92,19 @@ def tiny_oracle_instance(rng):
     )
 
 
+def criterion_4_instances(count=20):
+    """The first ``count`` instances criterion 4 solves, drawn from its master seed."""
+    rng = np.random.default_rng(20260823)
+    return [tiny_oracle_instance(rng) for _ in range(count)]
+
+
 class Agreement(NamedTuple):
     instance: NetworkInstance
     optimum: float  # brute-force optimum on the grid-1 lattice
     bound: float  # oracle.lower_bound
     median_gap: float  # median over seeds of (cost - optimum) / optimum, inf for a run with no feasible plan
     below_bound: bool  # some feasible cost fell more than 1e-9 below the bound
+    generations: float  # median over seeds of generations_run
     oracle_s: float  # wall time of brute_force_optimum on this instance
 
 
@@ -117,12 +124,15 @@ def oracle_agreement(master_seed, instances, seeds, generations):
         oracle_s = time.perf_counter() - t0
         bound = lower_bound(instance)
         costs = []
+        runs = []
         for seed in range(seeds):
             result = solve(instance, SolverConfig(seed=seed, max_generations=generations))
             costs.append(np.inf if result.best_feasible is None else result.best_feasible[1].total)
+            runs.append(result.generations_run)
         costs = np.array(costs)
         median_gap = float(np.median((costs - optimum) / optimum))
-        rows.append(Agreement(instance, optimum, bound, median_gap, bool(np.any(costs < bound - 1e-9)), oracle_s))
+        below = bool(np.any(costs < bound - 1e-9))
+        rows.append(Agreement(instance, optimum, bound, median_gap, below, float(np.median(runs)), oracle_s))
     return rows
 
 

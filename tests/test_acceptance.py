@@ -111,7 +111,9 @@ def test_criterion_5_feasibility_soundness(capsys):
     sound = True
     for _ in range(5):
         instance = tiny_oracle_instance(rng)
-        result = solve(instance, SolverConfig(seed=int(rng.integers(0, 100)), max_generations=120))
+        # a window as long as the budget: the final front is generation 120's, not the one the bound stops at
+        config = SolverConfig(seed=int(rng.integers(0, 100)), max_generations=120, stall_generations=120)
+        result = solve(instance, config)
         if result.best_feasible is None:
             continue
         plan, _ = result.best_feasible
@@ -168,7 +170,8 @@ def test_criterion_6_nsga2_unit_properties(capsys):
 
     elitism_ok = True
     for seed in range(5):
-        result = solve(single_chain(), SolverConfig(seed=seed, max_generations=60))
+        # the whole 60 generations: a run that stopped at the bound would leave a 1-row trace
+        result = solve(single_chain(), SolverConfig(seed=seed, max_generations=60, stall_generations=60))
         best = [r.best_feasible_cost for r in result.trace if r.best_feasible_cost is not None]
         if any(b2 > b1 for b1, b2 in zip(best, best[1:])):
             elitism_ok = False

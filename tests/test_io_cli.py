@@ -27,7 +27,7 @@ from pdnet.serialize import (
     trace_csv,
 )
 
-from conftest import random_instance, single_chain
+from conftest import criterion_4_instances, random_instance, single_chain
 
 
 def no_solve(*args):
@@ -174,6 +174,28 @@ class TestCLI:
         assert "best feasible cost" in capsys.readouterr().out
         assert json.loads(out.read_text())["best_feasible"] is not None
         assert trace.read_text().startswith("generation,")
+
+    def test_solve_prints_the_lower_bound_and_the_gap_to_it(self, tmp_path, capsys):
+        # criterion-4 instance 5: bound 29, and seed 0 finds the optimum 31
+        inst_path = tmp_path / "i.json"
+        save_instance(criterion_4_instances(6)[5], inst_path)
+        assert main(["solve", str(inst_path), "--seed", "0", "--generations", "300"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "lower bound: 29.000000 (best 6.90% above it)"
+
+    def test_solve_that_reaches_the_bound_stops_and_says_so(self, tmp_path, capsys):
+        # a single chain has one route, so every plan costs the bound 10 x (2 + 3 + 1 + 4)
+        inst_path = tmp_path / "i.json"
+        save_instance(single_chain(), inst_path)
+        assert main(["solve", str(inst_path), "--seed", "7", "--generations", "60"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "generations run: 1 (terminated by stall)"
+        assert out[-1] == "lower bound: 100.000000 (best 0.00% above it)"
+
+    def test_solve_with_a_zero_bound_prints_no_gap(self, tmp_path, capsys):
+        inst_path = tmp_path / "i.json"
+        save_instance(single_chain(d=0.0), inst_path)
+        assert main(["solve", str(inst_path), "--generations", "3"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "lower bound: 0.000000 (gap undefined: the bound is zero)"
 
     def test_solve_is_reproducible_byte_for_byte(self, tmp_path):
         inst_path = tmp_path / "i.json"

@@ -29,7 +29,7 @@ from pdnet.nsga2 import (
 from pdnet.oracle import lower_bound
 from pdnet.scenarios import default_instance
 
-from conftest import random_instance, single_chain, tiny_oracle_instance
+from conftest import criterion_4_instances, random_instance, single_chain, tiny_oracle_instance
 
 
 def alloc_instance():
@@ -671,7 +671,8 @@ class TestSolve:
         assert a.generations_run == b.generations_run
 
     def test_trace_best_cost_non_increasing(self):
-        res = solve(single_chain(), SolverConfig(seed=11, max_generations=60))
+        # a window as long as the budget keeps the run from stopping at the bound in generation 1
+        res = solve(single_chain(), SolverConfig(seed=11, max_generations=60, stall_generations=60))
         best = [r.best_feasible_cost for r in res.trace if r.best_feasible_cost is not None]
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
 
@@ -682,12 +683,43 @@ class TestSolve:
         assert res.terminated_by == "max-generations"
 
     def test_stall_termination(self):
-        res = solve(
-            single_chain(),
-            SolverConfig(seed=2, max_generations=500, stall_generations=20),
-        )
+        # criterion-4 instance 5: its optimum 31 lies above its bound 29, so the window ends the run
+        inst = criterion_4_instances(6)[5]
+        res = solve(inst, SolverConfig(seed=2, max_generations=500, stall_generations=20))
         assert res.terminated_by == "stall"
         assert res.generations_run < 500
+        assert res.best_feasible[1].total > lower_bound(inst)
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_stop_at_the_lower_bound_returns_the_full_runs_best(self, index, monkeypatch):
+        inst = criterion_4_instances(index + 1)[index]
+        bound = lower_bound(inst)
+        stopped = [solve(inst, SolverConfig(seed=seed, max_generations=300)) for seed in range(3)]
+        monkeypatch.setattr(nsga2, "lower_bound", lambda instance: -np.inf)
+        full = [solve(inst, SolverConfig(seed=seed, max_generations=300)) for seed in range(3)]
+        for a, b in zip(stopped, full):
+            traced = [(r.generation, r.best_feasible_cost) for r in b.trace if r.best_feasible_cost is not None]
+            at_bound = [g for g, best in traced if best <= bound]
+            if index == 5:
+                assert not at_bound  # the optimum stays above the bound: no early stop
+            assert a.generations_run == (at_bound[0] if at_bound else b.generations_run)
+            assert a.trace == b.trace[: a.generations_run]
+            assert a.best_feasible == b.best_feasible  # FlowPlan compares with array_equal
+            assert a.terminated_by == b.terminated_by == "stall"
+        assert any(a.generations_run < b.generations_run for a, b in zip(stopped, full)) == (index != 5)
+
+    def test_no_stop_at_the_bound_when_the_window_does_not_fit(self, monkeypatch):
+        inst = criterion_4_instances(1)[0]
+        cfg = SolverConfig(seed=1, max_generations=40, stall_generations=40)
+        a = solve(inst, cfg)
+        calls = []
+        monkeypatch.setattr(nsga2, "lower_bound", lambda instance: calls.append(instance) or -np.inf)
+        b = solve(inst, cfg)
+        assert not calls  # a run that cannot stop early does not compute the bound
+        assert a.trace == b.trace and a.generations_run == 40
+        assert np.array_equal(
+            np.array([ind.genes for ind in a.final_front]), np.array([ind.genes for ind in b.final_front])
+        )
 
     def test_best_feasible_passes_constraint_check(self):
         rng = np.random.default_rng(77)
@@ -751,6 +783,24 @@ class TestConfig:
     def test_stall_window_below_one_rejected_by_name(self, stall):
         with pytest.raises(ValueError, match="stall_generations"):
             SolverConfig(stall_generations=stall)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("population_size", 10.0),
+            ("max_generations", 2.5),
+            ("max_generations", True),
+            ("stall_generations", 1.5),
+            ("seed", 1.5),
+            ("seed", False),
+        ],
+    )
+    def test_non_integer_setting_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SolverConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        assert SolverConfig(seed=np.int64(3), max_generations=np.int32(5)).seed == 3
 
     def test_defaults_match_reported_configuration(self):
         cfg = SolverConfig()

@@ -26,7 +26,9 @@ def test_oracle_benchmark(capsys):
     assert load_script("oracle_benchmark").main(["--instances", "2", "--seeds", "2"]) == 0
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 5  # header, two instances, a blank line, the summary
-    assert out.splitlines()[0].split()[-2:] == ["oracle", "ms"]
+    header = ["instance", "topology", "optimum", "bound", "median", "gap", "gens", "oracle", "ms"]
+    assert out.splitlines()[0].split() == header
+    assert [line.split()[5] for line in out.splitlines()[1:3]] == ["1", "1"]  # both reach the bound at once
     assert "2/2 instance medians within 2%" in out
 
 
