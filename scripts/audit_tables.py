@@ -7,21 +7,23 @@ throughput changes between the baseline and each expansion (13.77% and 56.88%
 under the (new - old)/new convention).
 """
 
-from pdnet.scenarios import build_scenario, check_schedule, compare_scenarios, load_schedule_csv
+from pdnet.scenarios import (
+    SCENARIO_NAMES,
+    build_scenario,
+    check_schedule,
+    compare_scenarios,
+    load_schedule_file,
+    scenario_table_name,
+)
 from pdnet.serialize import data_path
-
-SCHEDULES = [
-    ("baseline", "table1.csv"),
-    ("dc_expansion", "table2.csv"),
-    ("network_expansion", "table3.csv"),
-]
 
 
 def main():
     audits = {}
-    for scenario, table_name in SCHEDULES:
+    for scenario in SCENARIO_NAMES:
+        table_name = scenario_table_name(scenario)
         spec = build_scenario(scenario)
-        table = load_schedule_csv(data_path(table_name).read_text(encoding="utf-8"))
+        table = load_schedule_file(data_path(table_name))
         audit = check_schedule(table, spec, strict_per_dc=True)
         audits[scenario] = audit
         print(f"== {scenario} ({table_name}) ==")

@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from pdnet.cli import format_percent
+
 
 def _oracle_agreement():
     path = Path(__file__).resolve().parent.parent / "tests" / "conftest.py"
@@ -51,7 +53,7 @@ def main(argv=None):
     for idx, row in enumerate(rows):
         shape = "x".join(str(c) for c in row.instance.counts)
         print(
-            f"{idx:>8} {shape:>12} {row.optimum:>9.1f} {row.bound:>7.1f} {row.median_gap:>10.2%}"
+            f"{idx:>8} {shape:>12} {row.optimum:>9.1f} {row.bound:>7.1f} {format_percent(row.median_gap):>10}"
             f" {row.generations:>5.0f} {1e3 * row.oracle_s:>10.2f}"
         )
 

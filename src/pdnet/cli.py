@@ -46,38 +46,38 @@ def _file_error(path, exc) -> int:
     return EXIT_INPUT
 
 
+def _read(path, load):
+    """``load(path)``; a file that cannot be read is an input error that names ``path``."""
+    try:
+        return load(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(_file_error(path, exc))
+
+
 def _load_instance_or_fail(path):
     try:
-        return load_instance_file(path)
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        return _read(path, load_instance_file)
     except InstanceLoadError as exc:
         for err in exc.errors:
             print(f"error: {err}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit(_file_error(path, exc))
 
 
 def _load_table_or_fail(path, scenario_name):
+    """The scenario's capacities and the schedule at ``path``; the parser admits only bundled scenario names."""
+    spec = scenarios.build_scenario(scenario_name)
     try:
-        spec = scenarios.build_scenario(scenario_name)
-    except scenarios.UnknownScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            table = scenarios.load_schedule_csv(fh.read())
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit(_file_error(path, exc))
+        table = _read(path, scenarios.load_schedule_file)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
     return spec, table
+
+
+def format_percent(fraction) -> str:
+    """``fraction`` as a percent at two decimals; one that rounds to zero reads 0.00%, never -0.00%."""
+    text = f"{fraction:.2%}"
+    return "0.00%" if text == "-0.00%" else text
 
 
 def cmd_solve(args) -> int:
@@ -118,7 +118,7 @@ def cmd_solve(args) -> int:
     )
     bound = lower_bound(instance)
     if bound > 0:
-        gap = f"best {(breakdown.total - bound) / bound:.2%} above it"
+        gap = f"best {format_percent((breakdown.total - bound) / bound)} above it"
     else:
         gap = "gap undefined: the bound is zero"
     print(f"lower bound: {bound:.6f} ({gap})")
@@ -127,37 +127,14 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        instance = load_instance_file(args.instance)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.instance}", file=sys.stderr)
-        return EXIT_INPUT
+        instance = _read(args.instance, load_instance_file)
     except InstanceLoadError as exc:
         for err in exc.errors:
             print(f"invalid: {err}")
         return EXIT_INPUT
-    except (OSError, UnicodeDecodeError) as exc:
-        return _file_error(args.instance, exc)
     s, k, j, i = instance.counts
     print(f"ok: {s} suppliers, {k} plants, {j} DCs, {i} retailers")
     return EXIT_OK
-
-
-def _audit_document(audit):
-    return {
-        "plant_totals": audit.plant_totals,
-        "dc_totals": audit.dc_totals,
-        "grand_total_rows": audit.grand_total_rows,
-        "grand_total_cols": audit.grand_total_cols,
-        "breaches": [
-            {
-                "entity": b.entity,
-                "total": b.total,
-                "capacity": b.capacity,
-                "max_utilization": b.max_utilization,
-            }
-            for b in audit.breaches
-        ],
-    }
 
 
 def cmd_audit(args) -> int:
@@ -168,7 +145,7 @@ def cmd_audit(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.json:
-        print(dumps_canonical(_audit_document(audit)), end="")
+        print(dumps_canonical(audit), end="")
         return EXIT_OK
     print(f"scenario: {spec.name}")
     print(f"grand total: {audit.grand_total_rows:.0f} (rows) / {audit.grand_total_cols:.0f} (columns)")
@@ -196,14 +173,11 @@ def cmd_compare(args) -> int:
     report = scenarios.compare_scenarios(audit_a, audit_b)
     print(f"old total: {report.old_total:.0f}")
     print(f"new total: {report.new_total:.0f}")
-    if report.pct_change_new_basis is None:
-        print("percent change (new basis): undefined (new total is zero)")
-    else:
-        print(f"percent change (new basis): {report.pct_change_new_basis:.2f}%")
-    if report.pct_change_old_basis is None:
-        print("percent change (old basis): undefined (old total is zero)")
-    else:
-        print(f"percent change (old basis): {report.pct_change_old_basis:.2f}%")
+    for basis, pct in (("new", report.pct_change_new_basis), ("old", report.pct_change_old_basis)):
+        if pct is None:
+            print(f"percent change ({basis} basis): undefined ({basis} total is zero)")
+        else:
+            print(f"percent change ({basis} basis): {pct:.2f}%")
     return EXIT_OK
 
 
@@ -228,11 +202,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    try:
-        instance = scenarios.default_instance(args.name)
-    except scenarios.UnknownScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    instance = scenarios.default_instance(args.name)
     inst_path = os.path.join(args.emit, f"{args.name}.instance.json")
     table_name = scenarios.scenario_table_name(args.name)
     table_path = os.path.join(args.emit, table_name)
@@ -251,8 +221,14 @@ def cmd_scenario(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser for all six commands; ``main`` builds one per process and reuses it."""
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser for all six commands, built once per process.
+
+    Building it costs about three times what check, audit or compare
+    themselves do.  argparse keeps no state between parse_args calls: each
+    returns a new namespace filled from the defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="pdnet",
         description="Four-echelon production-distribution network: NSGA-II solver, oracle and scenario audits",
@@ -299,12 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scenario)
 
     return parser
-
-
-# Building the parser costs about three times what check, audit or compare
-# themselves do.  argparse keeps no state between parse_args calls: each
-# returns a new namespace filled from the defaults.
-_shared_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:

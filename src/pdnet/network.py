@@ -278,6 +278,14 @@ class _Layout:
         self.cost.setflags(write=False)
 
 
+def unit_costs(instance: NetworkInstance) -> np.ndarray:
+    """Unit cost of every flow variable, r (S,K) | p (K,J) | t (J,I) row-major.
+
+    Read-only and kept with the instance: batch pricing and brute force read this one vector.
+    """
+    return instance.derived(_Layout).cost
+
+
 def _c_order(r, p, t):
     """The flows as C-ordered float arrays, so that every sum below adds in the
     same order whatever the layout of the input and whichever batch holds a plan."""
@@ -326,7 +334,7 @@ def batch_evaluate(instance: NetworkInstance, r, p, t):
     r, p, t = _c_order(r, p, t)
     n = r.shape[0]
     flows = np.concatenate([r.reshape(n, -1), p.reshape(n, -1), t.reshape(n, -1)], axis=1)
-    cost = np.einsum("nl,l->n", flows, instance.derived(_Layout).cost)
+    cost = np.einsum("nl,l->n", flows, unit_costs(instance))
     return cost, _violation(*_residuals(instance, r, p, t), DEFAULT_TOLERANCE)
 
 

@@ -3,7 +3,8 @@
 ``brute_force_optimum`` searches a flow lattice over per-variable boxes, raw
 flow at C_s/K and plant-DC flow at D_k/(u*J), and keeps the cheapest feasible
 point; it is the reference the evolutionary engine is validated against and
-shares no evaluation code with it.  It gives the optimum inside those boxes.
+shares no constraint check with it, only the model's unit-cost vector
+(``network.unit_costs``).  It gives the optimum inside those boxes.
 The GA has no raw genes: its decoder keeps the plant-DC box but buys raw
 material without the raw box, so the GA may beat it.
 
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .network import FlowPlan, NetworkInstance
+from .network import FlowPlan, NetworkInstance, unit_costs
 
 MAX_LATTICE_POINTS = 10**8
 _CHUNK = 200_000
@@ -53,14 +54,6 @@ def _variable_boxes(instance: NetworkInstance):
     p_up = np.repeat(instance.plant_capacity / (instance.utilization * j), j)
     t_up = np.tile(instance.demand, j)
     return np.concatenate([r_up, p_up, t_up])
-
-
-def _cost_vector(instance: NetworkInstance):
-    s, k, j, i = instance.counts
-    r_c = np.repeat(instance.raw_unit_cost, k)
-    p_c = (instance.plant_dc_unit_cost + instance.holding_unit_cost[None, :]).ravel()
-    t_c = instance.dc_retailer_unit_cost.ravel()
-    return np.concatenate([r_c, p_c, t_c])
 
 
 def _outer_violation(instance, x, grid_step):
@@ -189,7 +182,7 @@ def brute_force_optimum(instance: NetworkInstance, grid_step: float = 1.0):
     # variable 0 is the most significant digit: index order == lexicographic order
     strides = np.multiply.accumulate(levels[::-1])[::-1] // levels
     split = s * k + k * j
-    coeff = _cost_vector(instance)
+    coeff = unit_costs(instance)
     outer = _Block(
         uppers[:split], levels[:split], strides[:split] // strides[split - 1], coeff[:split],
         _outer_violation, _production,

@@ -3,15 +3,16 @@
 Three scenarios are bundled: the current four-plant/four-DC network
 (``baseline``), the same network with DC storage raised to 15,000 cases
 (``dc_expansion``), and the enlarged seven-plant/eight-DC network
-(``network_expansion``).  Published daily production schedules for the three
-configurations ship as ``table1.csv`` .. ``table3.csv`` and can be audited
-against the scenario capacities.
+(``network_expansion``).  One table, ``_SCENARIOS``, holds each scenario's
+plant and DC capacities, the file of its published daily production schedule
+(``table1.csv`` .. ``table3.csv``, audited against those capacities) and its
+reported weekly cost; ``SCENARIO_NAMES``, ``build_scenario``,
+``scenario_table_name`` and ``REPORTED_WEEKLY_COST_TZS`` are read from it.
 
-The absolute weekly costs reported for these configurations
-(43,834,900 / 43,100,800 / 114,660,000 TZS) depend on unit-cost data that was
-never published; they are kept here as reference metadata only.  Bundled
-runnable instances use synthetic demands and unit costs, sized so baseline
-aggregate demand is on the same ~50,000-case scale as the baseline schedule.
+The reported weekly costs depend on unit-cost data that was never published;
+they are kept as reference metadata only.  Bundled runnable instances use
+synthetic demands and unit costs, sized so baseline aggregate demand is on the
+same ~50,000-case scale as the baseline schedule.
 """
 
 from __future__ import annotations
@@ -19,22 +20,29 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .network import NetworkInstance
 
-SCENARIO_NAMES = ("baseline", "dc_expansion", "network_expansion")
+# name -> (plant capacities, DC capacities, schedule file, reported weekly cost in TZS)
+_SCENARIOS = {
+    # the current four-plant, four-DC network
+    "baseline": ((12800, 12000, 25600, 12800), (12000,) * 4, "table1.csv", 43_834_900),
+    # DC storage raised to 15,000 cases each
+    "dc_expansion": ((12800, 12000, 25600, 12800), (15000,) * 4, "table2.csv", 43_100_800),
+    # seven plants (one at 30,000 cases) and eight 15,000-case DCs; production
+    # limited by capacities only, not demand
+    "network_expansion": ((15000, 15000, 15000, 30000, 15000, 15000, 15000), (15000,) * 8, "table3.csv", 114_660_000),
+}
+
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 #: Reported weekly cost per scenario, TZS.  Reference metadata only; never
 #: comparable to costs computed from the synthetic instances.
-REPORTED_WEEKLY_COST_TZS = {
-    "baseline": 43_834_900,
-    "dc_expansion": 43_100_800,
-    "network_expansion": 114_660_000,
-}
+REPORTED_WEEKLY_COST_TZS = {name: row[3] for name, row in _SCENARIOS.items()}
 
 DEFAULT_UTILIZATION = 0.95
 
@@ -44,7 +52,6 @@ class ScenarioSpec:
     name: str
     plant_capacities: np.ndarray
     dc_capacities: np.ndarray
-    notes: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "plant_capacities", np.asarray(self.plant_capacities, dtype=np.float64))
@@ -100,29 +107,10 @@ class UnknownScenarioError(ValueError):
 
 def build_scenario(name: str) -> ScenarioSpec:
     """Capacity data for one of the bundled scenarios."""
-    if name == "baseline":
-        return ScenarioSpec(
-            name,
-            plant_capacities=[12800, 12000, 25600, 12800],
-            dc_capacities=[12000, 12000, 12000, 12000],
-            notes="current four-plant, four-DC network",
-        )
-    if name == "dc_expansion":
-        return ScenarioSpec(
-            name,
-            plant_capacities=[12800, 12000, 25600, 12800],
-            dc_capacities=[15000, 15000, 15000, 15000],
-            notes="DC storage raised to 15,000 cases each",
-        )
-    if name == "network_expansion":
-        return ScenarioSpec(
-            name,
-            plant_capacities=[15000, 15000, 15000, 30000, 15000, 15000, 15000],
-            dc_capacities=[15000] * 8,
-            notes="seven plants (one at 30,000 cases) and eight 15,000-case DCs; "
-            "production limited by capacities only, not demand",
-        )
-    raise UnknownScenarioError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    if name not in _SCENARIOS:
+        raise UnknownScenarioError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    plants, dcs, _, _ = _SCENARIOS[name]
+    return ScenarioSpec(name, plant_capacities=plants, dc_capacities=dcs)
 
 
 def _synthetic_costs(num_suppliers, num_plants, num_dcs, num_retailers):
@@ -179,7 +167,8 @@ def default_instance(name: str) -> NetworkInstance:
 
 
 def scenario_table_name(name: str) -> str:
-    return {"baseline": "table1.csv", "dc_expansion": "table2.csv", "network_expansion": "table3.csv"}[name]
+    """File name of the scenario's bundled schedule (``table1.csv`` .. ``table3.csv``)."""
+    return _SCENARIOS[name][2]
 
 
 def load_schedule_csv(text: str) -> ScheduleTable:
@@ -207,6 +196,12 @@ def load_schedule_csv(text: str) -> ScheduleTable:
             cells.append(value)
         values.append(cells)
     return ScheduleTable(values=np.array(values), row_labels=row_labels, col_labels=col_labels)
+
+
+def load_schedule_file(path) -> ScheduleTable:
+    """The schedule CSV at ``path``, read as UTF-8; see ``load_schedule_csv``."""
+    with open(path, encoding="utf-8") as fh:
+        return load_schedule_csv(fh.read())
 
 
 def check_schedule(table: ScheduleTable, spec: ScenarioSpec, strict_per_dc: bool = False) -> ScheduleAudit:

@@ -8,6 +8,7 @@ atomic (temp file + rename).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import stat
@@ -79,6 +80,8 @@ def _fmt(value):
         return "[" + ",".join(_fmt(v) for v in value) + "]"
     if isinstance(value, np.ndarray):
         return _fmt(value.tolist())
+    if dataclasses.is_dataclass(value):  # an object of its fields, in declaration order
+        return _fmt({f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
     raise TypeError(f"cannot serialize {type(value)}")
 
 
@@ -90,18 +93,14 @@ def dumps_canonical(obj) -> str:
 # Instances
 # ---------------------------------------------------------------------------
 
+_COUNT_KEYS = ("suppliers", "plants", "dcs", "retailers")
 _VECTOR_KEYS = ("supplier_capacity", "plant_capacity", "dc_capacity", "demand", "raw_unit_cost", "holding_unit_cost")
 _MATRIX_KEYS = ("plant_dc_unit_cost", "dc_retailer_unit_cost")
 
 
 def dumps_instance(instance: NetworkInstance) -> str:
     doc = {
-        "counts": {
-            "suppliers": instance.num_suppliers,
-            "plants": instance.num_plants,
-            "dcs": instance.num_dcs,
-            "retailers": instance.num_retailers,
-        },
+        "counts": dict(zip(_COUNT_KEYS, instance.counts)),
         **{k: getattr(instance, k).tolist() for k in _VECTOR_KEYS},
         **{k: getattr(instance, k).tolist() for k in _MATRIX_KEYS},
         "utilization": instance.utilization,
@@ -132,14 +131,13 @@ def load_instance(text: str) -> NetworkInstance:
     if not isinstance(counts, dict):
         errors.append("missing or malformed 'counts' object")
         counts = {}
-    count_vals = {}
-    for key in ("suppliers", "plants", "dcs", "retailers"):
+    fields = {}
+    for key in _COUNT_KEYS:
         v = counts.get(key)
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             errors.append(f"counts.{key} must be an integer >= 1, got {json.dumps(v)}")
             v = 1
-        count_vals[key] = v
-    fields = {}
+        fields[f"num_{key}"] = v
     for key in _VECTOR_KEYS:
         v = doc.get(key)
         if not isinstance(v, list) or not all(_is_number(x) for x in v):
@@ -168,10 +166,6 @@ def load_instance(text: str) -> NetworkInstance:
         raise InstanceLoadError(errors)
 
     instance = NetworkInstance(
-        num_suppliers=count_vals["suppliers"],
-        num_plants=count_vals["plants"],
-        num_dcs=count_vals["dcs"],
-        num_retailers=count_vals["retailers"],
         utilization=float(utilization),
         strict_per_dc=strict,
         **fields,
@@ -196,13 +190,7 @@ def result_document(result: SolveResult) -> dict:
     if result.best_feasible is not None:
         plan, breakdown = result.best_feasible
         best = {
-            "cost_breakdown": {
-                "raw_cost": breakdown.raw_cost,
-                "plant_to_dc_cost": breakdown.plant_to_dc_cost,
-                "holding_cost": breakdown.holding_cost,
-                "dc_to_retailer_cost": breakdown.dc_to_retailer_cost,
-                "total": breakdown.total,
-            },
+            "cost_breakdown": breakdown,
             "raw_flow": plan.raw_flow,
             "plant_dc_flow": plan.plant_dc_flow,
             "dc_retailer_flow": plan.dc_retailer_flow,

@@ -14,7 +14,7 @@ import pytest
 from pdnet.cli import EXIT_OK, main
 from pdnet.network import evaluate_constraints
 from pdnet.nsga2 import SolverConfig, decode, solve
-from pdnet.scenarios import build_scenario, check_schedule, compare_scenarios, load_schedule_csv
+from pdnet.scenarios import build_scenario, check_schedule, compare_scenarios, load_schedule_file
 from pdnet.serialize import data_path, save_instance
 
 from conftest import oracle_agreement, random_instance, single_chain, tiny_oracle_instance
@@ -27,7 +27,7 @@ def announce(capsys, criterion, label, ok):
 
 
 def audited(name, scenario, strict=False):
-    table = load_schedule_csv(data_path(name).read_text(encoding="utf-8"))
+    table = load_schedule_file(data_path(name))
     return check_schedule(table, build_scenario(scenario), strict_per_dc=strict)
 
 

@@ -146,15 +146,22 @@ class TestWrittenFileModes:
         assert load_instance_file(kept) == load_instance_file(inst_path)
 
 
+# each command that reads a file, with what follows the path it reads
+READERS = [
+    ["check"],
+    ["solve"],
+    ["oracle"],
+    ["audit", "--scenario", "baseline"],
+    ["compare", str(data_path("table1.csv")), "--scenario-a", "baseline", "--scenario-b", "baseline"],
+]
+
+
 class TestCLI:
     def test_check_ok(self, tmp_path, capsys):
         path = tmp_path / "i.json"
         save_instance(single_chain(), path)
         assert main(["check", str(path)]) == EXIT_OK
         assert "ok:" in capsys.readouterr().out
-
-    def test_check_missing_file(self, tmp_path):
-        assert main(["check", str(tmp_path / "nope.json")]) == EXIT_INPUT
 
     def test_check_invalid_instance(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -190,6 +197,19 @@ class TestCLI:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "generations run: 1 (terminated by stall)"
         assert out[-1] == "lower bound: 100.000000 (best 0.00% above it)"
+
+    def test_solve_a_hair_below_the_bound_prints_no_negative_zero(self, tmp_path, capsys):
+        # criterion-4 instance 1: bound 39, and seed 0's best prices at 38.999999999999986 by rounding
+        inst_path = tmp_path / "i.json"
+        save_instance(criterion_4_instances(2)[1], inst_path)
+        assert main(["solve", str(inst_path), "--seed", "0", "--generations", "300"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "lower bound: 39.000000 (best 0.00% above it)"
+
+    @pytest.mark.parametrize(
+        "fraction, text", [(-3.6e-16, "0.00%"), (-0.0, "0.00%"), (-0.0001, "-0.01%"), (0.069, "6.90%")]
+    )
+    def test_a_gap_that_rounds_to_zero_prints_unsigned_and_a_real_one_keeps_its_sign(self, fraction, text):
+        assert cli.format_percent(fraction) == text
 
     def test_solve_with_a_zero_bound_prints_no_gap(self, tmp_path, capsys):
         inst_path = tmp_path / "i.json"
@@ -258,6 +278,18 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["grand_total_rows"] == 50493
 
+    def test_audit_json_is_the_whole_document_in_field_order(self, capsys):
+        table = str(data_path("table1.csv"))
+        assert main(["audit", table, "--scenario", "baseline", "--strict-per-dc", "--json"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            '{"plant_totals":[10789,10881,15730,13093],"dc_totals":[11511,13913,12371,12698],'
+            '"grand_total_rows":50493,"grand_total_cols":50493,"breaches":['
+            '{"entity":"Plant 4","total":13093,"capacity":12800,"max_utilization":0.977621629879},'
+            '{"entity":"DC 2","total":13913,"capacity":12000,"max_utilization":null},'
+            '{"entity":"DC 3","total":12371,"capacity":12000,"max_utilization":null},'
+            '{"entity":"DC 4","total":12698,"capacity":12000,"max_utilization":null}]}\n'
+        )
+
     def test_audit_dimension_mismatch(self, capsys):
         table = str(data_path("table1.csv"))
         assert main(["audit", table, "--scenario", "network_expansion"]) == EXIT_INPUT
@@ -272,6 +304,29 @@ class TestCLI:
         assert "13.77%" in out
         assert "15.97%" in out
 
+    def test_compare_with_a_zero_total_names_the_undefined_basis(self, tmp_path, capsys):
+        zero = tmp_path / "zero.csv"
+        zero.write_text(",Plant 1,Plant 2,Plant 3,Plant 4\n" + "".join(f"DC {d},0,0,0,0\n" for d in range(1, 5)))
+        table = str(data_path("table1.csv"))
+        lines = {}
+        for direction, pair in (("to zero", [table, str(zero)]), ("from zero", [str(zero), table])):
+            assert main(["compare", *pair, "--scenario-a", "baseline", "--scenario-b", "baseline"]) == EXIT_OK
+            lines[direction] = capsys.readouterr().out.splitlines()
+        assert lines == {
+            "to zero": [
+                "old total: 50493",
+                "new total: 0",
+                "percent change (new basis): undefined (new total is zero)",
+                "percent change (old basis): -100.00%",
+            ],
+            "from zero": [
+                "old total: 0",
+                "new total: 50493",
+                "percent change (new basis): 100.00%",
+                "percent change (old basis): undefined (old total is zero)",
+            ],
+        }
+
     def test_scenario_emit(self, tmp_path):
         assert main(["scenario", "baseline", "--emit", str(tmp_path)]) == EXIT_OK
         inst = load_instance_file(tmp_path / "baseline.instance.json")
@@ -283,14 +338,16 @@ class TestCLI:
             main(["scenario", "mega", "--emit", "/tmp"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["check"], ["solve"], ["oracle"], ["audit", "--scenario", "baseline"]],
-        ids=lambda argv: argv[0],
-    )
+    @pytest.mark.parametrize("argv", READERS, ids=lambda argv: argv[0])
     def test_a_directory_is_an_input_error_that_names_it(self, tmp_path, capsys, argv):
         assert main([argv[0], str(tmp_path), *argv[1:]]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("argv", READERS, ids=lambda argv: argv[0])
+    def test_a_missing_file_is_an_input_error_that_names_it(self, tmp_path, capsys, argv):
+        path = tmp_path / "nope"
+        assert main([argv[0], str(path), *argv[1:]]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
 
     @pytest.mark.parametrize(
         "argv", [["check"], ["solve"], ["audit", "--scenario", "baseline"]], ids=lambda argv: argv[0]

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdnet import oracle
-from pdnet.network import NetworkInstance, evaluate_constraints, evaluate_cost
+from pdnet.network import NetworkInstance, evaluate_constraints, evaluate_cost, unit_costs
 from pdnet.oracle import (
     NoFeasibleLatticePointError,
     OracleError,
     SearchSpaceTooLargeError,
-    _cost_vector,
     _variable_boxes,
     brute_force_optimum,
     lower_bound,
@@ -69,7 +68,7 @@ def reference_brute_force(instance, grid_step):
     feas = np.flatnonzero(viol == 0.0)
     if not feas.size:
         return False, None, None, float(viol.min())
-    costs = x[feas] @ _cost_vector(instance)
+    costs = x[feas] @ unit_costs(instance)
     a = int(np.argmin(costs))  # first occurrence: lexicographically smallest
     return True, x[feas[a]], float(costs[a]), 0.0
 
@@ -132,7 +131,7 @@ def assert_matches_reference(inst, grid_step, exact):
     assert cost == pytest.approx(cost_ref, rel=1e-12)
     if not np.array_equal(x, x_ref):
         assert reference_violations(inst, x[None, :], grid_step)[0] == 0.0
-        assert x @ _cost_vector(inst) == pytest.approx(cost_ref, rel=1e-12)
+        assert x @ unit_costs(inst) == pytest.approx(cost_ref, rel=1e-12)
 
 
 class TestAgainstTheRowByRowReference:

@@ -11,13 +11,14 @@ from pdnet.scenarios import (
     compare_scenarios,
     default_instance,
     load_schedule_csv,
+    load_schedule_file,
     scenario_table_name,
 )
 from pdnet.serialize import data_path
 
 
 def bundled_table(name):
-    return load_schedule_csv(data_path(scenario_table_name(name)).read_text(encoding="utf-8"))
+    return load_schedule_file(data_path(scenario_table_name(name)))
 
 
 class TestBuildScenario:

@@ -17,6 +17,11 @@ def load_script(name):
 def test_audit_tables(capsys):
     load_script("audit_tables").main()
     out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("==")] == [
+        "== baseline (table1.csv) ==",
+        "== dc_expansion (table2.csv) ==",
+        "== network_expansion (table3.csv) ==",
+    ]
     for total in ("50493", "58558", "117110"):
         assert f"grand total: {total} cases" in out
     assert "13.77% (new basis)" in out and "56.88% (new basis)" in out
@@ -29,6 +34,8 @@ def test_oracle_benchmark(capsys):
     header = ["instance", "topology", "optimum", "bound", "median", "gap", "gens", "oracle", "ms"]
     assert out.splitlines()[0].split() == header
     assert [line.split()[5] for line in out.splitlines()[1:3]] == ["1", "1"]  # both reach the bound at once
+    # instance 1's solves price at 38.999999999999986 against an optimum of 39: the gap rounds to zero
+    assert [line.split()[4] for line in out.splitlines()[1:3]] == ["0.00%", "0.00%"]
     assert "2/2 instance medians within 2%" in out
 
 
