@@ -12,6 +12,7 @@ import os
 import sys
 
 from . import scenarios
+from .network import FLOW_AXES
 from .nsga2 import SolverConfig, solve
 from .oracle import (
     NoFeasibleLatticePointError,
@@ -195,9 +196,8 @@ def cmd_oracle(args) -> int:
         print(f"no feasible lattice point; minimal violation {exc.min_violation:.6g}", file=sys.stderr)
         return EXIT_NO_RESULT
     print(f"optimum cost: {cost:.6f}")
-    print(f"raw_flow: {plan.raw_flow.tolist()}")
-    print(f"plant_dc_flow: {plan.plant_dc_flow.tolist()}")
-    print(f"dc_retailer_flow: {plan.dc_retailer_flow.tolist()}")
+    for name in FLOW_AXES:
+        print(f"{name}: {getattr(plan, name).tolist()}")
     return EXIT_OK
 
 

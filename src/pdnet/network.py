@@ -3,9 +3,12 @@
 Echelons are suppliers -> plants -> distribution centers (DCs) -> retailers.
 A :class:`NetworkInstance` holds capacities, demands and unit costs; a
 :class:`FlowPlan` holds the three flow matrices (raw material, plant-to-DC,
-DC-to-retailer).  Evaluation is pure: total cost decomposes into four linear
-terms and constraint checks produce signed residuals (positive = slack,
-negative = breach).
+DC-to-retailer).  ``ARRAY_AXES`` and ``FLOW_AXES`` name these arrays and
+their shapes once; coercion, validation, plan checks and the instance
+document read them, and equality compares every field, arrays cell by cell.
+Evaluation is pure: total cost decomposes into four linear terms and
+constraint checks produce signed residuals (positive = slack, negative =
+breach).
 
 Batched evaluation takes each block sum once, stacks every residual into one
 matrix (one column per constraint) beside its tolerance scale, applies the
@@ -17,7 +20,7 @@ alone, so a plan evaluated in a batch, on its own or through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -36,16 +39,33 @@ def _as_array(x):
     return a
 
 
-_ARRAY_FIELDS = (
-    "supplier_capacity",
-    "plant_capacity",
-    "dc_capacity",
-    "demand",
-    "raw_unit_cost",
-    "holding_unit_cost",
-    "plant_dc_unit_cost",
-    "dc_retailer_unit_cost",
-)
+# Every array of the model and its axes, in the letters of ``counts``: s
+# suppliers, k plants, j DCs, i retailers.  The order is the order of the
+# dataclass fields and of the instance document.
+ARRAY_AXES = {
+    "supplier_capacity": "s",
+    "plant_capacity": "k",
+    "dc_capacity": "j",
+    "demand": "i",
+    "raw_unit_cost": "s",
+    "holding_unit_cost": "j",
+    "plant_dc_unit_cost": "kj",
+    "dc_retailer_unit_cost": "ji",
+}
+FLOW_AXES = {"raw_flow": "sk", "plant_dc_flow": "kj", "dc_retailer_flow": "ji"}
+
+
+def _shapes(axes, counts):
+    """Name -> the shape ``counts`` gives each array of an axes table."""
+    size = dict(zip("skji", counts))
+    return {name: tuple(size[a] for a in letters) for name, letters in axes.items()}
+
+
+def _same_fields(a, b):
+    """Dataclass equality with arrays: every ``compare=True`` field equal, arrays cell by cell."""
+    if not isinstance(b, type(a)):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
 
 
 @dataclass(frozen=True)
@@ -74,7 +94,7 @@ class NetworkInstance:
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in _ARRAY_FIELDS:
+        for name in ARRAY_AXES:
             object.__setattr__(self, name, _as_array(getattr(self, name)))
         object.__setattr__(self, "utilization", float(self.utilization))
 
@@ -91,17 +111,7 @@ class NetworkInstance:
             value = self._derived[build] = build(self)
             return value
 
-    def __eq__(self, other):
-        if not isinstance(other, NetworkInstance):
-            return NotImplemented
-        if (
-            (self.num_suppliers, self.num_plants, self.num_dcs, self.num_retailers)
-            != (other.num_suppliers, other.num_plants, other.num_dcs, other.num_retailers)
-            or self.utilization != other.utilization
-            or self.strict_per_dc != other.strict_per_dc
-        ):
-            return False
-        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _ARRAY_FIELDS)
+    __eq__ = _same_fields
 
     @property
     def counts(self):
@@ -123,17 +133,10 @@ class FlowPlan:
     dc_retailer_flow: np.ndarray
 
     def __post_init__(self):
-        for name in ("raw_flow", "plant_dc_flow", "dc_retailer_flow"):
+        for name in FLOW_AXES:
             object.__setattr__(self, name, _as_array(getattr(self, name)))
 
-    def __eq__(self, other):
-        if not isinstance(other, FlowPlan):
-            return NotImplemented
-        return (
-            np.array_equal(self.raw_flow, other.raw_flow)
-            and np.array_equal(self.plant_dc_flow, other.plant_dc_flow)
-            and np.array_equal(self.dc_retailer_flow, other.dc_retailer_flow)
-        )
+    __eq__ = _same_fields
 
 
 @dataclass(frozen=True)
@@ -178,21 +181,11 @@ class ValidationReport:
 def validate_instance(instance: NetworkInstance) -> ValidationReport:
     """Report every invariant breach; an empty report means the instance is usable."""
     rep = ValidationReport()
-    s, k, j, i = instance.counts
-    for name, n in [("num_suppliers", s), ("num_plants", k), ("num_dcs", j), ("num_retailers", i)]:
+    counts = instance.counts
+    for name, n in zip(("num_suppliers", "num_plants", "num_dcs", "num_retailers"), counts):
         if not isinstance(n, (int, np.integer)) or n < 1:
             rep.issues.append(f"{name} must be an integer >= 1, got {n!r}")
-    expected = {
-        "supplier_capacity": (s,),
-        "plant_capacity": (k,),
-        "dc_capacity": (j,),
-        "demand": (i,),
-        "raw_unit_cost": (s,),
-        "holding_unit_cost": (j,),
-        "plant_dc_unit_cost": (k, j),
-        "dc_retailer_unit_cost": (j, i),
-    }
-    for name, shape in expected.items():
+    for name, shape in _shapes(ARRAY_AXES, counts).items():
         arr = getattr(instance, name)
         if arr.shape != shape:
             rep.issues.append(f"{name} has shape {arr.shape}, expected {shape}")
@@ -209,12 +202,8 @@ def validate_instance(instance: NetworkInstance) -> ValidationReport:
 
 
 def _check_plan_shapes(instance: NetworkInstance, plan: FlowPlan):
-    s, k, j, i = instance.counts
-    for name, arr, shape in [
-        ("raw_flow", plan.raw_flow, (s, k)),
-        ("plant_dc_flow", plan.plant_dc_flow, (k, j)),
-        ("dc_retailer_flow", plan.dc_retailer_flow, (j, i)),
-    ]:
+    for name, shape in _shapes(FLOW_AXES, instance.counts).items():
+        arr = getattr(plan, name)
         if arr.shape != shape:
             raise DimensionMismatchError(
                 f"{name} has shape {arr.shape}, expected {shape} for this instance"
@@ -222,19 +211,10 @@ def _check_plan_shapes(instance: NetworkInstance, plan: FlowPlan):
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation cores.  The scalar API wraps these with a leading axis of
-# one so single-plan and population evaluation share one code path exactly.
+# Batched evaluation cores.  The scalar constraint check runs them on a
+# leading axis of one, so single-plan and population checks share one code
+# path exactly.
 # ---------------------------------------------------------------------------
-
-def batch_cost_terms(instance: NetworkInstance, r, p, t):
-    """Cost terms for stacked flows r:(n,S,K), p:(n,K,J), t:(n,J,I)."""
-    raw = np.einsum("s,nsk->n", instance.raw_unit_cost, r)
-    plant_dc = np.einsum("kj,nkj->n", instance.plant_dc_unit_cost, p)
-    holding = np.einsum("j,nj->n", instance.holding_unit_cost, p.sum(axis=1))
-    dc_retailer = np.einsum("ji,nji->n", instance.dc_retailer_unit_cost, t)
-    total = raw + plant_dc + holding + dc_retailer
-    return raw, plant_dc, holding, dc_retailer, total
-
 
 class _Layout:
     """Per-instance constants of batched evaluation.
@@ -345,18 +325,18 @@ def batch_evaluate(instance: NetworkInstance, r, p, t):
 def evaluate_cost(instance: NetworkInstance, plan: FlowPlan) -> CostBreakdown:
     """Total cost: raw purchase+transport, plant->DC transport, DC holding, DC->retailer transport."""
     _check_plan_shapes(instance, plan)
-    raw, plant_dc, holding, dc_retailer, total = batch_cost_terms(
-        instance,
-        plan.raw_flow[None],
-        plan.plant_dc_flow[None],
-        plan.dc_retailer_flow[None],
-    )
+    # on a leading axis of one: these contractions fix the order of every sum, so every bit of a breakdown
+    r, p, t = plan.raw_flow[None], plan.plant_dc_flow[None], plan.dc_retailer_flow[None]
+    raw = np.einsum("s,nsk->n", instance.raw_unit_cost, r)[0]
+    plant_dc = np.einsum("kj,nkj->n", instance.plant_dc_unit_cost, p)[0]
+    holding = np.einsum("j,nj->n", instance.holding_unit_cost, p.sum(axis=1))[0]
+    dc_retailer = np.einsum("ji,nji->n", instance.dc_retailer_unit_cost, t)[0]
     return CostBreakdown(
-        raw_cost=float(raw[0]),
-        plant_to_dc_cost=float(plant_dc[0]),
-        holding_cost=float(holding[0]),
-        dc_to_retailer_cost=float(dc_retailer[0]),
-        total=float(total[0]),
+        raw_cost=float(raw),
+        plant_to_dc_cost=float(plant_dc),
+        holding_cost=float(holding),
+        dc_to_retailer_cost=float(dc_retailer),
+        total=float(raw + plant_dc + holding + dc_retailer),
     )
 
 

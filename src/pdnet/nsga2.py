@@ -311,7 +311,8 @@ def repair_batch(genes: np.ndarray, instance: NetworkInstance) -> np.ndarray:
     repaired = genes.copy()
     gene_x = np.divide(x, codec.arc_box, out=np.zeros_like(x), where=codec.arc_box > 0)
     repaired[:, codec.plant_dc_genes][:, codec.arcs] = np.clip(gene_x, 0.0, 1.0)
-    repaired[:, codec.allocation_genes] = shares.reshape(n, i * j)
+    # a spill onto a full DC can round a share above 1 (none is below 0); w / wsum reads the same
+    repaired[:, codec.allocation_genes] = np.minimum(shares.reshape(n, i * j), 1.0)
     return repaired
 
 

@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .network import NetworkInstance, validate_instance
+from .network import ARRAY_AXES, FLOW_AXES, NetworkInstance, validate_instance
 from .nsga2 import SolveResult
 
 
@@ -94,15 +94,13 @@ def dumps_canonical(obj) -> str:
 # ---------------------------------------------------------------------------
 
 _COUNT_KEYS = ("suppliers", "plants", "dcs", "retailers")
-_VECTOR_KEYS = ("supplier_capacity", "plant_capacity", "dc_capacity", "demand", "raw_unit_cost", "holding_unit_cost")
-_MATRIX_KEYS = ("plant_dc_unit_cost", "dc_retailer_unit_cost")
+_ARRAY_KINDS = {1: "numeric array", 2: "rectangular numeric matrix"}  # by number of axes
 
 
 def dumps_instance(instance: NetworkInstance) -> str:
     doc = {
         "counts": dict(zip(_COUNT_KEYS, instance.counts)),
-        **{k: getattr(instance, k).tolist() for k in _VECTOR_KEYS},
-        **{k: getattr(instance, k).tolist() for k in _MATRIX_KEYS},
+        **{k: getattr(instance, k).tolist() for k in ARRAY_AXES},
         "utilization": instance.utilization,
         "strict_per_dc": instance.strict_per_dc,
     }
@@ -136,32 +134,22 @@ def load_instance(text: str) -> NetworkInstance:
         v = counts.get(key)
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             errors.append(f"counts.{key} must be an integer >= 1, got {json.dumps(v)}")
-            v = 1
         fields[f"num_{key}"] = v
-    for key in _VECTOR_KEYS:
+    for key, axes in ARRAY_AXES.items():
         v = doc.get(key)
-        if not isinstance(v, list) or not all(_is_number(x) for x in v):
-            errors.append(f"'{key}' must be a numeric array")
-            v = [0.0]
-        fields[key] = v
-    for key in _MATRIX_KEYS:
-        v = doc.get(key)
-        ok = isinstance(v, list) and v and all(
-            isinstance(row, list) and all(_is_number(x) for x in row) for row in v
+        rows = [v] if len(axes) == 1 else v  # a vector is checked as a matrix of one row
+        ok = isinstance(rows, list) and rows and all(
+            isinstance(row, list) and all(_is_number(x) for x in row) for row in rows
         )
-        rect = ok and len({len(row) for row in v}) == 1
-        if not rect:
-            errors.append(f"'{key}' must be a rectangular numeric matrix")
-            v = [[0.0]]
+        if not (ok and len({len(row) for row in rows}) == 1):
+            errors.append(f"'{key}' must be a {_ARRAY_KINDS[len(axes)]}")
         fields[key] = v
     utilization = doc.get("utilization")
     if not _is_number(utilization):
         errors.append("'utilization' must be a number")
-        utilization = 1.0
     strict = doc.get("strict_per_dc", False)
     if not isinstance(strict, bool):
         errors.append("'strict_per_dc' must be a boolean")
-        strict = False
     if errors:
         raise InstanceLoadError(errors)
 
@@ -189,12 +177,7 @@ def result_document(result: SolveResult) -> dict:
     best = None
     if result.best_feasible is not None:
         plan, breakdown = result.best_feasible
-        best = {
-            "cost_breakdown": breakdown,
-            "raw_flow": plan.raw_flow,
-            "plant_dc_flow": plan.plant_dc_flow,
-            "dc_retailer_flow": plan.dc_retailer_flow,
-        }
+        best = {"cost_breakdown": breakdown, **{name: getattr(plan, name) for name in FLOW_AXES}}
     return {
         "best_feasible": best,
         "final_front": [

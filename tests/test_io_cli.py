@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from pdnet import cli
 from pdnet.cli import EXIT_INPUT, EXIT_NO_RESULT, EXIT_OK, EXIT_REFUSED, main
 from pdnet.nsga2 import SolverConfig, solve
+from pdnet.scenarios import SCENARIO_NAMES, default_instance
 from pdnet.serialize import (
     InstanceLoadError,
     data_path,
@@ -67,7 +68,50 @@ class TestInstanceIO:
     def test_missing_fields_collected(self):
         with pytest.raises(InstanceLoadError) as exc:
             load_instance("{}")
-        assert len(exc.value.errors) > 3
+        assert exc.value.errors == [
+            "missing or malformed 'counts' object",
+            "counts.suppliers must be an integer >= 1, got null",
+            "counts.plants must be an integer >= 1, got null",
+            "counts.dcs must be an integer >= 1, got null",
+            "counts.retailers must be an integer >= 1, got null",
+            "'supplier_capacity' must be a numeric array",
+            "'plant_capacity' must be a numeric array",
+            "'dc_capacity' must be a numeric array",
+            "'demand' must be a numeric array",
+            "'raw_unit_cost' must be a numeric array",
+            "'holding_unit_cost' must be a numeric array",
+            "'plant_dc_unit_cost' must be a rectangular numeric matrix",
+            "'dc_retailer_unit_cost' must be a rectangular numeric matrix",
+            "'utilization' must be a number",
+        ]
+
+    def test_every_array_of_the_wrong_shape_is_named_with_both_shapes(self):
+        doc = json.loads(dumps_instance(random_instance(np.random.default_rng(3), s=2, k=3, j=4, i=5)))
+        doc["counts"] = {"suppliers": 3, "plants": 4, "dcs": 5, "retailers": 6}
+        with pytest.raises(InstanceLoadError) as exc:
+            load_instance(json.dumps(doc))
+        assert exc.value.errors == [
+            "supplier_capacity has shape (2,), expected (3,)",
+            "plant_capacity has shape (3,), expected (4,)",
+            "dc_capacity has shape (4,), expected (5,)",
+            "demand has shape (5,), expected (6,)",
+            "raw_unit_cost has shape (2,), expected (3,)",
+            "holding_unit_cost has shape (4,), expected (5,)",
+            "plant_dc_unit_cost has shape (3, 4), expected (4, 5)",
+            "dc_retailer_unit_cost has shape (4, 5), expected (5, 6)",
+        ]
+
+    def test_one_wrong_shape_among_right_ones(self):
+        doc = json.loads(data_path("baseline.instance.json").read_text(encoding="utf-8"))
+        doc["plant_dc_unit_cost"] = doc["plant_dc_unit_cost"][:3]
+        with pytest.raises(InstanceLoadError) as exc:
+            load_instance(json.dumps(doc))
+        assert exc.value.errors == ["plant_dc_unit_cost has shape (3, 4), expected (4, 4)"]
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_bundled_instance_file_is_the_document_byte_for_byte(self, name):
+        text = data_path(f"{name}.instance.json").read_text(encoding="utf-8")
+        assert text == dumps_instance(default_instance(name))
 
     def test_ragged_matrix_rejected(self):
         doc = json.loads(dumps_instance(single_chain()))

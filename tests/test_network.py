@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdnet.network import (
+    ARRAY_AXES,
     DEFAULT_TOLERANCE,
+    FLOW_AXES,
     DimensionMismatchError,
     FlowPlan,
     NetworkInstance,
     batch_evaluate,
     evaluate_constraints,
     evaluate_cost,
+    unit_costs,
     validate_instance,
 )
 from pdnet.nsga2 import decode_batch, repair_batch
@@ -26,8 +29,7 @@ def chain_plan(r=10.0, p=10.0, t=10.0):
 
 def combine(*terms):
     """The plan sum of alpha * plan over the (alpha, plan) terms."""
-    blocks = ("raw_flow", "plant_dc_flow", "dc_retailer_flow")
-    return FlowPlan(*(sum(alpha * getattr(plan, b) for alpha, plan in terms) for b in blocks))
+    return FlowPlan(*(sum(alpha * getattr(plan, b) for alpha, plan in terms) for b in FLOW_AXES))
 
 
 class TestValidate:
@@ -66,6 +68,63 @@ class TestValidate:
     def test_never_raises_on_garbage(self):
         inst = single_chain(d=-1, c_s=-2)
         validate_instance(inst)  # report-style, must not abort
+
+
+COUNT_FIELDS = ("num_suppliers", "num_plants", "num_dcs", "num_retailers")
+
+
+def bumped(a):
+    """A copy of array ``a`` with its last cell one larger."""
+    a = a.copy()
+    a.flat[-1] += 1.0
+    return a
+
+
+class TestEquality:
+    def instance(self):
+        return random_instance(np.random.default_rng(5), s=2, k=3, j=2, i=4)
+
+    @pytest.mark.parametrize("name", COUNT_FIELDS + tuple(ARRAY_AXES) + ("utilization", "strict_per_dc"))
+    def test_each_count_array_cell_and_setting_tells_instances_apart(self, name):
+        inst = self.instance()
+        value = getattr(inst, name)
+        if name in ARRAY_AXES:
+            value = bumped(value)
+        elif name == "strict_per_dc":
+            value = not value
+        else:
+            value = value + 1
+        changed = replace(inst, **{name: value})
+        assert inst == replace(inst)
+        assert inst != changed and changed != inst
+
+    def test_a_filled_derived_cache_does_not_tell_instances_apart(self):
+        inst, fresh = self.instance(), self.instance()
+        unit_costs(inst)
+        assert inst._derived and not fresh._derived
+        assert inst == fresh and fresh == inst
+
+    @pytest.mark.parametrize("name", tuple(FLOW_AXES))
+    def test_each_flow_cell_tells_plans_apart(self, name):
+        plan = random_plan(np.random.default_rng(6), self.instance())
+        assert plan == replace(plan)
+        changed = replace(plan, **{name: bumped(getattr(plan, name))})
+        assert plan != changed and changed != plan
+
+    def test_other_types_compare_unequal(self):
+        inst = self.instance()
+        plan = random_plan(np.random.default_rng(6), inst)
+        for a, b in ((inst, plan), (plan, inst), (inst, None), (plan, "plan")):
+            assert a.__eq__(b) is NotImplemented
+            assert a != b
+
+
+def test_the_axes_tables_name_every_array_field_in_order():
+    """A new array field must be in its table, or it skips coercion, validation, plan checks and the document."""
+    for cls, axes in ((NetworkInstance, ARRAY_AXES), (FlowPlan, FLOW_AXES)):
+        arrays = [f.name for f in fields(cls) if f.type in ("np.ndarray", np.ndarray)]
+        assert arrays == list(axes)
+        assert all(set(letters) <= set("skji") for letters in axes.values())
 
 
 class TestCost:

@@ -265,6 +265,17 @@ class TestRepair:
                 assert np.array_equal(plan.plant_dc_flow, p[row])
                 assert np.array_equal(plan.dc_retailer_flow, t[row])
 
+    def test_a_retailer_that_finds_every_dc_full_keeps_its_share_at_most_one(self):
+        # one DC holding less than the demand: the second retailer spills its room + (demand - room)
+        # back onto that DC, which rounds to 1.0000000000000002 of its demand here
+        inst = dataclasses.replace(random_instance(np.random.default_rng(339508)), strict_per_dc=True)
+        assert inst.counts == (2, 1, 1, 2) and inst.dc_capacity[0] < inst.demand.sum()
+        after = repair_batch(np.random.default_rng(339509).random((16, inst.num_genes)), inst)
+        assert np.array_equal(after[:, 1:], np.ones((16, 2)))
+        # the decoded plan is the one the unclipped share gave: the whole demand on the one DC
+        _, _, t = decode_batch(after, inst)
+        assert np.array_equal(t, np.broadcast_to(inst.demand, (16, 1, 2)))
+
     def test_strict_mode_fills_dcs_in_weight_order_up_to_their_room(self):
         inst = NetworkInstance(
             num_suppliers=1,

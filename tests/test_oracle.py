@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdnet import oracle
-from pdnet.network import NetworkInstance, evaluate_constraints, evaluate_cost, unit_costs
+from pdnet.network import FLOW_AXES, NetworkInstance, evaluate_constraints, evaluate_cost, unit_costs
 from pdnet.oracle import (
     NoFeasibleLatticePointError,
     OracleError,
@@ -74,7 +74,7 @@ def reference_brute_force(instance, grid_step):
 
 
 def flat(plan):
-    return np.concatenate([plan.raw_flow.ravel(), plan.plant_dc_flow.ravel(), plan.dc_retailer_flow.ravel()])
+    return np.concatenate([getattr(plan, name).ravel() for name in FLOW_AXES])
 
 
 def small_lattice_instance(rng, grid_step, integer, strict, max_points=3000):
