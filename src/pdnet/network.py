@@ -6,21 +6,22 @@ A :class:`NetworkInstance` holds capacities, demands and unit costs; a
 DC-to-retailer).  ``ARRAY_AXES`` and ``FLOW_AXES`` name these arrays and
 their shapes once; coercion, validation, plan checks and the instance
 document read them, and equality compares every field, arrays cell by cell.
-Evaluation is pure: total cost decomposes into four linear terms and
-constraint checks produce signed residuals (positive = slack, negative =
-breach).
 
-Batched evaluation takes each block sum once, stacks every residual into one
-matrix (one column per constraint) beside its tolerance scale, applies the
-breach rule to all of them in one pass, and prices a plan with one dot
-product against a flat unit-cost vector.  A row's results depend on that row
-alone, so a plan evaluated in a batch, on its own or through
-``evaluate_constraints`` gives the same bits.
+Evaluation is pure, and one core prices and checks every plan: it takes each
+block sum once, computes the four linear cost terms from them, and stacks
+every signed residual (positive = slack, negative = breach) into one matrix,
+one column per constraint, beside its tolerance scale; the breach rule runs
+on all of them in one pass.  A plan has one price, the sum of its four terms
+added left to right, whether the solver prices it in a batch or
+``evaluate_cost`` prices it alone.  Every sum is an einsum, whose result for
+a row depends on that row alone (a BLAS matrix product does not promise
+that), so a plan gives the same bits in any batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -38,6 +39,9 @@ def _as_array(x):
     a.setflags(write=False)
     return a
 
+
+# The counts of the four echelons, in the order of the axis letters s, k, j, i.
+COUNT_FIELDS = ("num_suppliers", "num_plants", "num_dcs", "num_retailers")
 
 # Every array of the model and its axes, in the letters of ``counts``: s
 # suppliers, k plants, j DCs, i retailers.  The order is the order of the
@@ -113,9 +117,7 @@ class NetworkInstance:
 
     __eq__ = _same_fields
 
-    @property
-    def counts(self):
-        return (self.num_suppliers, self.num_plants, self.num_dcs, self.num_retailers)
+    counts = property(attrgetter(*COUNT_FIELDS), doc="(S, K, J, I), the ``COUNT_FIELDS``.")
 
     @property
     def num_genes(self):
@@ -182,8 +184,8 @@ def validate_instance(instance: NetworkInstance) -> ValidationReport:
     """Report every invariant breach; an empty report means the instance is usable."""
     rep = ValidationReport()
     counts = instance.counts
-    for name, n in zip(("num_suppliers", "num_plants", "num_dcs", "num_retailers"), counts):
-        if not isinstance(n, (int, np.integer)) or n < 1:
+    for name, n in zip(COUNT_FIELDS, counts):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             rep.issues.append(f"{name} must be an integer >= 1, got {n!r}")
     for name, shape in _shapes(ARRAY_AXES, counts).items():
         arr = getattr(instance, name)
@@ -201,19 +203,20 @@ def validate_instance(instance: NetworkInstance) -> ValidationReport:
     return rep
 
 
-def _check_plan_shapes(instance: NetworkInstance, plan: FlowPlan):
+def _stacked(instance: NetworkInstance, plan: FlowPlan):
+    """The plan's flows, checked against the instance, C-ordered on a leading axis of one."""
     for name, shape in _shapes(FLOW_AXES, instance.counts).items():
         arr = getattr(plan, name)
         if arr.shape != shape:
             raise DimensionMismatchError(
                 f"{name} has shape {arr.shape}, expected {shape} for this instance"
             )
+    return _c_order(plan.raw_flow[None], plan.plant_dc_flow[None], plan.dc_retailer_flow[None])
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation cores.  The scalar constraint check runs them on a
-# leading axis of one, so single-plan and population checks share one code
-# path exactly.
+# The evaluation core.  The scalar API runs it on a leading axis of one, so
+# single-plan and population evaluation share one code path exactly.
 # ---------------------------------------------------------------------------
 
 class _Layout:
@@ -261,7 +264,9 @@ class _Layout:
 def unit_costs(instance: NetworkInstance) -> np.ndarray:
     """Unit cost of every flow variable, r (S,K) | p (K,J) | t (J,I) row-major.
 
-    Read-only and kept with the instance: batch pricing and brute force read this one vector.
+    Read-only and kept with the instance.  Brute force prices its lattice
+    points with it; it is an independent reference, so it keeps its own
+    pricing, and the solver and ``evaluate_cost`` do not read this vector.
     """
     return instance.derived(_Layout).cost
 
@@ -272,22 +277,33 @@ def _c_order(r, p, t):
     return [np.ascontiguousarray(a, dtype=np.float64) for a in (r, p, t)]
 
 
-def _residuals(instance: NetworkInstance, r, p, t):
-    """Stacked signed residuals (n, F) of C-ordered stacked flows, and the scale of each entry (n, F)."""
+def _evaluate(instance: NetworkInstance, r, p, t):
+    """Cost terms (4 arrays (n,)), signed residuals (n, F) and their scales (n, F) of C-ordered stacked flows.
+
+    The terms are raw, plant->DC, holding (on the DC arrivals) and DC->retailer cost.
+    """
     layout = instance.derived(_Layout)
     col = layout.columns
+    n = r.shape[0]
     need = instance.utilization * np.einsum("nkj->nk", p)  # raw each plant needs: u x its production
     arrivals = np.einsum("nkj->nj", p)
     delivered = np.einsum("nji->ni", t)
+    bought = np.einsum("nsk->ns", r)
+    terms = (
+        np.einsum("ns,s->n", bought, instance.raw_unit_cost),
+        np.einsum("nl,l->n", p.reshape(n, -1), instance.plant_dc_unit_cost.ravel()),
+        np.einsum("nj,j->n", arrivals, instance.holding_unit_cost),
+        np.einsum("nl,l->n", t.reshape(n, -1), instance.dc_retailer_unit_cost.ravel()),
+    )
     shipped = delivered.sum(axis=1)
-    res = np.empty((r.shape[0], layout.width))
+    res = np.empty((n, layout.width))
     res[:, col["dc_storage"]] = layout.storage_slack
     res[:, col["production_vs_shipment"]] = (arrivals.sum(axis=1) - shipped)[:, None]
     res[:, col["demand_mismatch"]] = delivered - instance.demand
     res[:, col["demand_oversupply"]] = instance.demand - delivered
     res[:, col["raw_per_plant"]] = np.einsum("nsk->nk", r) - need
     res[:, col["plant_capacity"]] = instance.plant_capacity - need
-    res[:, col["supplier_capacity"]] = instance.supplier_capacity - np.einsum("nsk->ns", r)
+    res[:, col["supplier_capacity"]] = instance.supplier_capacity - bought
     scale = np.empty_like(res)
     scale[:] = layout.scale
     scale[:, col["production_vs_shipment"]] = shipped[:, None]
@@ -296,7 +312,7 @@ def _residuals(instance: NetworkInstance, r, p, t):
         res[:, col["dc_capacity"]] = instance.dc_capacity - arrivals
         res[:, col["dc_throughput"]] = arrivals - np.einsum("nji->nj", t)
         scale[:, col["dc_throughput"]] = arrivals
-    return res, scale
+    return terms, res, scale
 
 
 def _violation(res, scale, tolerance):
@@ -308,14 +324,13 @@ def _violation(res, scale, tolerance):
 def batch_evaluate(instance: NetworkInstance, r, p, t):
     """(cost totals, total violations at DEFAULT_TOLERANCE) for stacked flows; the GA hot path.
 
-    Each row's results depend only on that row: evaluating a plan alone, in
-    any batch, or through ``evaluate_constraints`` gives the same bits.
+    A total is the sum of the plan's four cost terms, added left to right, so
+    it is ``evaluate_cost``'s total to the bit.  Each row's results depend
+    only on that row: evaluating a plan alone, in any batch, or through
+    ``evaluate_constraints`` gives the same bits.
     """
-    r, p, t = _c_order(r, p, t)
-    n = r.shape[0]
-    flows = np.concatenate([r.reshape(n, -1), p.reshape(n, -1), t.reshape(n, -1)], axis=1)
-    cost = np.einsum("nl,l->n", flows, unit_costs(instance))
-    return cost, _violation(*_residuals(instance, r, p, t), DEFAULT_TOLERANCE)
+    (raw, plant_dc, holding, dc_retailer), res, scale = _evaluate(instance, *_c_order(r, p, t))
+    return raw + plant_dc + holding + dc_retailer, _violation(res, scale, DEFAULT_TOLERANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -324,31 +339,19 @@ def batch_evaluate(instance: NetworkInstance, r, p, t):
 
 def evaluate_cost(instance: NetworkInstance, plan: FlowPlan) -> CostBreakdown:
     """Total cost: raw purchase+transport, plant->DC transport, DC holding, DC->retailer transport."""
-    _check_plan_shapes(instance, plan)
-    # on a leading axis of one: these contractions fix the order of every sum, so every bit of a breakdown
-    r, p, t = plan.raw_flow[None], plan.plant_dc_flow[None], plan.dc_retailer_flow[None]
-    raw = np.einsum("s,nsk->n", instance.raw_unit_cost, r)[0]
-    plant_dc = np.einsum("kj,nkj->n", instance.plant_dc_unit_cost, p)[0]
-    holding = np.einsum("j,nj->n", instance.holding_unit_cost, p.sum(axis=1))[0]
-    dc_retailer = np.einsum("ji,nji->n", instance.dc_retailer_unit_cost, t)[0]
-    return CostBreakdown(
-        raw_cost=float(raw),
-        plant_to_dc_cost=float(plant_dc),
-        holding_cost=float(holding),
-        dc_to_retailer_cost=float(dc_retailer),
-        total=float(raw + plant_dc + holding + dc_retailer),
-    )
+    terms, _, _ = _evaluate(instance, *_stacked(instance, plan))
+    raw, plant_dc, holding, dc_retailer = (float(term[0]) for term in terms)
+    return CostBreakdown(raw, plant_dc, holding, dc_retailer, total=raw + plant_dc + holding + dc_retailer)
 
 
 def evaluate_constraints(
     instance: NetworkInstance, plan: FlowPlan, tolerance: float = DEFAULT_TOLERANCE
 ) -> ConstraintReport:
     """Signed residuals for every constraint and the aggregated violation."""
-    _check_plan_shapes(instance, plan)
+    flows = _stacked(instance, plan)
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    flows = _c_order(plan.raw_flow[None], plan.plant_dc_flow[None], plan.dc_retailer_flow[None])
-    res, scale = _residuals(instance, *flows)
+    _, res, scale = _evaluate(instance, *flows)
     family = {name: res[0, cols] for name, cols in instance.derived(_Layout).columns.items()}
     return ConstraintReport(
         residual_dc_storage=float(family["dc_storage"][0]),

@@ -18,12 +18,14 @@ initial population is left uniform.
 
 The engine minimizes the pair (total cost, total constraint violation) as a
 genuine bi-objective tradeoff and reports the cheapest zero-violation plan
-ever seen.  Each generation is ranked once, by a sort-and-sweep over the two
-objectives; the tournament compares places in the survival order fixed at
-survival.  Ranking with plain Pareto domination keeps a spread of
-near-feasible individuals alive; collapsing feasible comparisons to cost
-alone starves the population of diversity under the low mutation rate and
-stalls far from the optimum.
+ever seen.  A plan has one price, the total ``network`` gives it: ranking,
+the best plan, the trace, the stall test and the result all read the same
+number.  Each generation is ranked once, by a sort-and-sweep over the two
+objectives.  Every population, the initial one included, is stored in
+survival order, so the tournament compares two indices.  Ranking with plain
+Pareto domination keeps a spread of near-feasible individuals alive;
+collapsing feasible comparisons to cost alone starves the population of
+diversity under the low mutation rate and stalls far from the optimum.
 
 A run ends at max_generations or on a stall: the best price gained too
 little over the last stall_generations generations.  A run whose best price
@@ -38,7 +40,9 @@ and kept with the instance.  Variation draws random numbers only where they
 are used: spread factors for the pairs that cross, and the mutation sites as
 geometric gaps between successive mutated genes, which is an exact per-gene
 Bernoulli(p_m) draw.  A seed therefore gives a different run than it did when
-every generation drew full blocks of numbers; the distributions are the same.
+every generation drew full blocks of numbers, and again since the initial
+population is stored in survival order and plans are priced once; the
+distributions are the same.
 """
 
 from __future__ import annotations
@@ -323,10 +327,11 @@ def decode(chromosome: np.ndarray, instance: NetworkInstance) -> FlowPlan:
 
 
 def init_population(instance: NetworkInstance, config: SolverConfig, rng) -> Population:
-    """Uniform random genes on [0,1], decoded and evaluated."""
+    """Uniform random genes on [0,1], decoded, evaluated, ranked and stored in survival order."""
     genes = rng.random((config.population_size, instance.num_genes))
     cost, violation = batch_evaluate(instance, *decode_batch(genes, instance))
-    return Population(genes=genes, cost=cost, violation=violation)
+    ranks, _, order = _rank_and_crowd(cost, violation)
+    return Population(genes=genes[order], cost=cost[order], violation=violation[order], rank=ranks[order])
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +471,13 @@ def select_next_generation(parents: Population, offspring: Population, config: S
     return Population(genes=genes[keep], cost=cost[keep], violation=violation[keep], rank=ranks[keep])
 
 
-def _tournament_indices(place, rng, n_select):
-    """Binary tournaments: the member earlier in survival order wins.
+def _tournament_indices(n, rng, n_select):
+    """Binary tournaments among n members stored in survival order: the earlier member wins.
 
-    ``place[m]`` is member m's place in the order (rank asc, crowding desc,
-    index asc), so one comparison decides what rank, then crowding, then
-    index would.
+    The order is (rank asc, crowding desc, index asc), so comparing two
+    indices decides what rank, then crowding, then index would.
     """
-    cand = rng.integers(0, place.size, size=(n_select, 2))
-    a, b = cand[:, 0], cand[:, 1]
-    return np.where(place[a] <= place[b], a, b)
+    return rng.integers(0, n, size=(n_select, 2)).min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -494,20 +496,16 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
     rng = np.random.default_rng(config.seed)
     n = config.population_size
     pop = init_population(instance, config, rng)
-    pop.rank, _, order = _rank_and_crowd(pop.cost, pop.violation)
-    place = np.argsort(order)  # the initial population stays unsorted, so that seeds keep their runs
-    survivor_place = np.arange(n)  # survivors are stored in survival order
 
-    best_cost = np.inf  # batch price of the best plan: ranks improvements and drives the stall test
-    best_feasible = None  # (FlowPlan, CostBreakdown) of that plan
-    best_history = []
+    best_cost = np.inf  # the price of best_feasible
+    best_feasible = None  # (FlowPlan, CostBreakdown) of the cheapest feasible plan seen
     trace = []
     terminated_by = "max-generations"
     w = config.stall_generations
     bound = lower_bound(instance) if w < config.max_generations else -np.inf
 
     for gen in range(1, config.max_generations + 1):
-        mating = _tournament_indices(place, rng, n)
+        mating = _tournament_indices(n, rng, n)
 
         child_genes = repair_batch(_make_offspring(pop.genes[mating], config, rng), instance)
 
@@ -522,33 +520,30 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
             if feas.size:
                 j = feas[np.argmin(cand.cost[feas])]
                 if cand.cost[j] < best_cost:
-                    best_cost = float(cand.cost[j])
                     plan = decode(cand.genes[j], instance)
                     best_feasible = (plan, evaluate_cost(instance, plan))
+                    best_cost = best_feasible[1].total  # the batch price of that plan, bit for bit
 
         pop = select_next_generation(pop, offspring, config)
-        place = survivor_place
 
         feasible_count = int(np.count_nonzero(pop.violation == 0.0))
         trace.append(
             GenerationRecord(
                 generation=gen,
-                best_feasible_cost=None if best_feasible is None else best_feasible[1].total,
+                best_feasible_cost=None if best_feasible is None else best_cost,
                 mean_cost=float(pop.cost.mean()),
                 min_violation=float(pop.violation.min()),
                 feasible_count=feasible_count,
             )
         )
-        best_history.append(best_cost)
 
         if best_cost <= bound and gen + w <= config.max_generations:
             terminated_by = "stall"
             break
-        if gen > w and np.isfinite(best_history[-1 - w]):
-            old = best_history[-1 - w]
-            if (old - best_cost) < STALL_TOLERANCE * max(1.0, abs(old)):
-                terminated_by = "stall"
-                break
+        old = trace[-1 - w].best_feasible_cost if gen > w else None
+        if old is not None and (old - best_cost) < STALL_TOLERANCE * max(1.0, abs(old)):
+            terminated_by = "stall"
+            break
 
     front0 = np.flatnonzero(pop.rank == 0)
     front_genes = pop.genes[front0]

@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .network import ARRAY_AXES, FLOW_AXES, NetworkInstance, validate_instance
+from .network import ARRAY_AXES, COUNT_FIELDS, FLOW_AXES, NetworkInstance, validate_instance
 from .nsga2 import SolveResult
 
 
@@ -93,13 +93,13 @@ def dumps_canonical(obj) -> str:
 # Instances
 # ---------------------------------------------------------------------------
 
-_COUNT_KEYS = ("suppliers", "plants", "dcs", "retailers")
+_COUNT_KEYS = {name: name.removeprefix("num_") for name in COUNT_FIELDS}  # field -> key in "counts"
 _ARRAY_KINDS = {1: "numeric array", 2: "rectangular numeric matrix"}  # by number of axes
 
 
 def dumps_instance(instance: NetworkInstance) -> str:
     doc = {
-        "counts": dict(zip(_COUNT_KEYS, instance.counts)),
+        "counts": {key: getattr(instance, name) for name, key in _COUNT_KEYS.items()},
         **{k: getattr(instance, k).tolist() for k in ARRAY_AXES},
         "utilization": instance.utilization,
         "strict_per_dc": instance.strict_per_dc,
@@ -130,11 +130,11 @@ def load_instance(text: str) -> NetworkInstance:
         errors.append("missing or malformed 'counts' object")
         counts = {}
     fields = {}
-    for key in _COUNT_KEYS:
+    for name, key in _COUNT_KEYS.items():
         v = counts.get(key)
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             errors.append(f"counts.{key} must be an integer >= 1, got {json.dumps(v)}")
-        fields[f"num_{key}"] = v
+        fields[name] = v
     for key, axes in ARRAY_AXES.items():
         v = doc.get(key)
         rows = [v] if len(axes) == 1 else v  # a vector is checked as a matrix of one row

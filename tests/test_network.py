@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pdnet.network import (
     ARRAY_AXES,
+    COUNT_FIELDS,
     DEFAULT_TOLERANCE,
     FLOW_AXES,
     DimensionMismatchError,
@@ -69,8 +70,13 @@ class TestValidate:
         inst = single_chain(d=-1, c_s=-2)
         validate_instance(inst)  # report-style, must not abort
 
-
-COUNT_FIELDS = ("num_suppliers", "num_plants", "num_dcs", "num_retailers")
+    @pytest.mark.parametrize("name", COUNT_FIELDS)
+    def test_a_boolean_count_is_named(self, name):
+        # True == 1, so arrays of length 1 on its axes fit the shapes it gives
+        inst = single_chain()
+        assert validate_instance(replace(inst, **{name: True})).issues == [
+            f"{name} must be an integer >= 1, got True"
+        ]
 
 
 def bumped(a):
@@ -162,6 +168,27 @@ class TestCost:
         b = evaluate_cost(inst, plan)
         assert (b.raw_cost, b.plant_to_dc_cost, b.holding_cost, b.dc_to_retailer_cost) == (15, 20, 10, 30)
         assert b.total == 75
+
+    def test_holding_is_charged_on_arrivals(self):
+        # 10 cases arrive at DC 0 (h = 1) and 10 leave DC 1 (h = 5): feasible in aggregate mode
+        inst = NetworkInstance(
+            num_suppliers=1,
+            num_plants=1,
+            num_dcs=2,
+            num_retailers=1,
+            supplier_capacity=[20],
+            plant_capacity=[20],
+            dc_capacity=[20, 20],
+            demand=[10],
+            raw_unit_cost=[0],
+            holding_unit_cost=[1, 5],
+            plant_dc_unit_cost=[[0, 0]],
+            dc_retailer_unit_cost=[[0], [0]],
+            utilization=1.0,
+        )
+        plan = FlowPlan([[10]], [[10, 0]], [[0], [10]])
+        assert evaluate_constraints(inst, plan).total_violation == 0.0
+        assert evaluate_cost(inst, plan).holding_cost == 10
 
     def test_dimension_mismatch_names_matrix(self):
         inst = single_chain()
@@ -446,7 +473,7 @@ def threshold_instances(instance, plan, tolerance):
 
 
 class TestBatchInvariance:
-    """A plan's cost and violation do not depend on the batch it is evaluated in."""
+    """A plan's cost and violation do not depend on the batch it is evaluated in, nor on the API."""
 
     def check(self, instance, plans, tolerance):
         """The plans' violations at ``tolerance``, from ``evaluate_constraints``.
@@ -467,6 +494,7 @@ class TestBatchInvariance:
         for q, plan in enumerate(plans):
             one_cost, one_violation = batch_evaluate(instance, r[q : q + 1], p[q : q + 1], t[q : q + 1])
             assert one_cost[0] == cost[q]
+            assert evaluate_cost(instance, plan).total == cost[q]  # one price per plan
             assert one_violation[0] == violation[q]
             assert evaluate_constraints(instance, plan).total_violation == violation[q]
             at_tolerance[q] = evaluate_constraints(instance, plan, tolerance).total_violation

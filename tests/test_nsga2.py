@@ -636,32 +636,46 @@ class TestTournament:
         cost = rng.integers(0, levels, n).astype(float)
         violation = rng.integers(0, levels, n).astype(float)
         ranks, crowd, order = _rank_and_crowd(cost, violation)
-        # survivors are stored in survival order; an initial population is not
-        for place, r, c in ((np.arange(n), ranks[order], crowd[order]), (np.argsort(order), ranks, crowd)):
-            got = _tournament_indices(place, np.random.default_rng(seed), 3 * n)
-            want = rank_crowd_tournament(r, c, np.random.default_rng(seed), 3 * n)
-            assert np.array_equal(got, want)
+        # a population is stored in survival order: member m is the m-th of that order
+        got = _tournament_indices(n, np.random.default_rng(seed), 3 * n)
+        want = rank_crowd_tournament(ranks[order], crowd[order], np.random.default_rng(seed), 3 * n)
+        assert np.array_equal(got, want)
 
     def test_solve_passes_each_members_place_in_survival_order(self, monkeypatch):
-        initial, places = [], []
-        init_population, tournament = nsga2.init_population, nsga2._tournament_indices
+        initial, survivals, tournaments = [], [], []
+        init_population, select, tournament = (
+            nsga2.init_population, nsga2.select_next_generation, nsga2._tournament_indices
+        )
 
         def recording_init(*args):
             initial.append(init_population(*args))
             return initial[-1]
 
-        def recording_tournament(place, rng, n_select):
-            places.append(place.copy())
-            return tournament(place, rng, n_select)
+        def recording_select(parents, offspring, config):
+            survivals.append((parents, offspring, select(parents, offspring, config)))
+            return survivals[-1][-1]
+
+        def recording_tournament(n, rng, n_select):
+            tournaments.append(n)
+            return tournament(n, rng, n_select)
 
         monkeypatch.setattr(nsga2, "init_population", recording_init)
+        monkeypatch.setattr(nsga2, "select_next_generation", recording_select)
         monkeypatch.setattr(nsga2, "_tournament_indices", recording_tournament)
         cfg = SolverConfig(population_size=20, max_generations=4, seed=3)
         solve(random_instance(np.random.default_rng(3), s=2, k=2, j=2, i=3), cfg)
-        _, _, order = _rank_and_crowd(initial[0].cost, initial[0].violation)
-        assert not np.array_equal(order, np.arange(20))  # the initial population is not in survival order
-        assert np.array_equal(places[0][order], np.arange(20))
-        assert len(places) == 4 and all(np.array_equal(p, np.arange(20)) for p in places[1:])
+        # the tournament draws from the initial population, then from each generation's survivors
+        assert tournaments == [20] * 4 and len(survivals) == 4
+        drawn = [initial[0]] + [nxt for _, _, nxt in survivals[:-1]]
+        assert all(parents is pop for (parents, _, _), pop in zip(survivals, drawn))
+        ranks, _, order = _rank_and_crowd(initial[0].cost, initial[0].violation)
+        assert np.array_equal(order, np.arange(20)) and np.array_equal(initial[0].rank, ranks)
+        for parents, offspring, nxt in survivals:
+            cost = np.concatenate([parents.cost, offspring.cost])
+            violation = np.concatenate([parents.violation, offspring.violation])
+            genes = np.vstack([parents.genes, offspring.genes])
+            _, _, order = _rank_and_crowd(cost, violation)
+            assert np.array_equal(nxt.genes, genes[order[:20]]) and np.array_equal(nxt.cost, cost[order[:20]])
 
 
 class TestSolve:
@@ -686,6 +700,18 @@ class TestSolve:
         res = solve(single_chain(), SolverConfig(seed=11, max_generations=60, stall_generations=60))
         best = [r.best_feasible_cost for r in res.trace if r.best_feasible_cost is not None]
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
+
+    def test_the_best_price_never_rises(self):
+        # the batch price and evaluate_cost once differed in the last bits, and this
+        # run then traced a best that rose at generation 91
+        rng = np.random.default_rng(5)
+        for _ in range(13):
+            inst = random_instance(rng)
+        assert inst.counts == (1, 1, 3, 2) and not inst.strict_per_dc
+        res = solve(inst, SolverConfig(seed=12, max_generations=150, stall_generations=150))
+        best = [r.best_feasible_cost for r in res.trace if r.best_feasible_cost is not None]
+        assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
+        assert res.best_feasible[1].total == min(best)
 
     def test_trace_length_matches_generations(self):
         res = solve(single_chain(), SolverConfig(seed=2, max_generations=30, stall_generations=10**6))
@@ -746,8 +772,6 @@ class TestSolve:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("scenario", ["baseline", "dc_expansion", "network_expansion"])
     def test_traced_best_cost_is_the_reported_price(self, scenario, seed):
-        # the batch price and evaluate_cost can differ in the last bits; the
-        # trace must report the result's price of the plan, bit for bit
         res = solve(default_instance(scenario), SolverConfig(seed=seed, max_generations=300))
         assert res.trace[-1].best_feasible_cost == res.best_feasible[1].total
 
