@@ -117,7 +117,7 @@ def cmd_solve(args) -> int:
         f"  raw {breakdown.raw_cost:.6f} | plant->dc {breakdown.plant_to_dc_cost:.6f} | "
         f"holding {breakdown.holding_cost:.6f} | dc->retailer {breakdown.dc_to_retailer_cost:.6f}"
     )
-    bound = lower_bound(instance)
+    bound = instance.derived(lower_bound)  # the bound the solve stopped at, if it read one
     if bound > 0:
         gap = f"best {format_percent((breakdown.total - bound) / bound)} above it"
     else:

@@ -11,11 +11,12 @@ Evaluation is pure, and one core prices and checks every plan: it takes each
 block sum once, computes the four linear cost terms from them, and stacks
 every signed residual (positive = slack, negative = breach) into one matrix,
 one column per constraint, beside its tolerance scale; the breach rule runs
-on all of them in one pass.  A plan has one price, the sum of its four terms
-added left to right, whether the solver prices it in a batch or
-``evaluate_cost`` prices it alone.  Every sum is an einsum, whose result for
-a row depends on that row alone (a BLAS matrix product does not promise
-that), so a plan gives the same bits in any batch.
+on all of them in one pass; ``evaluate_cost`` runs only the pricing part.  A
+plan has one price, the sum of its four terms added left to right, whether
+the solver prices it in a batch or ``evaluate_cost`` prices it alone.  Every
+sum is an einsum, whose result for a row depends on that row alone (a BLAS
+matrix product does not promise that), so a plan gives the same bits in any
+batch.
 """
 
 from __future__ import annotations
@@ -184,10 +185,14 @@ def validate_instance(instance: NetworkInstance) -> ValidationReport:
     """Report every invariant breach; an empty report means the instance is usable."""
     rep = ValidationReport()
     counts = instance.counts
-    for name, n in zip(COUNT_FIELDS, counts):
+    rejected = set()  # axis letters whose count is rejected: the arrays on them are not checked
+    for axis, name, n in zip("skji", COUNT_FIELDS, counts):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             rep.issues.append(f"{name} must be an integer >= 1, got {n!r}")
+            rejected.add(axis)
     for name, shape in _shapes(ARRAY_AXES, counts).items():
+        if rejected.intersection(ARRAY_AXES[name]):
+            continue
         arr = getattr(instance, name)
         if arr.shape != shape:
             rep.issues.append(f"{name} has shape {arr.shape}, expected {shape}")
@@ -277,24 +282,28 @@ def _c_order(r, p, t):
     return [np.ascontiguousarray(a, dtype=np.float64) for a in (r, p, t)]
 
 
-def _evaluate(instance: NetworkInstance, r, p, t):
-    """Cost terms (4 arrays (n,)), signed residuals (n, F) and their scales (n, F) of C-ordered stacked flows.
-
-    The terms are raw, plant->DC, holding (on the DC arrivals) and DC->retailer cost.
-    """
-    layout = instance.derived(_Layout)
-    col = layout.columns
+def _priced(instance: NetworkInstance, r, p, t):
+    """Purchases (n, S), DC arrivals (n, J) and the raw, plant->DC, holding and DC->retailer costs (n,)."""
     n = r.shape[0]
-    need = instance.utilization * np.einsum("nkj->nk", p)  # raw each plant needs: u x its production
-    arrivals = np.einsum("nkj->nj", p)
-    delivered = np.einsum("nji->ni", t)
     bought = np.einsum("nsk->ns", r)
+    arrivals = np.einsum("nkj->nj", p)
     terms = (
         np.einsum("ns,s->n", bought, instance.raw_unit_cost),
         np.einsum("nl,l->n", p.reshape(n, -1), instance.plant_dc_unit_cost.ravel()),
         np.einsum("nj,j->n", arrivals, instance.holding_unit_cost),
         np.einsum("nl,l->n", t.reshape(n, -1), instance.dc_retailer_unit_cost.ravel()),
     )
+    return bought, arrivals, terms
+
+
+def _evaluate(instance: NetworkInstance, r, p, t):
+    """Cost terms (4 arrays (n,)), signed residuals (n, F) and their scales (n, F) of C-ordered stacked flows."""
+    layout = instance.derived(_Layout)
+    col = layout.columns
+    n = r.shape[0]
+    bought, arrivals, terms = _priced(instance, r, p, t)
+    need = instance.utilization * np.einsum("nkj->nk", p)  # raw each plant needs: u x its production
+    delivered = np.einsum("nji->ni", t)
     shipped = delivered.sum(axis=1)
     res = np.empty((n, layout.width))
     res[:, col["dc_storage"]] = layout.storage_slack
@@ -339,7 +348,7 @@ def batch_evaluate(instance: NetworkInstance, r, p, t):
 
 def evaluate_cost(instance: NetworkInstance, plan: FlowPlan) -> CostBreakdown:
     """Total cost: raw purchase+transport, plant->DC transport, DC holding, DC->retailer transport."""
-    terms, _, _ = _evaluate(instance, *_stacked(instance, plan))
+    _, _, terms = _priced(instance, *_stacked(instance, plan))
     raw, plant_dc, holding, dc_retailer = (float(term[0]) for term in terms)
     return CostBreakdown(raw, plant_dc, holding, dc_retailer, total=raw + plant_dc + holding + dc_retailer)
 

@@ -35,20 +35,22 @@ window would close on the same plan (branch and bound's pruning rule).
 
 A generation does only the work that depends on it.  What depends on the
 instance alone (gene slices, arc boxes, the arcs in route-cost order, the
-suppliers in price order and their running capacity) is built on first use
-and kept with the instance.  Variation draws random numbers only where they
-are used: spread factors for the pairs that cross, and the mutation sites as
-geometric gaps between successive mutated genes, which is an exact per-gene
-Bernoulli(p_m) draw.  A seed therefore gives a different run than it did when
-every generation drew full blocks of numbers, and again since the initial
-population is stored in survival order and plans are priced once; the
-distributions are the same.
+suppliers in price order and their running capacity, the lower bound) is
+built on first use and kept with the instance.  The best plan is decoded and
+priced once, after the run; a final-front plan is decoded when first read.
+Variation draws random numbers only where they are used: spread factors for
+the pairs that cross, and the mutation sites as geometric gaps between
+successive mutated genes, which is an exact per-gene Bernoulli(p_m) draw.  A
+seed therefore gives a different run than it did when every generation drew
+full blocks of numbers, and again since the initial population is stored in
+survival order and plans are priced once; the distributions are the same.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,6 +60,7 @@ from .network import (
     DimensionMismatchError,
     FlowPlan,
     NetworkInstance,
+    _same_fields,
     batch_evaluate,
     evaluate_cost,
 )
@@ -94,12 +97,20 @@ class SolverConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class Individual:
+    """A final-front member; ``plan`` is its genes decoded on first read, and equality skips the instance."""
+
     genes: np.ndarray
-    plan: FlowPlan
     cost: float
     violation: float
+    instance: NetworkInstance = field(repr=False, compare=False)
+
+    @cached_property
+    def plan(self) -> FlowPlan:
+        return decode(self.genes, self.instance)
+
+    __eq__ = _same_fields
 
 
 @dataclass
@@ -491,18 +502,18 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
     price is at or below ``oracle.lower_bound`` while ``gen +
     stall_generations <= max_generations``: no feasible plan costs less, so
     the window would close by then on the same plan.  The bound is computed
-    only when the window is shorter than the budget.
+    only when the window is shorter than the budget, and once per instance.
     """
     rng = np.random.default_rng(config.seed)
     n = config.population_size
     pop = init_population(instance, config, rng)
 
-    best_cost = np.inf  # the price of best_feasible
-    best_feasible = None  # (FlowPlan, CostBreakdown) of the cheapest feasible plan seen
+    best_cost = np.inf  # the batch price of best_genes
+    best_genes = None  # the genes of the cheapest feasible plan seen
     trace = []
     terminated_by = "max-generations"
     w = config.stall_generations
-    bound = lower_bound(instance) if w < config.max_generations else -np.inf
+    bound = instance.derived(lower_bound) if w < config.max_generations else -np.inf
 
     for gen in range(1, config.max_generations + 1):
         mating = _tournament_indices(n, rng, n)
@@ -520,9 +531,7 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
             if feas.size:
                 j = feas[np.argmin(cand.cost[feas])]
                 if cand.cost[j] < best_cost:
-                    plan = decode(cand.genes[j], instance)
-                    best_feasible = (plan, evaluate_cost(instance, plan))
-                    best_cost = best_feasible[1].total  # the batch price of that plan, bit for bit
+                    best_genes, best_cost = cand.genes[j], float(cand.cost[j])
 
         pop = select_next_generation(pop, offspring, config)
 
@@ -530,7 +539,7 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
         trace.append(
             GenerationRecord(
                 generation=gen,
-                best_feasible_cost=None if best_feasible is None else best_cost,
+                best_feasible_cost=None if best_genes is None else best_cost,
                 mean_cost=float(pop.cost.mean()),
                 min_violation=float(pop.violation.min()),
                 feasible_count=feasible_count,
@@ -545,17 +554,13 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
             terminated_by = "stall"
             break
 
-    front0 = np.flatnonzero(pop.rank == 0)
-    front_genes = pop.genes[front0]
-    r, p, t = decode_batch(front_genes, instance)
+    best_feasible = None  # (FlowPlan, CostBreakdown); a row's price ignores its batch, so the total is best_cost
+    if best_genes is not None:
+        plan = decode(best_genes, instance)
+        best_feasible = (plan, evaluate_cost(instance, plan))
     final_front = [
-        Individual(
-            genes=front_genes[q],
-            plan=FlowPlan(r[q], p[q], t[q]),
-            cost=float(pop.cost[idx]),
-            violation=float(pop.violation[idx]),
-        )
-        for q, idx in enumerate(front0)
+        Individual(pop.genes[q], float(pop.cost[q]), float(pop.violation[q]), instance)
+        for q in np.flatnonzero(pop.rank == 0)
     ]
 
     return SolveResult(

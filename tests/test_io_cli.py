@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdnet import cli
+from pdnet import cli, nsga2
 from pdnet.cli import EXIT_INPUT, EXIT_NO_RESULT, EXIT_OK, EXIT_REFUSED, main
 from pdnet.nsga2 import SolverConfig, solve
+from pdnet.oracle import lower_bound
 from pdnet.scenarios import SCENARIO_NAMES, default_instance
 from pdnet.serialize import (
     InstanceLoadError,
@@ -241,6 +242,20 @@ class TestCLI:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "generations run: 1 (terminated by stall)"
         assert out[-1] == "lower bound: 100.000000 (best 0.00% above it)"
+
+    @pytest.mark.parametrize("generations, stops_at_the_bound", [(300, True), (3, False)])
+    def test_solve_computes_the_bound_once(self, tmp_path, capsys, monkeypatch, generations, stops_at_the_bound):
+        # criterion-4 instance 1 reaches its bound 39 in the first generation at seed 0
+        calls = []
+        counted = lambda instance: calls.append(instance) or lower_bound(instance)
+        monkeypatch.setattr(nsga2, "lower_bound", counted)
+        monkeypatch.setattr(cli, "lower_bound", counted)
+        inst_path = tmp_path / "i.json"
+        save_instance(criterion_4_instances(2)[1], inst_path)
+        assert main(["solve", str(inst_path), "--seed", "0", "--generations", str(generations)]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith("(terminated by stall)") == stops_at_the_bound
+        assert out[-1].startswith("lower bound: 39.000000 (") and len(calls) == 1
 
     def test_solve_a_hair_below_the_bound_prints_no_negative_zero(self, tmp_path, capsys):
         # criterion-4 instance 1: bound 39, and seed 0's best prices at 38.999999999999986 by rounding

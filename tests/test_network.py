@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdnet import network
 from pdnet.network import (
     ARRAY_AXES,
     COUNT_FIELDS,
@@ -20,6 +21,7 @@ from pdnet.network import (
     validate_instance,
 )
 from pdnet.nsga2 import decode_batch, repair_batch
+from pdnet.scenarios import default_instance
 
 from conftest import random_instance, random_plan, single_chain, tiny_oracle_instance
 
@@ -76,6 +78,16 @@ class TestValidate:
         inst = single_chain()
         assert validate_instance(replace(inst, **{name: True})).issues == [
             f"{name} must be an integer >= 1, got True"
+        ]
+
+    def test_a_rejected_count_skips_the_arrays_on_its_axis(self):
+        inst = replace(default_instance("baseline"), num_suppliers=True)
+        assert validate_instance(inst).issues == ["num_suppliers must be an integer >= 1, got True"]
+        # the arrays on the other axes are still checked
+        bad = replace(inst, demand=-inst.demand)
+        assert validate_instance(bad).issues == [
+            "num_suppliers must be an integer >= 1, got True",
+            "demand contains negative entries",
         ]
 
 
@@ -363,6 +375,14 @@ class TestProperties:
         plan = random_plan(rng, inst)
         b = evaluate_cost(inst, plan)
         assert b.total == b.raw_cost + b.plant_to_dc_cost + b.holding_cost + b.dc_to_retailer_cost
+
+    def test_pricing_one_plan_builds_no_residuals(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        inst = random_instance(rng)
+        plan = random_plan(rng, inst)
+        total = batch_evaluate(inst, *(getattr(plan, name)[None] for name in FLOW_AXES))[0][0]
+        monkeypatch.setattr(network, "_evaluate", lambda *args: pytest.fail("evaluate_cost ran the residuals"))
+        assert evaluate_cost(inst, plan).total == total
 
 
 def reference_violation(instance, plan, tolerance):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdnet import nsga2
-from pdnet.network import DimensionMismatchError, FlowPlan, NetworkInstance, evaluate_constraints
+from pdnet.network import FLOW_AXES, DimensionMismatchError, FlowPlan, NetworkInstance, evaluate_constraints
 from pdnet.nsga2 import (
     SolverConfig,
     decode,
@@ -787,13 +787,63 @@ class TestSolve:
                 )
                 assert not dominates
 
-    def test_final_front_plans_are_their_genes_decoded(self):
-        rng = np.random.default_rng(4)
-        inst = dataclasses.replace(random_instance(rng, s=2, k=3, j=3, i=6), strict_per_dc=True)
-        res = solve(inst, SolverConfig(seed=4, max_generations=30))
-        assert len(res.final_front) > 1
-        for ind in res.final_front:
-            assert ind.plan == decode(ind.genes, inst)
+    def test_a_solve_decodes_and_prices_its_best_plan_once(self, monkeypatch):
+        calls = {"decode": 0, "evaluate_cost": 0}
+
+        def counted(name, inner):
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(nsga2, name, counted(name, getattr(nsga2, name)))
+        improved_twice = 0
+        runs = [(inst, seed) for inst in criterion_4_instances(20) for seed in range(2)]
+        runs.append((single_chain(d=30.0, cap=20.0), 0))  # never feasible
+        for inst, seed in runs:
+            calls.update(decode=0, evaluate_cost=0)
+            res = solve(inst, SolverConfig(seed=seed, max_generations=300))
+            improved_twice += len({r.best_feasible_cost for r in res.trace} - {None}) >= 2
+            once = int(res.best_feasible is not None)
+            assert calls == {"decode": once, "evaluate_cost": once}
+        assert res.best_feasible is None and improved_twice >= 5
+
+    def test_final_front_plans_are_their_genes_decoded(self, monkeypatch):
+        decoded = []
+        monkeypatch.setattr(nsga2, "decode", lambda genes, instance: decoded.append(genes) or decode(genes, instance))
+        strict = dataclasses.replace(random_instance(np.random.default_rng(4), s=2, k=3, j=3, i=6), strict_per_dc=True)
+        sizes = []
+        for inst, generations in [(strict, 30)] + [(inst, 300) for inst in criterion_4_instances(20)]:
+            front = solve(inst, SolverConfig(seed=4, max_generations=generations)).final_front
+            sizes.append(len(front))
+            decoded.clear()  # the solve's one decode, of its best plan
+            assert not any("plan" in vars(ind) for ind in front)
+            for q, ind in enumerate(front):
+                plan = ind.plan
+                assert ind.plan is plan and len(decoded) == q + 1
+                expected = decode(ind.genes, inst)
+                assert all(np.array_equal(getattr(plan, name), getattr(expected, name)) for name in FLOW_AXES)
+        assert sizes[0] > 1 and max(sizes) == 50
+
+    def test_front_members_compare_by_genes_cost_and_violation(self):
+        inst = criterion_4_instances(6)[5]
+        cfg = SolverConfig(seed=1, max_generations=40)
+        a, b = solve(inst, cfg).final_front, solve(inst, cfg).final_front
+        a[0].plan  # a plan read on one side only is not compared
+        assert len(a) > 1 and a == b
+        ind = a[0]
+        assert ind == dataclasses.replace(ind, instance=criterion_4_instances(1)[0])
+        genes = ind.genes.copy()
+        genes[-1] += 0.5 if genes[-1] < 0.5 else -0.5
+        for changed in (
+            dataclasses.replace(ind, genes=genes),
+            dataclasses.replace(ind, cost=ind.cost + 1.0),
+            dataclasses.replace(ind, violation=ind.violation + 1.0),
+        ):
+            assert ind != changed and changed != ind
+        assert ind.__eq__(ind.genes) is NotImplemented and ind != "member"
 
     def test_infeasible_instance_reports_no_best(self):
         # demand exceeds what the DC can store: never feasible
