@@ -33,7 +33,7 @@ def main(argv=None):
         save_result(result, os.path.join(args.outdir, f"{name}.result.json"))
         emit_trace(result, os.path.join(args.outdir, f"{name}.trace.csv"))
         if result.best_feasible is None:
-            front_min = min(ind.violation for ind in result.final_front)
+            front_min = result.final_front.violation.min()
             print(f"{name}: no feasible plan in {result.generations_run} generations "
                   f"(min violation {front_min:.4g})")
         else:

@@ -13,12 +13,11 @@ from .network import (
     DimensionMismatchError,
     FlowPlan,
     NetworkInstance,
-    ValidationReport,
     evaluate_constraints,
     evaluate_cost,
     validate_instance,
 )
-from .nsga2 import Individual, SolveResult, SolverConfig, solve
+from .nsga2 import SolveResult, SolverConfig, solve
 from .oracle import brute_force_optimum, lower_bound
 from .scenarios import (
     ScenarioSpec,
@@ -43,14 +42,12 @@ __all__ = [
     "CostBreakdown",
     "DimensionMismatchError",
     "FlowPlan",
-    "Individual",
     "NetworkInstance",
     "ScenarioSpec",
     "ScheduleAudit",
     "ScheduleTable",
     "SolveResult",
     "SolverConfig",
-    "ValidationReport",
     "brute_force_optimum",
     "build_scenario",
     "check_schedule",

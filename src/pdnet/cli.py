@@ -108,7 +108,7 @@ def cmd_solve(args) -> int:
                 return _file_error(path, exc)
     print(f"generations run: {result.generations_run} (terminated by {result.terminated_by})")
     if result.best_feasible is None:
-        best_viol = min(ind.violation for ind in result.final_front)
+        best_viol = result.final_front.violation.min()
         print(f"no feasible plan found; minimum violation on final front: {best_viol:.6g}")
         return EXIT_NO_RESULT
     _, breakdown = result.best_feasible

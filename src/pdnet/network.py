@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Optional
 
 import numpy as np
 
@@ -153,59 +152,37 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class ConstraintReport:
-    """Signed slacks for every constraint plus the aggregated violation.
+    """One plan's signed residuals (positive = slack, negative = breach) and its total violation."""
 
-    Positive residual = slack, negative = breach.  ``demand_mismatch`` is an
-    equality residual (shipments minus demand per retailer).  The per-DC
-    residual fields are populated only when the instance runs in
-    ``strict_per_dc`` mode.
-    """
-
-    residual_dc_storage: float
-    residual_production_vs_shipment: float
-    demand_mismatch: np.ndarray
-    residual_raw_per_plant: np.ndarray
-    residual_plant_capacity: np.ndarray
-    residual_supplier_capacity: np.ndarray
+    residuals: dict  # family of ``_Layout.columns`` -> its residuals; the per-DC families only in strict mode
     total_violation: float
-    residual_dc_capacity: Optional[np.ndarray] = None
-    residual_dc_throughput: Optional[np.ndarray] = None
 
 
-@dataclass
-class ValidationReport:
-    issues: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
-def validate_instance(instance: NetworkInstance) -> ValidationReport:
-    """Report every invariant breach; an empty report means the instance is usable."""
-    rep = ValidationReport()
+def validate_instance(instance: NetworkInstance) -> list:
+    """Every invariant breach, each naming its field; an empty list means the instance is usable."""
+    issues = []
     counts = instance.counts
     rejected = set()  # axis letters whose count is rejected: the arrays on them are not checked
     for axis, name, n in zip("skji", COUNT_FIELDS, counts):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            rep.issues.append(f"{name} must be an integer >= 1, got {n!r}")
+            issues.append(f"{name} must be an integer >= 1, got {n!r}")
             rejected.add(axis)
     for name, shape in _shapes(ARRAY_AXES, counts).items():
         if rejected.intersection(ARRAY_AXES[name]):
             continue
         arr = getattr(instance, name)
         if arr.shape != shape:
-            rep.issues.append(f"{name} has shape {arr.shape}, expected {shape}")
+            issues.append(f"{name} has shape {arr.shape}, expected {shape}")
             continue
         if arr.size and np.min(arr) < 0:
-            rep.issues.append(f"{name} contains negative entries")
+            issues.append(f"{name} contains negative entries")
         if arr.size and not np.all(np.isfinite(arr)):
-            rep.issues.append(f"{name} contains non-finite entries")
+            issues.append(f"{name} contains non-finite entries")
     if not instance.utilization > 0:
-        rep.issues.append(f"utilization must be > 0, got {instance.utilization}")
+        issues.append(f"utilization must be > 0, got {instance.utilization}")
     elif not np.isfinite(instance.utilization):
-        rep.issues.append("utilization must be finite")
-    return rep
+        issues.append("utilization must be finite")
+    return issues
 
 
 def _stacked(instance: NetworkInstance, plan: FlowPlan):
@@ -356,20 +333,10 @@ def evaluate_cost(instance: NetworkInstance, plan: FlowPlan) -> CostBreakdown:
 def evaluate_constraints(
     instance: NetworkInstance, plan: FlowPlan, tolerance: float = DEFAULT_TOLERANCE
 ) -> ConstraintReport:
-    """Signed residuals for every constraint and the aggregated violation."""
+    """Signed residuals of every constraint, by family, and the plan's total violation at ``tolerance``."""
     flows = _stacked(instance, plan)
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
     _, res, scale = _evaluate(instance, *flows)
-    family = {name: res[0, cols] for name, cols in instance.derived(_Layout).columns.items()}
-    return ConstraintReport(
-        residual_dc_storage=float(family["dc_storage"][0]),
-        residual_production_vs_shipment=float(family["production_vs_shipment"][0]),
-        demand_mismatch=family["demand_mismatch"],
-        residual_raw_per_plant=family["raw_per_plant"],
-        residual_plant_capacity=family["plant_capacity"],
-        residual_supplier_capacity=family["supplier_capacity"],
-        total_violation=float(_violation(res, scale, tolerance)[0]),
-        residual_dc_capacity=family.get("dc_capacity"),
-        residual_dc_throughput=family.get("dc_throughput"),
-    )
+    residuals = {name: res[0, cols] for name, cols in instance.derived(_Layout).columns.items()}
+    return ConstraintReport(residuals, float(_violation(res, scale, tolerance)[0]))

@@ -37,7 +37,7 @@ A generation does only the work that depends on it.  What depends on the
 instance alone (gene slices, arc boxes, the arcs in route-cost order, the
 suppliers in price order and their running capacity, the lower bound) is
 built on first use and kept with the instance.  The best plan is decoded and
-priced once, after the run; a final-front plan is decoded when first read.
+priced once, after the run; the final front is returned as population rows.
 Variation draws random numbers only where they are used: spread factors for
 the pairs that cross, and the mutation sites as geometric gaps between
 successive mutated genes, which is an exact per-gene Bernoulli(p_m) draw.  A
@@ -49,8 +49,7 @@ survival order and plans are priced once; the distributions are the same.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,7 +59,6 @@ from .network import (
     DimensionMismatchError,
     FlowPlan,
     NetworkInstance,
-    _same_fields,
     batch_evaluate,
     evaluate_cost,
 )
@@ -90,27 +88,13 @@ class SolverConfig:
             raise ValueError("population_size must be even and >= 4")
         for name in ("crossover_prob", "mutation_prob"):
             p = getattr(self, name)
+            if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a number, got {p!r}")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         for name in ("max_generations", "stall_generations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-
-
-@dataclass(eq=False)
-class Individual:
-    """A final-front member; ``plan`` is its genes decoded on first read, and equality skips the instance."""
-
-    genes: np.ndarray
-    cost: float
-    violation: float
-    instance: NetworkInstance = field(repr=False, compare=False)
-
-    @cached_property
-    def plan(self) -> FlowPlan:
-        return decode(self.genes, self.instance)
-
-    __eq__ = _same_fields
 
 
 @dataclass
@@ -141,7 +125,7 @@ class GenerationRecord:
 @dataclass
 class SolveResult:
     best_feasible: Optional[tuple]  # (FlowPlan, CostBreakdown)
-    final_front: list  # Individuals with rank 0
+    final_front: Population  # the rank-0 rows of the last population, in survival order
     trace: list  # GenerationRecord per generation
     generations_run: int
     terminated_by: str  # "max-generations" | "stall": the window closed or the best price reached lower_bound
@@ -495,6 +479,16 @@ def _tournament_indices(n, rng, n_select):
 # Main loop
 # ---------------------------------------------------------------------------
 
+def _cheaper(pop: Population, genes, cost):
+    """The genes and price of ``pop``'s cheapest feasible row if it costs less than ``cost``, else the arguments."""
+    feasible = np.flatnonzero(pop.violation == 0.0)
+    if feasible.size:
+        q = feasible[np.argmin(pop.cost[feasible])]
+        if pop.cost[q] < cost:
+            return pop.genes[q], float(pop.cost[q])
+    return genes, cost
+
+
 def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> SolveResult:
     """Run NSGA-II until max_generations or stall; deterministic per seed.
 
@@ -508,8 +502,7 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
     n = config.population_size
     pop = init_population(instance, config, rng)
 
-    best_cost = np.inf  # the batch price of best_genes
-    best_genes = None  # the genes of the cheapest feasible plan seen
+    best_genes, best_cost = _cheaper(pop, None, np.inf)  # the cheapest feasible plan seen, its batch price
     trace = []
     terminated_by = "max-generations"
     w = config.stall_generations
@@ -524,14 +517,7 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
         c_cost, c_viol = batch_evaluate(instance, c_r, c_p, c_t)
         offspring = Population(genes=child_genes, cost=c_cost, violation=c_viol)
 
-        # track the cheapest feasible plan ever seen (offspring side; parents
-        # were scanned in earlier generations or below at gen 1)
-        for cand in ([pop] if gen == 1 else []) + [offspring]:
-            feas = np.flatnonzero(cand.violation == 0.0)
-            if feas.size:
-                j = feas[np.argmin(cand.cost[feas])]
-                if cand.cost[j] < best_cost:
-                    best_genes, best_cost = cand.genes[j], float(cand.cost[j])
+        best_genes, best_cost = _cheaper(offspring, best_genes, best_cost)  # survivors were scanned as offspring
 
         pop = select_next_generation(pop, offspring, config)
 
@@ -558,14 +544,10 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
     if best_genes is not None:
         plan = decode(best_genes, instance)
         best_feasible = (plan, evaluate_cost(instance, plan))
-    final_front = [
-        Individual(pop.genes[q], float(pop.cost[q]), float(pop.violation[q]), instance)
-        for q in np.flatnonzero(pop.rank == 0)
-    ]
-
+    front = pop.rank == 0
     return SolveResult(
         best_feasible=best_feasible,
-        final_front=final_front,
+        final_front=Population(pop.genes[front], pop.cost[front], pop.violation[front], pop.rank[front]),
         trace=trace,
         generations_run=len(trace),
         terminated_by=terminated_by,

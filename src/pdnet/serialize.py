@@ -116,6 +116,15 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _overflows(value) -> bool:
+    """Whether a number, or lists of numbers, holds an integer that a float cannot hold."""
+    try:
+        np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        return True
+    return False
+
+
 def load_instance(text: str) -> NetworkInstance:
     """Parse and fully validate an instance document; raises InstanceLoadError."""
     try:
@@ -153,14 +162,14 @@ def load_instance(text: str) -> NetworkInstance:
     if errors:
         raise InstanceLoadError(errors)
 
-    instance = NetworkInstance(
-        utilization=float(utilization),
-        strict_per_dc=strict,
-        **fields,
-    )
-    report = validate_instance(instance)
-    if not report.ok:
-        raise InstanceLoadError(report.issues)
+    try:
+        instance = NetworkInstance(utilization=float(utilization), strict_per_dc=strict, **fields)
+    except OverflowError:  # an integer too large for a float: name each field that holds one
+        too_large = [key for key in (*ARRAY_AXES, "utilization") if _overflows(doc[key])]
+        raise InstanceLoadError([f"'{key}' holds an integer too large for a float" for key in too_large]) from None
+    issues = validate_instance(instance)
+    if issues:
+        raise InstanceLoadError(issues)
     return instance
 
 
@@ -174,15 +183,14 @@ def load_instance_file(path) -> NetworkInstance:
 # ---------------------------------------------------------------------------
 
 def result_document(result: SolveResult) -> dict:
+    front = result.final_front
     best = None
     if result.best_feasible is not None:
         plan, breakdown = result.best_feasible
         best = {"cost_breakdown": breakdown, **{name: getattr(plan, name) for name in FLOW_AXES}}
     return {
         "best_feasible": best,
-        "final_front": [
-            {"cost": ind.cost, "violation": ind.violation} for ind in result.final_front
-        ],
+        "final_front": [dict(cost=c, violation=v) for c, v in zip(front.cost, front.violation)],
         "generations_run": result.generations_run,
         "terminated_by": result.terminated_by,
     }

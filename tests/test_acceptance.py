@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from pdnet.cli import EXIT_OK, main
-from pdnet.network import evaluate_constraints
-from pdnet.nsga2 import SolverConfig, decode, solve
+from pdnet.network import FlowPlan, evaluate_constraints
+from pdnet.nsga2 import SolverConfig, decode, decode_batch, solve
 from pdnet.scenarios import build_scenario, check_schedule, compare_scenarios, load_schedule_file
 from pdnet.serialize import data_path, save_instance
 
@@ -119,10 +119,11 @@ def test_criterion_5_feasibility_soundness(capsys):
         plan, _ = result.best_feasible
         if evaluate_constraints(instance, plan, tolerance=1e-9).total_violation != 0.0:
             sound = False
-        for individual in result.final_front:
-            if individual.violation == 0.0:
-                if evaluate_constraints(instance, individual.plan, tolerance=1e-9).total_violation != 0.0:
-                    sound = False
+        front = result.final_front
+        r, p, t = decode_batch(front.genes, instance)  # the front's plans, in one decode
+        for q in np.flatnonzero(front.violation == 0.0):
+            if evaluate_constraints(instance, FlowPlan(r[q], p[q], t[q]), tolerance=1e-9).total_violation != 0.0:
+                sound = False
 
     demand_ok = True
     for _ in range(10):

@@ -397,6 +397,22 @@ class TestCLI:
             main(["scenario", "mega", "--emit", "/tmp"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "field, value", [("plant_dc_unit_cost", [[10**400]]), ("utilization", 10**400)], ids=["cell", "utilization"]
+    )
+    @pytest.mark.parametrize("command", ["check", "solve", "oracle"])
+    def test_an_integer_too_large_for_a_float_is_an_input_error_that_names_it(
+        self, tmp_path, capsys, command, field, value
+    ):
+        doc = json.loads(dumps_instance(single_chain()))
+        doc[field] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        prefix, stream = ("invalid", out) if command == "check" else ("error", err)
+        assert stream == f"{prefix}: '{field}' holds an integer too large for a float\n"
+
     @pytest.mark.parametrize("argv", READERS, ids=lambda argv: argv[0])
     def test_a_directory_is_an_input_error_that_names_it(self, tmp_path, capsys, argv):
         assert main([argv[0], str(tmp_path), *argv[1:]]) == EXIT_INPUT

@@ -37,13 +37,11 @@ def combine(*terms):
 
 class TestValidate:
     def test_well_formed_chain_is_clean(self):
-        assert validate_instance(single_chain()).ok
+        assert validate_instance(single_chain()) == []
 
     def test_negative_demand_names_field(self):
         inst = single_chain(d=-5.0)
-        report = validate_instance(inst)
-        assert not report.ok
-        assert any("demand" in issue for issue in report.issues)
+        assert validate_instance(inst) == ["demand contains negative entries"]
 
     def test_dimension_breach_reported(self):
         inst = NetworkInstance(
@@ -61,12 +59,10 @@ class TestValidate:
             dc_retailer_unit_cost=[[1], [1], [1], [1]],
             utilization=1.0,
         )
-        report = validate_instance(inst)
-        assert any("plant_dc_unit_cost" in issue and "shape" in issue for issue in report.issues)
+        assert any("plant_dc_unit_cost" in issue and "shape" in issue for issue in validate_instance(inst))
 
     def test_zero_utilization_flagged(self):
-        report = validate_instance(single_chain(u=0.0))
-        assert any("utilization" in issue for issue in report.issues)
+        assert any("utilization" in issue for issue in validate_instance(single_chain(u=0.0)))
 
     def test_never_raises_on_garbage(self):
         inst = single_chain(d=-1, c_s=-2)
@@ -76,16 +72,16 @@ class TestValidate:
     def test_a_boolean_count_is_named(self, name):
         # True == 1, so arrays of length 1 on its axes fit the shapes it gives
         inst = single_chain()
-        assert validate_instance(replace(inst, **{name: True})).issues == [
+        assert validate_instance(replace(inst, **{name: True})) == [
             f"{name} must be an integer >= 1, got True"
         ]
 
     def test_a_rejected_count_skips_the_arrays_on_its_axis(self):
         inst = replace(default_instance("baseline"), num_suppliers=True)
-        assert validate_instance(inst).issues == ["num_suppliers must be an integer >= 1, got True"]
+        assert validate_instance(inst) == ["num_suppliers must be an integer >= 1, got True"]
         # the arrays on the other axes are still checked
         bad = replace(inst, demand=-inst.demand)
-        assert validate_instance(bad).issues == [
+        assert validate_instance(bad) == [
             "num_suppliers must be an integer >= 1, got True",
             "demand contains negative entries",
         ]
@@ -226,27 +222,27 @@ class TestConstraints:
             utilization=1.0,
         )
         rep = evaluate_constraints(inst, chain_plan(12, 12, 12))
-        assert rep.residual_dc_storage == -2
+        assert rep.residuals["dc_storage"] == pytest.approx([-2])
         assert rep.total_violation >= 2
 
     def test_feasible_chain(self):
         rep = evaluate_constraints(single_chain(), chain_plan())
-        assert rep.residual_dc_storage == 10
-        assert rep.residual_production_vs_shipment == 0
-        assert rep.demand_mismatch == pytest.approx([0])
+        assert rep.residuals["dc_storage"] == pytest.approx([10])
+        assert rep.residuals["production_vs_shipment"] == pytest.approx([0])
+        assert rep.residuals["demand_mismatch"] == pytest.approx([0])
         assert rep.total_violation == 0
 
     def test_raw_shortfall_with_utilization(self):
         # u=2, production 10 needs 20 raw; only 15 supplied -> violation 5
         inst = single_chain(d=10, u=2.0, cap=40.0)
         rep = evaluate_constraints(inst, chain_plan(r=15, p=10, t=10))
-        assert rep.residual_raw_per_plant == pytest.approx([-5])
+        assert rep.residuals["raw_per_plant"] == pytest.approx([-5])
         assert rep.total_violation == pytest.approx(5)
 
     def test_mismatch_within_tolerance_is_feasible(self):
         inst = single_chain()
         rep = evaluate_constraints(inst, chain_plan(10, 10, 10 + 1e-12), tolerance=1e-9)
-        assert abs(rep.demand_mismatch[0]) > 0
+        assert abs(rep.residuals["demand_mismatch"][0]) > 0
         assert rep.total_violation == 0
 
     def test_strict_per_dc_mode(self):
@@ -269,8 +265,7 @@ class TestConstraints:
         # all 12 cases pile into DC 1: fine in aggregate, breach per-DC
         plan = FlowPlan([[12]], [[12, 0]], [[12], [0]])
         rep = evaluate_constraints(inst, plan)
-        assert rep.residual_dc_capacity is not None
-        assert rep.residual_dc_capacity[0] == -2
+        assert rep.residuals["dc_capacity"] == pytest.approx([-2, 10])
         assert rep.total_violation > 0
         loose = NetworkInstance(
             **{
@@ -284,7 +279,7 @@ class TestConstraints:
             }
         )
         rep2 = evaluate_constraints(loose, plan)
-        assert rep2.residual_dc_capacity is None
+        assert "dc_capacity" not in rep2.residuals and "dc_throughput" not in rep2.residuals
         assert rep2.total_violation == 0
 
 
@@ -337,35 +332,32 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_residuals_affine_in_plan(self, seed):
         rng = np.random.default_rng(seed)
-        inst = random_instance(rng)
-        plan = random_plan(rng, inst)
-        r1 = evaluate_constraints(inst, plan)
-        r2 = evaluate_constraints(inst, combine((2.0, plan)))
-        zero = evaluate_constraints(inst, combine((0.0, plan)))
-        # residual(2x) - residual(0) == 2 * (residual(x) - residual(0))
-        for name in (
-            "residual_production_vs_shipment",
-            "demand_mismatch",
-            "residual_raw_per_plant",
-            "residual_plant_capacity",
-            "residual_supplier_capacity",
-        ):
-            a = np.asarray(getattr(r1, name)) - np.asarray(getattr(zero, name))
-            b = np.asarray(getattr(r2, name)) - np.asarray(getattr(zero, name))
-            assert np.allclose(b, 2.0 * a, rtol=1e-9, atol=1e-9)
+        aggregate = random_instance(rng)
+        plan = random_plan(rng, aggregate)
+        for inst in (aggregate, replace(aggregate, strict_per_dc=True)):
+            r1 = evaluate_constraints(inst, plan).residuals
+            r2 = evaluate_constraints(inst, combine((2.0, plan))).residuals
+            zero = evaluate_constraints(inst, combine((0.0, plan))).residuals
+            assert r1.keys() == r2.keys() == zero.keys() == inst.derived(network._Layout).columns.keys()
+            # residual(2x) - residual(0) == 2 * (residual(x) - residual(0)), in every family
+            for name in r1:
+                assert np.allclose(r2[name] - zero[name], 2.0 * (r1[name] - zero[name]), rtol=1e-9, atol=1e-9)
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=40, deadline=None)
     def test_evaluation_is_pure(self, seed):
         rng = np.random.default_rng(seed)
-        inst = random_instance(rng)
-        plan = random_plan(rng, inst)
-        c1, c2 = evaluate_cost(inst, plan), evaluate_cost(inst, plan)
-        assert c1 == c2
-        v1 = evaluate_constraints(inst, plan)
-        v2 = evaluate_constraints(inst, plan)
-        assert v1.total_violation == v2.total_violation
-        assert np.array_equal(v1.demand_mismatch, v2.demand_mismatch)
+        aggregate = random_instance(rng)
+        plan = random_plan(rng, aggregate)
+        for inst in (aggregate, replace(aggregate, strict_per_dc=True)):
+            c1, c2 = evaluate_cost(inst, plan), evaluate_cost(inst, plan)
+            assert c1 == c2
+            v1 = evaluate_constraints(inst, plan)
+            v2 = evaluate_constraints(inst, plan)
+            assert v1.total_violation == v2.total_violation
+            assert v1.residuals.keys() == v2.residuals.keys() == inst.derived(network._Layout).columns.keys()
+            for name in v1.residuals:
+                assert np.array_equal(v1.residuals[name], v2.residuals[name])
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=40, deadline=None)

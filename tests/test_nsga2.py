@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdnet import nsga2
-from pdnet.network import FLOW_AXES, DimensionMismatchError, FlowPlan, NetworkInstance, evaluate_constraints
+from pdnet.network import DimensionMismatchError, FlowPlan, NetworkInstance, batch_evaluate, evaluate_constraints
 from pdnet.nsga2 import (
     SolverConfig,
     decode,
@@ -754,9 +754,7 @@ class TestSolve:
         b = solve(inst, cfg)
         assert not calls  # a run that cannot stop early does not compute the bound
         assert a.trace == b.trace and a.generations_run == 40
-        assert np.array_equal(
-            np.array([ind.genes for ind in a.final_front]), np.array([ind.genes for ind in b.final_front])
-        )
+        assert np.array_equal(a.final_front.genes, b.final_front.genes)
 
     def test_best_feasible_passes_constraint_check(self):
         rng = np.random.default_rng(77)
@@ -777,7 +775,7 @@ class TestSolve:
 
     def test_final_front_mutually_non_dominated(self):
         res = solve(single_chain(), SolverConfig(seed=5, max_generations=40))
-        objs = [(ind.cost, ind.violation) for ind in res.final_front]
+        objs = list(zip(res.final_front.cost, res.final_front.violation))
         for a in range(len(objs)):
             for b in range(len(objs)):
                 if a == b:
@@ -810,47 +808,35 @@ class TestSolve:
             assert calls == {"decode": once, "evaluate_cost": once}
         assert res.best_feasible is None and improved_twice >= 5
 
-    def test_final_front_plans_are_their_genes_decoded(self, monkeypatch):
-        decoded = []
-        monkeypatch.setattr(nsga2, "decode", lambda genes, instance: decoded.append(genes) or decode(genes, instance))
+    def test_the_initial_population_counts_for_the_best_plan(self, monkeypatch):
+        inst = criterion_4_instances(1)[0]
+        cfg = SolverConfig(seed=0, max_generations=3, stall_generations=3)
+        pop = init_population(inst, cfg, np.random.default_rng(cfg.seed))
+        feasible = pop.violation == 0.0
+        assert feasible.any()
+        # offspring that produce nothing are never feasible, so only the initial population has a best plan
+        monkeypatch.setattr(nsga2, "repair_batch", lambda genes, instance: np.zeros_like(genes))
+        res = solve(inst, cfg)
+        assert [r.best_feasible_cost for r in res.trace] == [pop.cost[feasible].min()] * 3
+        assert res.best_feasible[1].total == pop.cost[feasible].min()
+
+    def test_final_front_rows_are_their_genes_evaluated(self):
         strict = dataclasses.replace(random_instance(np.random.default_rng(4), s=2, k=3, j=3, i=6), strict_per_dc=True)
         sizes = []
         for inst, generations in [(strict, 30)] + [(inst, 300) for inst in criterion_4_instances(20)]:
             front = solve(inst, SolverConfig(seed=4, max_generations=generations)).final_front
             sizes.append(len(front))
-            decoded.clear()  # the solve's one decode, of its best plan
-            assert not any("plan" in vars(ind) for ind in front)
-            for q, ind in enumerate(front):
-                plan = ind.plan
-                assert ind.plan is plan and len(decoded) == q + 1
-                expected = decode(ind.genes, inst)
-                assert all(np.array_equal(getattr(plan, name), getattr(expected, name)) for name in FLOW_AXES)
+            cost, violation = batch_evaluate(inst, *decode_batch(front.genes, inst))
+            assert np.array_equal(cost, front.cost) and np.array_equal(violation, front.violation)
+            assert np.array_equal(front.rank, np.zeros(len(front)))
         assert sizes[0] > 1 and max(sizes) == 50
-
-    def test_front_members_compare_by_genes_cost_and_violation(self):
-        inst = criterion_4_instances(6)[5]
-        cfg = SolverConfig(seed=1, max_generations=40)
-        a, b = solve(inst, cfg).final_front, solve(inst, cfg).final_front
-        a[0].plan  # a plan read on one side only is not compared
-        assert len(a) > 1 and a == b
-        ind = a[0]
-        assert ind == dataclasses.replace(ind, instance=criterion_4_instances(1)[0])
-        genes = ind.genes.copy()
-        genes[-1] += 0.5 if genes[-1] < 0.5 else -0.5
-        for changed in (
-            dataclasses.replace(ind, genes=genes),
-            dataclasses.replace(ind, cost=ind.cost + 1.0),
-            dataclasses.replace(ind, violation=ind.violation + 1.0),
-        ):
-            assert ind != changed and changed != ind
-        assert ind.__eq__(ind.genes) is NotImplemented and ind != "member"
 
     def test_infeasible_instance_reports_no_best(self):
         # demand exceeds what the DC can store: never feasible
         inst = single_chain(d=30.0, cap=20.0)
         res = solve(inst, SolverConfig(seed=0, max_generations=20))
         assert res.best_feasible is None
-        assert min(ind.violation for ind in res.final_front) > 0
+        assert res.final_front.violation.min() > 0
 
 
 class TestConfig:
@@ -858,11 +844,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(population_size=7)
 
-    def test_probability_bounds(self):
-        with pytest.raises(ValueError):
-            SolverConfig(crossover_prob=1.5)
-        with pytest.raises(ValueError):
-            SolverConfig(mutation_prob=-0.1)
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("crossover_prob", 1.5, "must lie in"),
+            ("mutation_prob", -0.1, "must lie in"),
+            ("crossover_prob", True, "must be a number, got True"),
+            ("mutation_prob", False, "must be a number, got False"),
+            ("mutation_prob", "0.1", "must be a number, got '0.1'"),
+            ("crossover_prob", None, "must be a number, got None"),
+        ],
+    )
+    def test_probability_bounds(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{field} {message}"):
+            SolverConfig(**{field: value})
+
+    def test_numeric_probabilities_accepted(self):
+        cfg = SolverConfig(crossover_prob=1, mutation_prob=np.float32(0.5))
+        assert (cfg.crossover_prob, cfg.mutation_prob) == (1, 0.5)
 
     @pytest.mark.parametrize("stall", [0, -5])
     def test_stall_window_below_one_rejected_by_name(self, stall):

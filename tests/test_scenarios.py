@@ -177,7 +177,7 @@ class TestDefaultInstances:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_instances_validate(self, name):
         inst = default_instance(name)
-        assert validate_instance(inst).ok
+        assert validate_instance(inst) == []
 
     def test_baseline_demand_scale(self):
         inst = default_instance("baseline")
