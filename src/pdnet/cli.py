@@ -70,7 +70,7 @@ def _load_table_or_fail(path, scenario_name):
     try:
         table = _read(path, scenarios.load_schedule_file)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
     return spec, table
 

@@ -158,6 +158,7 @@ class ConstraintReport:
     total_violation: float
 
 
+@np.errstate(over="ignore")  # a total past the float range is reported, not warned about
 def validate_instance(instance: NetworkInstance) -> list:
     """Every invariant breach, each naming its field; an empty list means the instance is usable."""
     issues = []
@@ -176,8 +177,9 @@ def validate_instance(instance: NetworkInstance) -> list:
             continue
         if arr.size and np.min(arr) < 0:
             issues.append(f"{name} contains negative entries")
-        if arr.size and not np.all(np.isfinite(arr)):
-            issues.append(f"{name} contains non-finite entries")
+        if not np.isfinite(arr.sum()):  # with finite cells >= 0, every partial sum stays finite too
+            finite = np.all(np.isfinite(arr))
+            issues.append(f"{name} sums past the float range" if finite else f"{name} contains non-finite entries")
     if not instance.utilization > 0:
         issues.append(f"utilization must be > 0, got {instance.utilization}")
     elif not np.isfinite(instance.utilization):

@@ -195,6 +195,8 @@ def load_schedule_csv(text: str) -> ScheduleTable:
                 raise ValueError(f"{where}: cell {cell.strip()!r} must be a finite number >= 0")
             cells.append(value)
         values.append(cells)
+    if not math.isfinite(sum(map(sum, values))):  # cells are >= 0: no row or column total exceeds this one
+        raise ValueError("row or column totals pass the float range")
     return ScheduleTable(values=np.array(values), row_labels=row_labels, col_labels=col_labels)
 
 

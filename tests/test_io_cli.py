@@ -413,6 +413,44 @@ class TestCLI:
         prefix, stream = ("invalid", out) if command == "check" else ("error", err)
         assert stream == f"{prefix}: '{field}' holds an integer too large for a float\n"
 
+    @pytest.mark.parametrize("command", ["check", "solve", "oracle"])
+    def test_cells_that_sum_past_the_float_range_are_an_input_error_that_names_the_field(
+        self, tmp_path, capsys, command
+    ):
+        # each cell is finite, but the total demand is not
+        doc = json.loads(dumps_instance(default_instance("baseline")))
+        doc["demand"] = [1.7e308] * len(doc["demand"])
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        prefix, stream = ("invalid", out) if command == "check" else ("error", err)
+        assert stream == f"{prefix}: demand sums past the float range\n"
+
+    @pytest.mark.parametrize(
+        "cell", [lambda dc, plant: 1.7e308, lambda dc, plant: 1e308 if dc == plant else 0.0], ids=["every", "diagonal"]
+    )
+    @pytest.mark.parametrize("command", ["audit", "compare"])
+    def test_schedule_totals_past_the_float_range_are_an_input_error_that_names_the_file(
+        self, tmp_path, capsys, command, cell
+    ):
+        # "every": each row and column total overflows; "diagonal": each is
+        # finite, but the grand total is not
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            ",Plant 1,Plant 2,Plant 3,Plant 4\n"
+            + "".join(f"DC {d + 1}," + ",".join(str(cell(d, p)) for p in range(4)) + "\n" for d in range(4))
+        )
+        table = str(data_path("table1.csv"))
+        argv = {
+            "audit": ["audit", str(path), "--scenario", "baseline"],
+            "compare": ["compare", table, str(path), "--scenario-a", "baseline", "--scenario-b", "baseline"],
+        }[command]
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: row or column totals pass the float range\n"
+
     @pytest.mark.parametrize("argv", READERS, ids=lambda argv: argv[0])
     def test_a_directory_is_an_input_error_that_names_it(self, tmp_path, capsys, argv):
         assert main([argv[0], str(tmp_path), *argv[1:]]) == EXIT_INPUT

@@ -16,7 +16,7 @@ from pdnet.oracle import (
     lower_bound,
 )
 
-from conftest import single_chain, tiny_oracle_instance
+from conftest import criterion_4_instances, single_chain, tiny_oracle_instance
 
 
 def reference_violations(instance, x, grid_step):
@@ -159,8 +159,8 @@ class TestAgainstTheRowByRowReference:
     @pytest.mark.parametrize("chunk", [3, 5, 6, oracle._CHUNK])
     def test_a_tie_across_delivery_chunks_goes_to_the_smaller_plan(self, monkeypatch, chunk):
         # two plans cost 14: [r | p | t] = [1 1 | 0 1 1 1 | 1 2] and the larger
-        # [1 1 | 0 2 0 1 | 0 3]; at chunks of 3, 5 or 6 points the larger one
-        # lies in the same raw-and-production chunk but an earlier delivery chunk
+        # [1 1 | 0 2 0 1 | 0 3], whose delivery point comes first; at chunks of
+        # 3, 5 or 6 points the two lie in different production chunks
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         inst = NetworkInstance(
             num_suppliers=1,
@@ -184,6 +184,63 @@ class TestAgainstTheRowByRowReference:
         assert plan.plant_dc_flow.tolist() == [[0.0, 1.0], [1.0, 1.0]]
         assert plan.dc_retailer_flow.tolist() == [[1.0], [2.0]]
 
+    @pytest.mark.parametrize("chunk", [3, 5, 6, oracle._CHUNK])
+    def test_a_tie_that_differs_first_in_raw_goes_to_the_smaller_plan(self, monkeypatch, chunk):
+        # raw is free, so two plans cost 1: [r | p | t] = [1 0 | .5 .5 0 0 | 1 0]
+        # and the larger [1 1 | 0 .5 0 .5 | 1 0]; at chunks of 3 points the
+        # larger one lies in the same raw chunk but an earlier production chunk
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        inst = NetworkInstance(
+            num_suppliers=1,
+            num_plants=2,
+            num_dcs=2,
+            num_retailers=1,
+            supplier_capacity=[2],
+            plant_capacity=[1, 1],
+            dc_capacity=[1, 1],
+            demand=[1],
+            raw_unit_cost=[0],
+            holding_unit_cost=[1, 0],
+            plant_dc_unit_cost=[[0, 1], [1, 1]],
+            dc_retailer_unit_cost=[[0], [1]],
+            utilization=1.0,
+        )
+        plan, cost = brute_force_optimum(inst, grid_step=1.0)
+        assert cost == 1.0
+        assert plan.raw_flow.tolist() == [[1.0, 0.0]]
+        assert plan.plant_dc_flow.tolist() == [[0.5, 0.5], [0.0, 0.0]]
+        assert plan.dc_retailer_flow.tolist() == [[1.0], [0.0]]
+
+    @pytest.mark.parametrize("chunk", [3, 5, 6, oracle._CHUNK])
+    def test_a_tie_that_differs_first_in_production_goes_to_the_smaller_plan(self, monkeypatch, chunk):
+        # both DCs cost 2 per case to fill and 1 per case to deliver from, so
+        # every split of the 2 cases costs 8 with the same raw purchase:
+        # [r | p | t] = [2 | 0 2 | 0 2] is the smallest and [2 | 2 0 | 2 0]
+        # the largest; at chunks of 3, 5 or 6 points they lie in different
+        # production chunks, at the default size in one
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        inst = NetworkInstance(
+            num_suppliers=1,
+            num_plants=1,
+            num_dcs=2,
+            num_retailers=1,
+            supplier_capacity=[2],
+            plant_capacity=[4],
+            dc_capacity=[2, 2],
+            demand=[2],
+            raw_unit_cost=[1],
+            holding_unit_cost=[1, 0],
+            plant_dc_unit_cost=[[1, 2]],
+            dc_retailer_unit_cost=[[1], [1]],
+            utilization=1.0,
+            strict_per_dc=True,
+        )
+        plan, cost = brute_force_optimum(inst, grid_step=1.0)
+        assert cost == 8.0
+        assert plan.raw_flow.tolist() == [[2.0]]
+        assert plan.plant_dc_flow.tolist() == [[0.0, 2.0]]
+        assert plan.dc_retailer_flow.tolist() == [[0.0], [2.0]]
+
     @pytest.mark.parametrize("strict", [False, True])
     def test_criterion_4_instances(self, strict):
         rng = np.random.default_rng(20260823)
@@ -192,6 +249,24 @@ class TestAgainstTheRowByRowReference:
             if np.prod(1 + np.ceil(_variable_boxes(inst))) > 300_000:
                 continue  # the reference takes about a second on the two 2e6-point lattices
             assert_matches_reference(inst, 1.0, exact=True)
+
+    @pytest.mark.parametrize(
+        "index, strict, cost, plan",
+        [
+            (12, False, 40.0, ([[1, 4]], [[1, 0], [0, 4]], [[2, 0], [0, 3]])),
+            (12, True, 41.0, ([[2, 3]], [[2, 0], [0, 3]], [[2, 0], [0, 3]])),
+            (17, False, 62.0, ([[3, 2]], [[3, 0], [0, 2]], [[2, 0], [0, 3]])),
+            (17, True, 62.0, ([[3, 2]], [[3, 0], [0, 2]], [[2, 1], [0, 2]])),
+        ],
+    )
+    def test_the_two_criterion_4_lattices_the_reference_skips(self, index, strict, cost, plan):
+        # instances 12 and 17 (2,073,600 and 1,806,336 points): the row-by-row
+        # reference's plans and costs, written out because it takes about a
+        # second on each
+        inst = dataclasses.replace(criterion_4_instances()[index], strict_per_dc=strict)
+        got, got_cost = brute_force_optimum(inst, grid_step=1.0)
+        assert got_cost == cost
+        assert tuple(getattr(got, name).tolist() for name in FLOW_AXES) == plan
 
 
 class TestBruteForce:
