@@ -250,9 +250,10 @@ def brute_force_optimum(instance: NetworkInstance, grid_step: float = 1.0):
     uppers = uppers[:, None]
     unit = unit_costs(instance)
     split = s * k + k * j
-    raw = partial(_block_rows, instance, levels[: s * k], uppers[: s * k], grid_step, _raw_check)
-    production = partial(_block_rows, instance, levels[s * k : split], uppers[s * k : split], grid_step, _production_check)
-    delivery = partial(_block_rows, instance, levels[split:], uppers[split:], grid_step, _delivery_check)
+    raw, production, delivery = (
+        partial(_block_rows, instance, levels[lo:hi], uppers[lo:hi], grid_step, check)
+        for lo, hi, check in ((0, s * k, _raw_check), (s * k, split, _production_check), (split, None, _delivery_check))
+    )
 
     storage = max(0.0, instance.demand.sum() - instance.dc_capacity.sum())  # no point meets it if > 0
     best_cost, x_o, x_d = np.inf, None, None
@@ -277,7 +278,9 @@ def brute_force_optimum(instance: NetworkInstance, grid_step: float = 1.0):
         pairs = _pairs(
             _outer_rows(raw(), production, None, survivors_only=False), delivery, _shipped_within_produced
         )
-        min_violation = storage + min(float((d.weight.sum(axis=0)[:, None] + o.weight + over).min()) for o, d, over in pairs)
+        min_violation = storage + min(
+            float((d.weight.sum(axis=0)[:, None] + o.weight + over).min()) for o, d, over in pairs
+        )
         raise NoFeasibleLatticePointError(min_violation)
     plan = FlowPlan(x_o[: s * k].reshape(s, k), x_o[s * k :].reshape(k, j), x_d.reshape(j, i))
     return plan, best_cost
