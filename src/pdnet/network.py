@@ -184,6 +184,17 @@ def validate_instance(instance: NetworkInstance) -> list:
         issues.append(f"utilization must be > 0, got {instance.utilization}")
     elif not np.isfinite(instance.utilization):
         issues.append("utilization must be finite")
+    if issues:
+        return issues
+    # No flow total of a decoded plan passes this volume: shipments carry the
+    # demand, production at most D_k/u per plant, raw u x production.  A
+    # price adds four terms, each at most its largest unit cost x the volume.
+    u = instance.utilization
+    volume = max(1.0, instance.demand.sum(), (instance.plant_capacity / u).sum()) * max(1.0, u)
+    for name in ARRAY_AXES:
+        top = getattr(instance, name).max(initial=0.0)
+        if name.endswith("_unit_cost") and top > 0 and not np.isfinite(4.0 * top * volume):
+            issues.append(f"{name} prices a plan past the float range")
     return issues
 
 

@@ -1,20 +1,30 @@
 """From-scratch NSGA-II engine for the production-distribution network.
 
 The genotype is a real vector in [0,1]^L laid out as
-[plant-DC block (K*J) | DC-retailer allocation block (J*I)].  Decoding maps
-the plant-DC block linearly onto capacity-derived boxes and turns the
-allocation block into per-retailer allocation weights, so every decoded plan
-meets demand exactly by construction.  Raw material is not searched for: the
-decoder buys what each plant's production needs from the cheapest suppliers
-first.  Every gene is read.
+[plant-DC block (K*J) | DC-retailer allocation block (J*I)].  Decoding turns
+the allocation block into per-retailer allocation weights, so every decoded
+plan meets demand exactly by construction.  Raw material is not searched
+for: the decoder buys what each plant's production needs from the cheapest
+suppliers first.
+
+In aggregate mode every decoded plan ships the total demand, and any DC may
+ship any case, so the cheapest production is the same for every plan: each
+plant on its cheapest route, the plants filled in that route's cost order up
+to D_k/u (a greedy flow decode, as in Gen, Altiparmak & Lin, OR Spectrum 28,
+2006).  It is built once per instance with its raw purchase, every plan
+shares it, and the search runs on the allocation genes alone.  The K*J
+plant-DC genes are then not read; they stay so that the chromosome has one
+layout in both modes, and the benchmark picks its tiny CLI instances by
+chromosome length.  In strict per-DC mode the plant-DC block maps linearly
+onto the arc boxes p_kj <= D_k/(u*J), and every gene is read.
 
 Offspring are repaired before they are evaluated, and the repair is written
 back into their genes: each retailer is served by its highest-weight DC (in
-strict per-DC mode DCs are filled in weight order up to their room), and
-production is trimmed or topped up to match shipments along the cheapest
-routes.  Repaired plans sit on the boundary where the optimum lies, so the
-search no longer has to creep towards it at the low mutation rate.  The
-initial population is left uniform.
+strict per-DC mode DCs are filled in weight order up to their room), and in
+strict per-DC mode production into each DC is trimmed or topped up to match
+its shipments along the cheapest routes.  Repaired plans sit on the boundary
+where the optimum lies, so the search no longer has to creep towards it at
+the low mutation rate.  The initial population is left uniform.
 
 The engine minimizes the pair (total cost, total constraint violation) as a
 genuine bi-objective tradeoff and reports the cheapest zero-violation plan
@@ -35,9 +45,10 @@ window would close on the same plan (branch and bound's pruning rule).
 
 A generation does only the work that depends on it.  What depends on the
 instance alone (gene slices, arc boxes, the arcs in route-cost order, the
-suppliers in price order and their running capacity, the lower bound) is
-built on first use and kept with the instance.  The best plan is decoded and
-priced once, after the run; the final front is returned as population rows.
+suppliers in price order and their running capacity, the aggregate-mode
+production and raw purchase, the lower bound) is built on first use and kept
+with the instance.  The best plan is decoded and priced once, after the
+run; the final front is returned as population rows.
 Variation draws random numbers only where they are used: spread factors for
 the pairs that cross, and the mutation sites as geometric gaps between
 successive mutated genes, which is an exact per-gene Bernoulli(p_m) draw.  A
@@ -144,78 +155,111 @@ def _greedy_fill(room: np.ndarray, need: np.ndarray, out=None) -> np.ndarray:
 class _Codec:
     """Per-instance constants of decoding and repair, built once per instance.
 
-    ``arcs`` (G, M) lists the flat plant-DC arc indices k*J + j of each group
-    whose production is matched to its shipments, cheapest route c_kj + h_j
-    first: one group of all K*J arcs in aggregate mode, the K arcs into each
-    DC in strict per-DC mode.
+    In strict per-DC mode ``arcs`` (J, K) lists the flat plant-DC arc
+    indices k*J + j into each DC, cheapest route c_kj + h_j first, whose
+    production is matched to that DC's shipments.  In aggregate mode every
+    decoded plan ships the total demand, so one ``production`` (K, J) and
+    its ``raw`` purchase (S, K) serve every plan.
     """
 
     def __init__(self, instance: NetworkInstance):
         _, k, j, _ = instance.counts
         self.plant_dc_genes = slice(0, k * j)
         self.allocation_genes = slice(k * j, None)
-        box = instance.plant_capacity / (instance.utilization * j)  # arc box D_k/(u*J)
-        self.gene_box = np.repeat(box, j)  # (K*J,) box of each plant-DC gene
         self.gene_demand = np.repeat(instance.demand, j)  # (I*J,) demand of each allocation gene's retailer
-        route = instance.plant_dc_unit_cost + instance.holding_unit_cost[None, :]  # (K, J)
-        if instance.strict_per_dc:
-            self.arcs = (np.argsort(route, axis=0, kind="stable") * j + np.arange(j)).T
-        else:
-            self.arcs = np.argsort(route.ravel(), kind="stable")[None, :]
-        self.arc_box = self.gene_box[self.arcs]
-        # strict per-DC mode: what a DC can take, its capacity and what its inbound arcs supply
-        self.dc_room = np.minimum(instance.dc_capacity, box.sum())
+        self.utilization = instance.utilization
         cheapest = np.argsort(instance.raw_unit_cost, kind="stable")
         self.supplier_rank = np.argsort(cheapest)  # position of each supplier in that order
         self.supplied = np.concatenate([[0.0], np.cumsum(instance.supplier_capacity[cheapest])])  # (S+1,)
+        route = instance.plant_dc_unit_cost + instance.holding_unit_cost[None, :]  # (K, J)
+        if instance.strict_per_dc:
+            box = instance.plant_capacity / (instance.utilization * j)  # arc box D_k/(u*J)
+            self.gene_box = np.repeat(box, j)  # (K*J,) box of each plant-DC gene
+            self.arcs = (np.argsort(route, axis=0, kind="stable") * j + np.arange(j)).T
+            self.arc_box = self.gene_box[self.arcs]
+            self.dc_room = np.minimum(instance.dc_capacity, box.sum())  # a DC's capacity, and what its arcs supply
+        else:
+            room = instance.plant_capacity / instance.utilization
+            self.production = _cheapest_production(route, room, instance.demand.sum())
+            self.raw = self.raw_fill(self.production.sum(axis=1)[None])[0]
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
+
+    def raw_fill(self, production: np.ndarray) -> np.ndarray:
+        """Raw flows (n,S,K) covering u x each plant's production (n,K), cheapest supplier first.
+
+        Raw cost depends only on the supplier, so this is the cheapest raw
+        plan for the given production.  Plants are served in index order;
+        once the suppliers run dry the rest stays uncovered and shows as a
+        violation.
+        """
+        need = self.utilization * production  # (n, K)
+        need_before = np.cumsum(need, axis=1) - need
+        # covered[:, q, k]: how much of plant k's need the q cheapest suppliers cover
+        covered = self.supplied[None, :, None] - need_before[:, None, :]
+        covered = np.minimum(np.maximum(covered, 0.0), need[:, None, :])
+        return np.diff(covered, axis=1)[:, self.supplier_rank]
+
+
+def _cheapest_production(route: np.ndarray, room: np.ndarray, need: float) -> np.ndarray:
+    """The cheapest production (K, J) that makes ``need`` in all, each plant k making at most room_k.
+
+    Each plant ships on its cheapest route (the first, on a tie), and the
+    plants fill up in order of that route's cost (index order on a tie): the
+    aggregate-mode optimum of production, since any DC may ship any case.
+    Rounding can leave the fill's sum, added as ``network`` adds arrivals,
+    a few ulps short of ``need``; the fill's target then rises until the sum
+    reaches ``need`` or every plant is full, so a plan never leans on the
+    production-vs-shipment tolerance.
+    """
+    k = route.shape[0]
+    arc = route.argmin(axis=1)
+    order = np.argsort(route[np.arange(k), arc], kind="stable")
+    room = room[order]
+    production = np.zeros(route.shape)
+    target = need
+    while True:
+        take = _greedy_fill(room, target)
+        production[order, arc[order]] = take
+        total = np.einsum("nkj->nj", production[None]).sum(axis=1)[0]
+        if total >= need or np.array_equal(take, room):
+            return production
+        target = max(target + (need - total), np.nextafter(target, np.inf))
 
 
 def _codec(instance: NetworkInstance) -> _Codec:
     return instance.derived(_Codec)
 
 
-def _raw_fill(production: np.ndarray, instance: NetworkInstance) -> np.ndarray:
-    """Raw flows (n,S,K) covering u x each plant's production, cheapest supplier first.
-
-    Raw cost depends only on the supplier, so this is the cheapest raw plan
-    for the given production.  Plants are served in index order; once the
-    suppliers run dry the rest stays uncovered and shows as a violation.
-    """
-    codec = _codec(instance)
-    need = instance.utilization * production  # (n, K)
-    need_before = np.cumsum(need, axis=1) - need
-    # covered[:, q, k]: how much of plant k's need the q cheapest suppliers cover
-    covered = codec.supplied[None, :, None] - need_before[:, None, :]
-    covered = np.minimum(np.maximum(covered, 0.0), need[:, None, :])
-    return np.diff(covered, axis=1)[:, codec.supplier_rank]
-
-
 def decode_batch(genes: np.ndarray, instance: NetworkInstance):
     """Decode gene rows (n, L) into stacked flows r:(n,S,K), p:(n,K,J), t:(n,J,I).
 
-    Plant-DC gene g_kj spans [0, D_k/(u*J)] so a plant's total production
-    can reach D_k/u.  The last block holds J allocation weights per retailer;
-    shipments are the demand split in proportion to the weights (uniform
-    split when all weights are zero).  Raw material is bought for u x each
+    The last block holds J allocation weights per retailer; shipments are the
+    demand split in proportion to the weights (uniform split when all
+    weights are zero).  In aggregate mode production and raw purchase are
+    the instance's cheapest (``_cheapest_production``), one read-only plan
+    broadcast over the rows, and the plant-DC genes are not read.  In strict
+    per-DC mode plant-DC gene g_kj spans [0, D_k/(u*J)], so a plant's total
+    production can reach D_k/u, and raw material is bought for u x each
     plant's production, cheapest supplier first, up to supplier capacity.
     """
-    _, k, j, i = instance.counts
+    s, k, j, i = instance.counts
     n = genes.shape[0]
     if genes.shape[1] != instance.num_genes:
         raise DimensionMismatchError(
             f"chromosome length {genes.shape[1]}, expected {instance.num_genes}"
         )
     codec = _codec(instance)
-    p = (genes[:, codec.plant_dc_genes] * codec.gene_box).reshape(n, k, j)
     # weight sums repeated per gene: broadcasting them over the short DC axis is slow in numpy
     w = genes[:, codec.allocation_genes]  # (n, I*J)
     wsum = np.repeat(np.einsum("nij->ni", w.reshape(n, i, j)), j, axis=1)
     frac = np.divide(w, wsum, out=np.full(w.shape, 1.0 / j), where=wsum > 0)
     t = np.ascontiguousarray((frac * codec.gene_demand).reshape(n, i, j).transpose(0, 2, 1))
-    return _raw_fill(np.einsum("nkj->nk", p), instance), p, t
+    if not instance.strict_per_dc:
+        return np.broadcast_to(codec.raw, (n, s, k)), np.broadcast_to(codec.production, (n, k, j)), t
+    p = (genes[:, codec.plant_dc_genes] * codec.gene_box).reshape(n, k, j)
+    return codec.raw_fill(np.einsum("nkj->nk", p)), p, t
 
 
 def _repair_delivery(w: np.ndarray, instance: NetworkInstance) -> np.ndarray:
@@ -293,23 +337,22 @@ def repair_batch(genes: np.ndarray, instance: NetworkInstance) -> np.ndarray:
     """Repaired copy of gene rows (n, L) whose decoded plans are tight.
 
     The allocation block is rewritten so that each retailer is served as
-    ``_repair_delivery`` decides, then the plant-DC block so that production
-    equals shipments: in total in aggregate mode, per DC in strict per-DC
-    mode.  Decoding the repaired genes gives the repaired plan.
+    ``_repair_delivery`` decides.  In strict per-DC mode the plant-DC block
+    is then rewritten so that production into each DC equals its shipments;
+    in aggregate mode decoding does not read that block, and it is left as
+    it is.  Decoding the repaired genes gives the repaired plan.
     """
-    s, k, j, i = instance.counts
+    _, k, j, i = instance.counts
     n = genes.shape[0]
     codec = _codec(instance)
     shares = _repair_delivery(genes[:, codec.allocation_genes].reshape(n, i, j), instance)
+    repaired = genes.copy()
     if instance.strict_per_dc:
         shipped = np.einsum("nij,i->nj", shares, instance.demand)
-    else:
-        shipped = np.full((n, 1), instance.demand.sum())
-    x = np.take(genes[:, codec.plant_dc_genes], codec.arcs, axis=1) * codec.arc_box  # (n,G,M), C order
-    x = _match_production(x, codec.arc_box, shipped)
-    repaired = genes.copy()
-    gene_x = np.divide(x, codec.arc_box, out=np.zeros_like(x), where=codec.arc_box > 0)
-    repaired[:, codec.plant_dc_genes][:, codec.arcs] = np.clip(gene_x, 0.0, 1.0)
+        x = np.take(genes[:, codec.plant_dc_genes], codec.arcs, axis=1) * codec.arc_box  # (n,G,M), C order
+        x = _match_production(x, codec.arc_box, shipped)
+        gene_x = np.divide(x, codec.arc_box, out=np.zeros_like(x), where=codec.arc_box > 0)
+        repaired[:, codec.plant_dc_genes][:, codec.arcs] = np.clip(gene_x, 0.0, 1.0)
     # a spill onto a full DC can round a share above 1 (none is below 0); w / wsum reads the same
     repaired[:, codec.allocation_genes] = np.minimum(shares.reshape(n, i * j), 1.0)
     return repaired

@@ -5,8 +5,11 @@ flow at C_s/K and plant-DC flow at D_k/(u*J), and keeps the cheapest feasible
 point; it is the reference the evolutionary engine is validated against and
 shares no constraint check with it, only the model's unit-cost vector
 (``network.unit_costs``).  It gives the optimum inside those boxes.
-The GA has no raw genes: its decoder keeps the plant-DC box but buys raw
-material without the raw box, so the GA may beat it.
+The GA has no raw genes and buys raw material without the raw box.  In
+aggregate mode it has no plant-DC box either: its production fills each
+plant up to D_k/u on the plant's cheapest route, so it beats brute force
+where the box binds (criterion-4 instances 5, 12 and 17 cost 29, 39 and 58,
+brute force gives 31, 40 and 62).  In strict per-DC mode it keeps the box.
 
 The search is exhaustive but factorised into three blocks of the flow
 vector: raw (r), production (p) and delivery (t).  Every check on a plan

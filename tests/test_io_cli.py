@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import stat
@@ -228,11 +229,13 @@ class TestCLI:
         assert trace.read_text().startswith("generation,")
 
     def test_solve_prints_the_lower_bound_and_the_gap_to_it(self, tmp_path, capsys):
-        # criterion-4 instance 5: bound 29, and seed 0 finds the optimum 31
+        # criterion-4 instance 5 in strict per-DC mode: bound 29, and seed 0's best costs 40
         inst_path = tmp_path / "i.json"
-        save_instance(criterion_4_instances(6)[5], inst_path)
+        save_instance(dataclasses.replace(criterion_4_instances(6)[5], strict_per_dc=True), inst_path)
         assert main(["solve", str(inst_path), "--seed", "0", "--generations", "300"]) == EXIT_OK
-        assert capsys.readouterr().out.splitlines()[-1] == "lower bound: 29.000000 (best 6.90% above it)"
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "best feasible cost: 40.000000"
+        assert out[-1] == "lower bound: 29.000000 (best 37.93% above it)"
 
     def test_solve_that_reaches_the_bound_stops_and_says_so(self, tmp_path, capsys):
         # a single chain has one route, so every plan costs the bound 10 x (2 + 3 + 1 + 4)
@@ -258,11 +261,13 @@ class TestCLI:
         assert out[-1].startswith("lower bound: 39.000000 (") and len(calls) == 1
 
     def test_solve_a_hair_below_the_bound_prints_no_negative_zero(self, tmp_path, capsys):
-        # criterion-4 instance 1: bound 39, and seed 0's best prices at 38.999999999999986 by rounding
+        # criterion-4 instance 0 in strict per-DC mode: bound 17, and seed 2's best prices at 16.999999999999996 by rounding
+        inst = dataclasses.replace(criterion_4_instances(1)[0], strict_per_dc=True)
+        assert solve(inst, SolverConfig(seed=2, max_generations=300)).best_feasible[1].total < 17.0
         inst_path = tmp_path / "i.json"
-        save_instance(criterion_4_instances(2)[1], inst_path)
-        assert main(["solve", str(inst_path), "--seed", "0", "--generations", "300"]) == EXIT_OK
-        assert capsys.readouterr().out.splitlines()[-1] == "lower bound: 39.000000 (best 0.00% above it)"
+        save_instance(inst, inst_path)
+        assert main(["solve", str(inst_path), "--seed", "2", "--generations", "300"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "lower bound: 17.000000 (best 0.00% above it)"
 
     @pytest.mark.parametrize(
         "fraction, text", [(-3.6e-16, "0.00%"), (-0.0, "0.00%"), (-0.0001, "-0.01%"), (0.069, "6.90%")]
@@ -426,6 +431,28 @@ class TestCLI:
         out, err = capsys.readouterr()
         prefix, stream = ("invalid", out) if command == "check" else ("error", err)
         assert stream == f"{prefix}: demand sums past the float range\n"
+
+    @pytest.mark.parametrize("command", ["check", "solve", "oracle"])
+    def test_a_unit_cost_that_prices_a_plan_past_the_float_range_is_an_input_error_that_names_it(
+        self, tmp_path, capsys, command
+    ):
+        # each cell and the field's total are finite, but a plan shipping the demand would cost more than a float holds
+        doc = json.loads(dumps_instance(default_instance("baseline")))
+        doc["plant_dc_unit_cost"] = [[1e306] * len(row) for row in doc["plant_dc_unit_cost"]]
+        path = tmp_path / "costly.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        prefix, stream = ("invalid", out) if command == "check" else ("error", err)
+        assert stream == f"{prefix}: plant_dc_unit_cost prices a plan past the float range\n"
+
+    def test_a_unit_cost_that_prices_every_plan_in_range_passes(self, tmp_path, capsys):
+        doc = json.loads(dumps_instance(default_instance("baseline")))
+        doc["plant_dc_unit_cost"] = [[1e300] * len(row) for row in doc["plant_dc_unit_cost"]]
+        path = tmp_path / "costly.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("ok: ")
 
     @pytest.mark.parametrize(
         "cell", [lambda dc, plant: 1.7e308, lambda dc, plant: 1e308 if dc == plant else 0.0], ids=["every", "diagonal"]

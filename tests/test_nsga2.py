@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from pdnet import nsga2
 from pdnet.network import DimensionMismatchError, FlowPlan, NetworkInstance, batch_evaluate, evaluate_constraints
@@ -26,7 +27,7 @@ from pdnet.nsga2 import (
     _repair_delivery,
     _tournament_indices,
 )
-from pdnet.oracle import lower_bound
+from pdnet.oracle import brute_force_optimum, lower_bound
 from pdnet.scenarios import default_instance
 
 from conftest import criterion_4_instances, random_instance, single_chain, tiny_oracle_instance
@@ -64,6 +65,7 @@ class TestDecode:
         assert plan.dc_retailer_flow[:, 0] == pytest.approx([6.0, 6.0])
 
     def test_plant_gene_spans_capacity_over_utilization(self):
+        # strict per-DC mode: the plant-DC genes are read there, each inside its arc box
         inst = NetworkInstance(
             num_suppliers=1,
             num_plants=1,
@@ -78,6 +80,7 @@ class TestDecode:
             plant_dc_unit_cost=[[1] * 4],
             dc_retailer_unit_cost=[[1]] * 4,
             utilization=1.0,
+            strict_per_dc=True,
         )
         genes = np.zeros(inst.num_genes)
         genes[0] = 1.0  # first plant-dc gene
@@ -91,19 +94,30 @@ class TestDecode:
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
     def test_every_gene_is_read(self, seed):
-        # with two or more DCs, positive demand and positive plant capacity,
-        # a change to any single gene changes the decoded plan
+        # with two or more DCs, positive demand and positive plant capacity, a
+        # change to any single gene changes the decoded plan in strict per-DC
+        # mode; in aggregate mode production is one plan per instance, so the
+        # plant-DC genes are not read and an allocation gene changes the deliveries alone
         rng = np.random.default_rng(seed)
-        inst = random_instance(rng, j=int(rng.integers(2, 4)))
-        _, k, j, i = inst.counts
-        assert inst.num_genes == k * j + j * i
-        assert np.all(inst.demand > 0) and np.all(inst.plant_capacity > 0)
-        genes = rng.uniform(0.05, 0.95, inst.num_genes)
-        plan = decode(genes, inst)
-        for g in range(inst.num_genes):
-            changed = genes.copy()
-            changed[g] = 1.0 - changed[g] if abs(changed[g] - 0.5) > 0.01 else 0.9
-            assert decode(changed, inst) != plan, f"gene {g} is not read"
+        aggregate = random_instance(rng, j=int(rng.integers(2, 4)))
+        _, k, j, i = aggregate.counts
+        assert aggregate.num_genes == k * j + j * i
+        assert np.all(aggregate.demand > 0) and np.all(aggregate.plant_capacity > 0)
+        genes = rng.uniform(0.05, 0.95, aggregate.num_genes)
+        for inst in (aggregate, dataclasses.replace(aggregate, strict_per_dc=True)):
+            plan = decode(genes, inst)
+            for g in range(inst.num_genes):
+                changed = genes.copy()
+                changed[g] = 1.0 - changed[g] if abs(changed[g] - 0.5) > 0.01 else 0.9
+                other = decode(changed, inst)
+                if inst.strict_per_dc:
+                    assert other != plan, f"gene {g} is not read"
+                elif g < k * j:
+                    assert other == plan, f"plant-DC gene {g} is read in aggregate mode"
+                else:
+                    assert np.array_equal(other.raw_flow, plan.raw_flow)
+                    assert np.array_equal(other.plant_dc_flow, plan.plant_dc_flow)
+                    assert not np.array_equal(other.dc_retailer_flow, plan.dc_retailer_flow), f"gene {g} is not read"
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
@@ -113,6 +127,59 @@ class TestDecode:
         plan = decode(rng.random(inst.num_genes), inst)
         shipped = plan.dc_retailer_flow.sum(axis=0)
         assert np.all(np.abs(shipped - inst.demand) <= 1e-9 * np.maximum(1.0, inst.demand))
+
+
+def production_total(p):
+    """Total production of a plan's plant-DC flows (K, J), added as ``network`` adds DC arrivals."""
+    return np.einsum("nkj->nj", p[None]).sum(axis=1)[0]
+
+
+def cheapest_production(inst):
+    """The aggregate-mode production every plan of ``inst`` decodes to."""
+    return decode(np.zeros(inst.num_genes), inst).plant_dc_flow
+
+
+class TestCheapestProduction:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=200, deadline=None)
+    def test_it_makes_at_least_the_total_demand_whenever_the_plants_can(self, seed):
+        # exactly, not within the production-vs-shipment tolerance, and at most a few ulps more
+        inst = random_instance(np.random.default_rng(seed))
+        p = cheapest_production(inst)
+        room, need = inst.plant_capacity / inst.utilization, inst.demand.sum()
+        assert np.all(p >= 0.0) and np.all(np.count_nonzero(p, axis=1) <= 1) and np.all(p.sum(axis=1) <= room)
+        if room.sum() >= need:
+            assert need <= production_total(p) <= need + 8 * np.spacing(need)
+        else:
+            assert np.array_equal(p.sum(axis=1), room)
+
+    def test_a_plain_fill_falls_short_of_the_demand_on_some_random_instances(self):
+        # the rounding the fill corrects occurs on the instances the test above draws
+        short = 0
+        for seed in range(2000):
+            inst = random_instance(np.random.default_rng(seed))
+            route = (inst.plant_dc_unit_cost + inst.holding_unit_cost[None, :]).min(axis=1)
+            room = (inst.plant_capacity / inst.utilization)[np.argsort(route, kind="stable")]
+            need = inst.demand.sum()
+            short += room.sum() >= need and nsga2._greedy_fill(room, need).sum() < need
+        assert short >= 20
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=100, deadline=None)
+    def test_its_route_cost_is_the_linear_programs_optimum(self, seed):
+        # min sum (c_kj + h_j) p_kj  s.t.  sum_j p_kj <= D_k/u,  sum p = total demand,  p >= 0
+        inst = random_instance(np.random.default_rng(seed))
+        _, k, j, _ = inst.counts
+        route = (inst.plant_dc_unit_cost + inst.holding_unit_cost[None, :]).ravel()
+        room, need = inst.plant_capacity / inst.utilization, inst.demand.sum()
+        lp = linprog(
+            route, A_ub=np.kron(np.eye(k), np.ones(j)), b_ub=room, A_eq=np.ones((1, k * j)), b_eq=[need], method="highs"
+        )
+        if room.sum() < need:
+            assert lp.status == 2  # infeasible
+        else:
+            assert lp.status == 0
+            assert route @ cheapest_production(inst).ravel() == pytest.approx(lp.fun, rel=1e-9, abs=1e-9)
 
 
 def repaired_instances(seed):
@@ -191,10 +258,11 @@ class TestRepair:
                 produced, shipped = p.sum(axis=1), t.sum(axis=2)  # per DC
                 reachable = np.full_like(shipped, box.sum())
                 at_box = np.all(np.isclose(p, box[None, :, None], rtol=1e-12, atol=0), axis=1)
-            else:
+            else:  # the plants' cheapest production, each plant at most D_k/u
                 produced, shipped = p.sum(axis=(1, 2)), t.sum(axis=(1, 2))
                 reachable = np.full_like(shipped, box.sum() * inst.num_dcs)
-                at_box = np.all(np.isclose(p, box[None, :, None], rtol=1e-12, atol=0), axis=(1, 2))
+                at_box = np.all(np.isclose(p.sum(axis=2), box[None, :] * inst.num_dcs, rtol=1e-12, atol=0), axis=1)
+                assert np.all(np.count_nonzero(p, axis=2) <= 1)  # one arc per plant
             fits = shipped <= reachable
             assert np.allclose(produced[fits], shipped[fits], rtol=1e-12, atol=1e-12)
             assert np.all(at_box[~fits])
@@ -252,8 +320,12 @@ class TestRepair:
             # the plant-DC block holds the repaired production, the allocation block the repaired shares
             assert after.shape == before.shape
             assert np.all((after >= 0.0) & (after <= 1.0))
-            box = inst.plant_capacity / (inst.utilization * j)
-            assert np.array_equal(p, (after[:, : k * j] * np.repeat(box, j)).reshape(-1, k, j))
+            if inst.strict_per_dc:
+                box = inst.plant_capacity / (inst.utilization * j)
+                assert np.array_equal(p, (after[:, : k * j] * np.repeat(box, j)).reshape(-1, k, j))
+            else:  # the plant-DC block is not read, and not rewritten; production is the instance's
+                assert np.array_equal(after[:, : k * j], before[:, : k * j])
+                assert np.array_equal(p, np.broadcast_to(p[0], p.shape)) and np.array_equal(r, np.broadcast_to(r[0], r.shape))
             shares = after[:, k * j :].reshape(-1, i, j)
             assert np.allclose(shares.sum(axis=2)[:, inst.demand > 0], 1.0, rtol=0, atol=1e-12)
             assert np.allclose(t, (shares * inst.demand[None, :, None]).transpose(0, 2, 1), rtol=1e-12, atol=1e-12)
@@ -720,8 +792,8 @@ class TestSolve:
         assert res.terminated_by == "max-generations"
 
     def test_stall_termination(self):
-        # criterion-4 instance 5: its optimum 31 lies above its bound 29, so the window ends the run
-        inst = criterion_4_instances(6)[5]
+        # criterion-4 instance 5 in strict per-DC mode: its optimum 37 lies above its bound 29, so the window ends the run
+        inst = dataclasses.replace(criterion_4_instances(6)[5], strict_per_dc=True)
         res = solve(inst, SolverConfig(seed=2, max_generations=500, stall_generations=20))
         assert res.terminated_by == "stall"
         assert res.generations_run < 500
@@ -729,7 +801,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("index", range(6))
     def test_stop_at_the_lower_bound_returns_the_full_runs_best(self, index, monkeypatch):
+        # every criterion-4 instance reaches its bound in aggregate mode; instance 5 in strict per-DC mode does not
         inst = criterion_4_instances(index + 1)[index]
+        if index == 5:
+            inst = dataclasses.replace(inst, strict_per_dc=True)
         bound = lower_bound(inst)
         stopped = [solve(inst, SolverConfig(seed=seed, max_generations=300)) for seed in range(3)]
         monkeypatch.setattr(nsga2, "lower_bound", lambda instance: -np.inf)
@@ -744,6 +819,18 @@ class TestSolve:
             assert a.best_feasible == b.best_feasible  # FlowPlan compares with array_equal
             assert a.terminated_by == b.terminated_by == "stall"
         assert any(a.generations_run < b.generations_run for a, b in zip(stopped, full)) == (index != 5)
+
+    def test_criterion_4_solves_reach_the_optimum_and_stop_in_generation_one(self):
+        # every criterion-4 optimum is its lower bound; brute force's arc box keeps it from three of them
+        instances = criterion_4_instances(20)
+        for inst in instances:
+            for seed in range(10):
+                res = solve(inst, SolverConfig(seed=seed, max_generations=300))
+                assert res.best_feasible[1].total == lower_bound(inst)
+                assert (res.terminated_by, res.generations_run) == ("stall", 1)
+        for index, optimum, boxed in ((5, 29.0, 31.0), (12, 39.0, 40.0), (17, 58.0, 62.0)):
+            assert lower_bound(instances[index]) == optimum
+            assert brute_force_optimum(instances[index], grid_step=1.0)[1] == boxed
 
     def test_no_stop_at_the_bound_when_the_window_does_not_fit(self, monkeypatch):
         inst = criterion_4_instances(1)[0]
@@ -798,7 +885,9 @@ class TestSolve:
         for name in calls:
             monkeypatch.setattr(nsga2, name, counted(name, getattr(nsga2, name)))
         improved_twice = 0
+        # aggregate-mode runs stop at the bound in generation 1; strict per-DC runs improve on their first plan
         runs = [(inst, seed) for inst in criterion_4_instances(20) for seed in range(2)]
+        runs += [(dataclasses.replace(inst, strict_per_dc=True), seed) for inst, _ in runs[::2] for seed in range(4)]
         runs.append((single_chain(d=30.0, cap=20.0), 0))  # never feasible
         for inst, seed in runs:
             calls.update(decode=0, evaluate_cost=0)
