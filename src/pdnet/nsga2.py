@@ -3,28 +3,25 @@
 The genotype is a real vector in [0,1]^L laid out as
 [plant-DC block (K*J) | DC-retailer allocation block (J*I)].  Decoding turns
 the allocation block into per-retailer allocation weights, so every decoded
-plan meets demand exactly by construction.  Raw material is not searched
-for: the decoder buys what each plant's production needs from the cheapest
-suppliers first.
-
-In aggregate mode every decoded plan ships the total demand, and any DC may
-ship any case, so the cheapest production is the same for every plan: each
-plant on its cheapest route, the plants filled in that route's cost order up
-to D_k/u (a greedy flow decode, as in Gen, Altiparmak & Lin, OR Spectrum 28,
-2006).  It is built once per instance with its raw purchase, every plan
-shares it, and the search runs on the allocation genes alone.  The K*J
-plant-DC genes are then not read; they stay so that the chromosome has one
-layout in both modes, and the benchmark picks its tiny CLI instances by
-chromosome length.  In strict per-DC mode the plant-DC block maps linearly
-onto the arc boxes p_kj <= D_k/(u*J), and every gene is read.
+plan meets demand exactly by construction.  Production and raw material are
+not searched for: given the shipments, the decoder fills the plant-DC arcs
+in route-cost order c_kj + h_j (a greedy flow decode, as in Gen, Altiparmak
+& Lin, OR Spectrum 28, 2006) and buys what each plant's production needs
+from the cheapest suppliers first.  In aggregate mode any DC may ship any
+case and every plan ships the total demand, so the fill runs once per
+instance: each plant on its cheapest route, up to D_k/u.  In strict per-DC
+mode it covers each DC's shipments on the arcs into it, each arc boxed at
+D_k/(u*J); the boxes give every DC its own plant room, so that is the
+cheapest production for the shipments.  The K*J plant-DC genes are read in
+neither mode; they stay so that the chromosome keeps its layout, and the
+benchmark picks its tiny CLI instances by chromosome length.
 
 Offspring are repaired before they are evaluated, and the repair is written
-back into their genes: each retailer is served by its highest-weight DC (in
-strict per-DC mode DCs are filled in weight order up to their room), and in
-strict per-DC mode production into each DC is trimmed or topped up to match
-its shipments along the cheapest routes.  Repaired plans sit on the boundary
-where the optimum lies, so the search no longer has to creep towards it at
-the low mutation rate.  The initial population is left uniform.
+back into their allocation genes: each retailer is served by its
+highest-weight DC (in strict per-DC mode DCs are filled in weight order up
+to their room).  Repaired plans sit on the boundary where the optimum lies,
+so the search no longer has to creep towards it at the low mutation rate.
+The initial population is left uniform.
 
 The engine minimizes the pair (total cost, total constraint violation) as a
 genuine bi-objective tradeoff and reports the cheapest zero-violation plan
@@ -44,10 +41,10 @@ window still fits in the budget, because no plan can improve on it and the
 window would close on the same plan (branch and bound's pruning rule).
 
 A generation does only the work that depends on it.  What depends on the
-instance alone (gene slices, arc boxes, the arcs in route-cost order, the
-suppliers in price order and their running capacity, the aggregate-mode
-production and raw purchase, the lower bound) is built on first use and kept
-with the instance.  The best plan is decoded and priced once, after the
+instance alone (the allocation-gene slice, the arcs in route-cost order and
+their room, the suppliers in price order and their running capacity, the
+aggregate-mode production and raw purchase, the lower bound) is built on
+first use and kept with the instance.  The best plan is decoded and priced once, after the
 run; the final front is returned as population rows.
 Variation draws random numbers only where they are used: spread factors for
 the pairs that cross, and the mutation sites as geometric gaps between
@@ -155,36 +152,71 @@ def _greedy_fill(room: np.ndarray, need: np.ndarray, out=None) -> np.ndarray:
 class _Codec:
     """Per-instance constants of decoding and repair, built once per instance.
 
-    In strict per-DC mode ``arcs`` (J, K) lists the flat plant-DC arc
-    indices k*J + j into each DC, cheapest route c_kj + h_j first, whose
-    production is matched to that DC's shipments.  In aggregate mode every
-    decoded plan ships the total demand, so one ``production`` (K, J) and
-    its ``raw`` purchase (S, K) serve every plan.
+    ``arcs`` (G, M) lists flat plant-DC arc indices k*J + j in groups, each
+    group cheapest route c_kj + h_j first, and ``room`` (G, M) what each arc
+    may carry.  In aggregate mode the one group holds each plant's cheapest
+    route with room D_k/u, and every decoded plan ships the total demand, so
+    one ``production`` (K, J) and its ``raw`` purchase (S, K) serve every
+    plan.  In strict per-DC mode group j holds the arcs into DC j, each with
+    the arc box D_k/(u*J).
     """
 
     def __init__(self, instance: NetworkInstance):
         _, k, j, _ = instance.counts
-        self.plant_dc_genes = slice(0, k * j)
         self.allocation_genes = slice(k * j, None)
         self.gene_demand = np.repeat(instance.demand, j)  # (I*J,) demand of each allocation gene's retailer
         self.utilization = instance.utilization
+        self.strict = instance.strict_per_dc
+        self.shape = (k, j)
         cheapest = np.argsort(instance.raw_unit_cost, kind="stable")
         self.supplier_rank = np.argsort(cheapest)  # position of each supplier in that order
         self.supplied = np.concatenate([[0.0], np.cumsum(instance.supplier_capacity[cheapest])])  # (S+1,)
         route = instance.plant_dc_unit_cost + instance.holding_unit_cost[None, :]  # (K, J)
-        if instance.strict_per_dc:
+        if self.strict:
             box = instance.plant_capacity / (instance.utilization * j)  # arc box D_k/(u*J)
-            self.gene_box = np.repeat(box, j)  # (K*J,) box of each plant-DC gene
-            self.arcs = (np.argsort(route, axis=0, kind="stable") * j + np.arange(j)).T
-            self.arc_box = self.gene_box[self.arcs]
+            plants = np.argsort(route, axis=0, kind="stable").T  # (J, K)
+            self.arcs = plants * j + np.arange(j)[:, None]
+            self.room = box[plants]
             self.dc_room = np.minimum(instance.dc_capacity, box.sum())  # a DC's capacity, and what its arcs supply
         else:
-            room = instance.plant_capacity / instance.utilization
-            self.production = _cheapest_production(route, room, instance.demand.sum())
+            arc = route.argmin(axis=1)  # each plant's cheapest route, the first on a tie
+            plants = np.argsort(route[np.arange(k), arc], kind="stable")
+            self.arcs = (plants * j + arc[plants])[None]
+            self.room = (instance.plant_capacity / instance.utilization)[plants][None]
+            need = np.full((1, 1), instance.demand.sum())
+            self.production = self.fill(need, need[:, 0])[0]
             self.raw = self.raw_fill(self.production.sum(axis=1)[None])[0]
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
+
+    def fill(self, need: np.ndarray, total: np.ndarray) -> np.ndarray:
+        """The cheapest production (n, K, J) whose arrivals cover ``need`` (n, G) per group and ``total`` (n,).
+
+        Each group fills its arcs in order from zero, each up to its room.
+        Rounding can leave the arrivals, added as ``network`` adds them, a
+        few ulps short; a group's target then rises until its arrivals cover
+        its need and, once every group of the row does, the row's arrivals
+        cover ``total``, or until its arcs are full.  So a plan never leans
+        on the production-vs-shipment tolerance.
+        """
+        n = need.shape[0]
+        p = np.zeros((n, *self.shape))
+        target = need
+        while True:
+            take = _greedy_fill(self.room, target)
+            p.reshape(n, -1)[:, self.arcs] = take
+            arrivals = np.einsum("nkj->nj", p)
+            arrived = arrivals.sum(axis=1)
+            gap = need - (arrivals if self.strict else arrived[:, None])  # (n, G), > 0 where short
+            covered = (gap <= 0).all(axis=1)
+            if covered.all() and (arrived >= total).all():
+                return p
+            gap = np.where(covered[:, None] & (need > 0), (total - arrived)[:, None], gap)
+            short = (gap > 0) & (take != self.room).any(axis=-1)
+            if not short.any():
+                return p
+            target = np.where(short, np.maximum(target + gap, np.nextafter(target, np.inf)), target)
 
     def raw_fill(self, production: np.ndarray) -> np.ndarray:
         """Raw flows (n,S,K) covering u x each plant's production (n,K), cheapest supplier first.
@@ -202,32 +234,6 @@ class _Codec:
         return np.diff(covered, axis=1)[:, self.supplier_rank]
 
 
-def _cheapest_production(route: np.ndarray, room: np.ndarray, need: float) -> np.ndarray:
-    """The cheapest production (K, J) that makes ``need`` in all, each plant k making at most room_k.
-
-    Each plant ships on its cheapest route (the first, on a tie), and the
-    plants fill up in order of that route's cost (index order on a tie): the
-    aggregate-mode optimum of production, since any DC may ship any case.
-    Rounding can leave the fill's sum, added as ``network`` adds arrivals,
-    a few ulps short of ``need``; the fill's target then rises until the sum
-    reaches ``need`` or every plant is full, so a plan never leans on the
-    production-vs-shipment tolerance.
-    """
-    k = route.shape[0]
-    arc = route.argmin(axis=1)
-    order = np.argsort(route[np.arange(k), arc], kind="stable")
-    room = room[order]
-    production = np.zeros(route.shape)
-    target = need
-    while True:
-        take = _greedy_fill(room, target)
-        production[order, arc[order]] = take
-        total = np.einsum("nkj->nj", production[None]).sum(axis=1)[0]
-        if total >= need or np.array_equal(take, room):
-            return production
-        target = max(target + (need - total), np.nextafter(target, np.inf))
-
-
 def _codec(instance: NetworkInstance) -> _Codec:
     return instance.derived(_Codec)
 
@@ -237,12 +243,12 @@ def decode_batch(genes: np.ndarray, instance: NetworkInstance):
 
     The last block holds J allocation weights per retailer; shipments are the
     demand split in proportion to the weights (uniform split when all
-    weights are zero).  In aggregate mode production and raw purchase are
-    the instance's cheapest (``_cheapest_production``), one read-only plan
-    broadcast over the rows, and the plant-DC genes are not read.  In strict
-    per-DC mode plant-DC gene g_kj spans [0, D_k/(u*J)], so a plant's total
-    production can reach D_k/u, and raw material is bought for u x each
-    plant's production, cheapest supplier first, up to supplier capacity.
+    weights are zero).  Production is the cheapest that covers the
+    shipments (``_Codec.fill``), and raw material is bought for u x each
+    plant's production, cheapest supplier first, up to supplier capacity; the
+    plant-DC genes are not read.  In aggregate mode that is one read-only
+    plan per instance, broadcast over the rows.  In strict per-DC mode it is
+    filled per row, into each DC its shipments, on arcs boxed at D_k/(u*J).
     """
     s, k, j, i = instance.counts
     n = genes.shape[0]
@@ -258,7 +264,7 @@ def decode_batch(genes: np.ndarray, instance: NetworkInstance):
     t = np.ascontiguousarray((frac * codec.gene_demand).reshape(n, i, j).transpose(0, 2, 1))
     if not instance.strict_per_dc:
         return np.broadcast_to(codec.raw, (n, s, k)), np.broadcast_to(codec.production, (n, k, j)), t
-    p = (genes[:, codec.plant_dc_genes] * codec.gene_box).reshape(n, k, j)
+    p = codec.fill(np.einsum("nji->nj", t), np.einsum("nji->ni", t).sum(axis=1))
     return codec.raw_fill(np.einsum("nkj->nk", p)), p, t
 
 
@@ -322,37 +328,19 @@ def _repair_delivery(w: np.ndarray, instance: NetworkInstance) -> np.ndarray:
     return shares
 
 
-def _match_production(x: np.ndarray, upper: np.ndarray, target: np.ndarray):
-    """Trim or top up arc flows x (n,G,M), cheapest arc first, so each group sums to target (n,G).
-
-    Surplus comes off the costliest arcs first; a shortfall is filled on the
-    cheapest arcs first, each up to its box ``upper`` (G,M).
-    """
-    gap = target - x.sum(axis=-1)
-    x = x + _greedy_fill(upper - x, np.maximum(gap, 0.0))
-    return x - _greedy_fill(x[..., ::-1], np.maximum(-gap, 0.0))[..., ::-1]
-
-
 def repair_batch(genes: np.ndarray, instance: NetworkInstance) -> np.ndarray:
     """Repaired copy of gene rows (n, L) whose decoded plans are tight.
 
     The allocation block is rewritten so that each retailer is served as
-    ``_repair_delivery`` decides.  In strict per-DC mode the plant-DC block
-    is then rewritten so that production into each DC equals its shipments;
-    in aggregate mode decoding does not read that block, and it is left as
-    it is.  Decoding the repaired genes gives the repaired plan.
+    ``_repair_delivery`` decides; decoding covers the shipments with the
+    cheapest production, so the plant-DC block is left as it is.  Decoding
+    the repaired genes gives the repaired plan.
     """
-    _, k, j, i = instance.counts
+    _, _, j, i = instance.counts
     n = genes.shape[0]
     codec = _codec(instance)
     shares = _repair_delivery(genes[:, codec.allocation_genes].reshape(n, i, j), instance)
     repaired = genes.copy()
-    if instance.strict_per_dc:
-        shipped = np.einsum("nij,i->nj", shares, instance.demand)
-        x = np.take(genes[:, codec.plant_dc_genes], codec.arcs, axis=1) * codec.arc_box  # (n,G,M), C order
-        x = _match_production(x, codec.arc_box, shipped)
-        gene_x = np.divide(x, codec.arc_box, out=np.zeros_like(x), where=codec.arc_box > 0)
-        repaired[:, codec.plant_dc_genes][:, codec.arcs] = np.clip(gene_x, 0.0, 1.0)
     # a spill onto a full DC can round a share above 1 (none is below 0); w / wsum reads the same
     repaired[:, codec.allocation_genes] = np.minimum(shares.reshape(n, i * j), 1.0)
     return repaired

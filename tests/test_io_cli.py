@@ -229,13 +229,13 @@ class TestCLI:
         assert trace.read_text().startswith("generation,")
 
     def test_solve_prints_the_lower_bound_and_the_gap_to_it(self, tmp_path, capsys):
-        # criterion-4 instance 5 in strict per-DC mode: bound 29, and seed 0's best costs 40
+        # criterion-4 instance 5 in strict per-DC mode: bound 29, and seed 0's best costs 38.128480
         inst_path = tmp_path / "i.json"
         save_instance(dataclasses.replace(criterion_4_instances(6)[5], strict_per_dc=True), inst_path)
         assert main(["solve", str(inst_path), "--seed", "0", "--generations", "300"]) == EXIT_OK
         out = capsys.readouterr().out.splitlines()
-        assert out[1] == "best feasible cost: 40.000000"
-        assert out[-1] == "lower bound: 29.000000 (best 37.93% above it)"
+        assert out[1] == "best feasible cost: 38.128480"
+        assert out[-1] == "lower bound: 29.000000 (best 31.48% above it)"
 
     def test_solve_that_reaches_the_bound_stops_and_says_so(self, tmp_path, capsys):
         # a single chain has one route, so every plan costs the bound 10 x (2 + 3 + 1 + 4)
@@ -259,15 +259,6 @@ class TestCLI:
         out = capsys.readouterr().out.splitlines()
         assert out[0].endswith("(terminated by stall)") == stops_at_the_bound
         assert out[-1].startswith("lower bound: 39.000000 (") and len(calls) == 1
-
-    def test_solve_a_hair_below_the_bound_prints_no_negative_zero(self, tmp_path, capsys):
-        # criterion-4 instance 0 in strict per-DC mode: bound 17, and seed 2's best prices at 16.999999999999996 by rounding
-        inst = dataclasses.replace(criterion_4_instances(1)[0], strict_per_dc=True)
-        assert solve(inst, SolverConfig(seed=2, max_generations=300)).best_feasible[1].total < 17.0
-        inst_path = tmp_path / "i.json"
-        save_instance(inst, inst_path)
-        assert main(["solve", str(inst_path), "--seed", "2", "--generations", "300"]) == EXIT_OK
-        assert capsys.readouterr().out.splitlines()[-1] == "lower bound: 17.000000 (best 0.00% above it)"
 
     @pytest.mark.parametrize(
         "fraction, text", [(-3.6e-16, "0.00%"), (-0.0, "0.00%"), (-0.0001, "-0.01%"), (0.069, "6.90%")]

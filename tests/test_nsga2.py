@@ -64,28 +64,31 @@ class TestDecode:
         plan = decode(np.array([0.0, 0.0, 0.0, 0.0]), inst)
         assert plan.dc_retailer_flow[:, 0] == pytest.approx([6.0, 6.0])
 
-    def test_plant_gene_spans_capacity_over_utilization(self):
-        # strict per-DC mode: the plant-DC genes are read there, each inside its arc box
+    def test_strict_production_fills_each_dcs_arcs_cheapest_route_first_up_to_their_box(self):
+        # arc boxes D_k/(u*J) = (300, 1000); routes c_kj + h_j are (2, 6) from plant 0 and (3, 4) from plant 1
         inst = NetworkInstance(
             num_suppliers=1,
-            num_plants=1,
-            num_dcs=4,
+            num_plants=2,
+            num_dcs=2,
             num_retailers=1,
-            supplier_capacity=[20000],
-            plant_capacity=[12800],
-            dc_capacity=[4000] * 4,
+            supplier_capacity=[5000],
+            plant_capacity=[1200, 4000],
+            dc_capacity=[4000, 4000],
             demand=[1000],
             raw_unit_cost=[1],
-            holding_unit_cost=[1] * 4,
-            plant_dc_unit_cost=[[1] * 4],
-            dc_retailer_unit_cost=[[1]] * 4,
-            utilization=1.0,
+            holding_unit_cost=[1, 1],
+            plant_dc_unit_cost=[[1, 5], [2, 3]],
+            dc_retailer_unit_cost=[[1], [1]],
+            utilization=2.0,
             strict_per_dc=True,
         )
-        genes = np.zeros(inst.num_genes)
-        genes[0] = 1.0  # first plant-dc gene
-        plan = decode(genes, inst)
-        assert plan.plant_dc_flow[0, 0] == pytest.approx(3200.0)  # 12800 / (1 * 4)
+        # DC 0 ships 700: 300 from plant 0, its box, and 400 from plant 1; DC 1 ships 300, all from plant 1
+        for plant_dc_genes in ([0.0] * 4, [1.0] * 4, [0.3, 0.9, 0.1, 0.6]):
+            plan = decode(np.array(plant_dc_genes + [0.7, 0.3]), inst)
+            assert np.array_equal(plan.dc_retailer_flow, [[700.0], [300.0]])
+            assert np.array_equal(plan.plant_dc_flow, [[300.0, 0.0], [400.0, 300.0]])
+            assert np.array_equal(plan.raw_flow, [[600.0, 1400.0]])  # u x each plant's production
+            assert evaluate_constraints(inst, plan, tolerance=0.0).total_violation == 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -93,11 +96,11 @@ class TestDecode:
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
-    def test_every_gene_is_read(self, seed):
-        # with two or more DCs, positive demand and positive plant capacity, a
-        # change to any single gene changes the decoded plan in strict per-DC
-        # mode; in aggregate mode production is one plan per instance, so the
-        # plant-DC genes are not read and an allocation gene changes the deliveries alone
+    def test_every_allocation_gene_is_read_and_no_plant_dc_gene(self, seed):
+        # with two or more DCs and positive demand, a change to any single
+        # allocation gene changes the deliveries; production is computed from
+        # them, so a change to a plant-DC gene changes nothing in either mode,
+        # and in aggregate mode production is one plan per instance
         rng = np.random.default_rng(seed)
         aggregate = random_instance(rng, j=int(rng.integers(2, 4)))
         _, k, j, i = aggregate.counts
@@ -110,14 +113,13 @@ class TestDecode:
                 changed = genes.copy()
                 changed[g] = 1.0 - changed[g] if abs(changed[g] - 0.5) > 0.01 else 0.9
                 other = decode(changed, inst)
-                if inst.strict_per_dc:
-                    assert other != plan, f"gene {g} is not read"
-                elif g < k * j:
-                    assert other == plan, f"plant-DC gene {g} is read in aggregate mode"
-                else:
+                if g < k * j:
+                    assert other == plan, f"plant-DC gene {g} is read"
+                    continue
+                assert not np.array_equal(other.dc_retailer_flow, plan.dc_retailer_flow), f"gene {g} is not read"
+                if not inst.strict_per_dc:
                     assert np.array_equal(other.raw_flow, plan.raw_flow)
                     assert np.array_equal(other.plant_dc_flow, plan.plant_dc_flow)
-                    assert not np.array_equal(other.dc_retailer_flow, plan.dc_retailer_flow), f"gene {g} is not read"
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
@@ -180,6 +182,46 @@ class TestCheapestProduction:
         else:
             assert lp.status == 0
             assert route @ cheapest_production(inst).ravel() == pytest.approx(lp.fun, rel=1e-9, abs=1e-9)
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=200, deadline=None)
+    def test_strict_production_covers_each_dcs_shipments_whenever_its_boxes_can(self, seed):
+        # exactly, per DC and in total, and at most a few ulps of the total more
+        inst = dataclasses.replace(random_instance(np.random.default_rng(seed)), strict_per_dc=True)
+        _, k, j, _ = inst.counts
+        box = inst.plant_capacity / (inst.utilization * j)
+        # what each DC's arcs carry when full, added as ``network`` adds arrivals
+        reach = np.einsum("nkj->nj", np.ascontiguousarray(np.broadcast_to(box[None, :, None], (1, k, j))))
+        for genes in (np.random.default_rng(seed + 1).random((16, inst.num_genes)), repaired(inst, seed)[1]):
+            r, p, t = decode_batch(genes, inst)
+            shipped = np.einsum("nji->nj", t)  # as ``network`` adds each DC's shipments
+            arrivals = np.einsum("nkj->nj", p)
+            fits = shipped <= reach
+            spare = (arrivals - shipped)[fits]
+            assert np.all(spare >= 0.0) and np.all(spare <= 4 * np.spacing(shipped.sum(axis=1, keepdims=True)))
+            assert np.all(arrivals[shipped == 0.0] == 0.0)
+            assert np.all(p.transpose(0, 2, 1)[~fits] == box)  # a DC that ships more than its arcs hold gets them full
+            for row in np.flatnonzero(fits.all(axis=1)):
+                residuals = evaluate_constraints(inst, FlowPlan(r[row], p[row], t[row]), tolerance=0.0).residuals
+                assert residuals["production_vs_shipment"].min() >= 0.0
+                assert residuals["dc_throughput"].min() >= 0.0
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_strict_route_cost_is_the_per_dc_linear_programs_optimum(self, seed):
+        # min sum (c_kj + h_j) p_kj  s.t.  sum_k p_kj = min(shipments of DC j, what its arcs hold),  0 <= p_kj <= D_k/(u*J)
+        inst = dataclasses.replace(random_instance(np.random.default_rng(seed)), strict_per_dc=True)
+        _, k, j, _ = inst.counts
+        route = (inst.plant_dc_unit_cost + inst.holding_unit_cost[None, :]).ravel()
+        box = inst.plant_capacity / (inst.utilization * j)
+        _, p, t = repaired(inst, seed, rows=8)[2]
+        for row in range(p.shape[0]):
+            carried = np.minimum(t[row].sum(axis=1), box.sum())
+            lp = linprog(
+                route, A_eq=np.kron(np.ones(k), np.eye(j)), b_eq=carried, bounds=[(0.0, b) for b in np.repeat(box, j)], method="highs"
+            )
+            assert lp.status == 0
+            assert route @ p[row].ravel() == pytest.approx(lp.fun, rel=1e-9, abs=1e-9)
 
 
 def repaired_instances(seed):
@@ -269,31 +311,6 @@ class TestRepair:
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
-    def test_surplus_leaves_the_costliest_routes_and_shortfall_fills_the_cheapest(self, seed):
-        for inst in repaired_instances(seed):
-            before, _, (_, p, _) = repaired(inst, seed)
-            _, p0, _ = decode_batch(before, inst)
-            box = inst.plant_capacity / (inst.utilization * inst.num_dcs)
-            upper = np.broadcast_to(box[:, None], p0.shape[1:])
-            route = inst.plant_dc_unit_cost + inst.holding_unit_cost[None, :]
-            # arcs grouped as matched: all arcs together, or the arcs into each DC
-            dc = np.broadcast_to(np.arange(inst.num_dcs)[None, :], route.shape)
-            groups = [dc >= 0] if not inst.strict_per_dc else [dc == jj for jj in range(inst.num_dcs)]
-            for row in range(p.shape[0]):
-                for g in groups:
-                    cost, old, new, cap = route[g], p0[row][g], p[row][g], upper[g]
-                    ranked = np.argsort(cost, kind="stable")
-                    cut = np.flatnonzero(new[ranked] < old[ranked] - 1e-12)
-                    if cut.size:  # every costlier arc than the cheapest one trimmed is emptied
-                        assert np.all(new[ranked][cut.min() + 1 :] <= 1e-12 * max(1.0, cap.max()))
-                    grown = np.flatnonzero(new[ranked] > old[ranked] + 1e-12)
-                    if grown.size:  # every cheaper arc than the costliest one topped up is full
-                        top = grown.max()
-                        assert np.allclose(new[ranked][:top], cap[ranked][:top], rtol=1e-12, atol=0)
-                    assert not (cut.size and grown.size)
-
-    @given(st.integers(0, 10**9))
-    @settings(max_examples=60, deadline=None)
     def test_raw_is_utilization_times_production_from_the_cheapest_suppliers(self, seed):
         for inst in repaired_instances(seed):
             _, _, (r, p, _) = repaired(inst, seed)
@@ -317,14 +334,11 @@ class TestRepair:
         for inst in repaired_instances(seed):
             _, k, j, i = inst.counts
             before, after, (r, p, t) = repaired(inst, seed)
-            # the plant-DC block holds the repaired production, the allocation block the repaired shares
+            # the allocation block holds the repaired shares; the plant-DC block is not read, and not rewritten
             assert after.shape == before.shape
             assert np.all((after >= 0.0) & (after <= 1.0))
-            if inst.strict_per_dc:
-                box = inst.plant_capacity / (inst.utilization * j)
-                assert np.array_equal(p, (after[:, : k * j] * np.repeat(box, j)).reshape(-1, k, j))
-            else:  # the plant-DC block is not read, and not rewritten; production is the instance's
-                assert np.array_equal(after[:, : k * j], before[:, : k * j])
+            assert np.array_equal(after[:, : k * j], before[:, : k * j])
+            if not inst.strict_per_dc:  # production is the instance's
                 assert np.array_equal(p, np.broadcast_to(p[0], p.shape)) and np.array_equal(r, np.broadcast_to(r[0], r.shape))
             shares = after[:, k * j :].reshape(-1, i, j)
             assert np.allclose(shares.sum(axis=2)[:, inst.demand > 0], 1.0, rtol=0, atol=1e-12)
@@ -832,6 +846,15 @@ class TestSolve:
             assert lower_bound(instances[index]) == optimum
             assert brute_force_optimum(instances[index], grid_step=1.0)[1] == boxed
 
+    def test_no_strict_criterion_4_solve_prices_below_the_lower_bound(self):
+        # strict per-DC mode only adds constraints, so the bound holds there too; production
+        # a few ulps short of the shipments once priced instance 0 at 16.999999999999996 < 17
+        for inst in criterion_4_instances(20):
+            inst = dataclasses.replace(inst, strict_per_dc=True)
+            bound = lower_bound(inst)
+            for seed in range(10):
+                assert solve(inst, SolverConfig(seed=seed, max_generations=300)).best_feasible[1].total >= bound
+
     def test_no_stop_at_the_bound_when_the_window_does_not_fit(self, monkeypatch):
         inst = criterion_4_instances(1)[0]
         cfg = SolverConfig(seed=1, max_generations=40, stall_generations=40)
@@ -885,9 +908,10 @@ class TestSolve:
         for name in calls:
             monkeypatch.setattr(nsga2, name, counted(name, getattr(nsga2, name)))
         improved_twice = 0
-        # aggregate-mode runs stop at the bound in generation 1; strict per-DC runs improve on their first plan
+        # criterion-4 runs stop at the bound in generation 1; strict per-DC scenario runs improve on their first plan
         runs = [(inst, seed) for inst in criterion_4_instances(20) for seed in range(2)]
-        runs += [(dataclasses.replace(inst, strict_per_dc=True), seed) for inst, _ in runs[::2] for seed in range(4)]
+        scenarios = ("baseline", "dc_expansion", "network_expansion")
+        runs += [(dataclasses.replace(default_instance(name), strict_per_dc=True), seed) for name in scenarios for seed in range(2)]
         runs.append((single_chain(d=30.0, cap=20.0), 0))  # never feasible
         for inst, seed in runs:
             calls.update(decode=0, evaluate_cost=0)
