@@ -44,8 +44,8 @@ A generation does only the work that depends on it.  What depends on the
 instance alone (the allocation-gene slice, the arcs in route-cost order and
 their room, the suppliers in price order and their running capacity, the
 aggregate-mode production and raw purchase, the lower bound) is built on
-first use and kept with the instance.  The best plan is decoded and priced once, after the
-run; the final front is returned as population rows.
+first use and kept with the instance.  The best plan is decoded and priced
+once, after the run; the final front is returned as population rows.
 Variation draws random numbers only where they are used: spread factors for
 the pairs that cross, and the mutation sites as geometric gaps between
 successive mutated genes, which is an exact per-gene Bernoulli(p_m) draw.  A
@@ -248,7 +248,8 @@ def decode_batch(genes: np.ndarray, instance: NetworkInstance):
     plant's production, cheapest supplier first, up to supplier capacity; the
     plant-DC genes are not read.  In aggregate mode that is one read-only
     plan per instance, broadcast over the rows.  In strict per-DC mode it is
-    filled per row, into each DC its shipments, on arcs boxed at D_k/(u*J).
+    filled per row: each DC's shipments on the arcs into it, each arc boxed
+    at D_k/(u*J).
     """
     s, k, j, i = instance.counts
     n = genes.shape[0]

@@ -209,17 +209,17 @@ class TestCheapestProduction:
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
     def test_strict_route_cost_is_the_per_dc_linear_programs_optimum(self, seed):
-        # min sum (c_kj + h_j) p_kj  s.t.  sum_k p_kj = min(shipments of DC j, what its arcs hold),  0 <= p_kj <= D_k/(u*J)
+        # min sum (c_kj + h_j) p_kj  s.t.  sum_k p_kj = min(shipments of DC j, what its arcs hold),
+        #                                 0 <= p_kj <= D_k/(u*J)
         inst = dataclasses.replace(random_instance(np.random.default_rng(seed)), strict_per_dc=True)
         _, k, j, _ = inst.counts
         route = (inst.plant_dc_unit_cost + inst.holding_unit_cost[None, :]).ravel()
         box = inst.plant_capacity / (inst.utilization * j)
+        bounds = [(0.0, b) for b in np.repeat(box, j)]
         _, p, t = repaired(inst, seed, rows=8)[2]
         for row in range(p.shape[0]):
             carried = np.minimum(t[row].sum(axis=1), box.sum())
-            lp = linprog(
-                route, A_eq=np.kron(np.ones(k), np.eye(j)), b_eq=carried, bounds=[(0.0, b) for b in np.repeat(box, j)], method="highs"
-            )
+            lp = linprog(route, A_eq=np.kron(np.ones(k), np.eye(j)), b_eq=carried, bounds=bounds, method="highs")
             assert lp.status == 0
             assert route @ p[row].ravel() == pytest.approx(lp.fun, rel=1e-9, abs=1e-9)
 
@@ -911,7 +911,7 @@ class TestSolve:
         # criterion-4 runs stop at the bound in generation 1; strict per-DC scenario runs improve on their first plan
         runs = [(inst, seed) for inst in criterion_4_instances(20) for seed in range(2)]
         scenarios = ("baseline", "dc_expansion", "network_expansion")
-        runs += [(dataclasses.replace(default_instance(name), strict_per_dc=True), seed) for name in scenarios for seed in range(2)]
+        runs += [(dataclasses.replace(default_instance(s), strict_per_dc=True), seed) for s in scenarios for seed in range(2)]
         runs.append((single_chain(d=30.0, cap=20.0), 0))  # never feasible
         for inst, seed in runs:
             calls.update(decode=0, evaluate_cost=0)
