@@ -210,7 +210,7 @@ class _Codec:
             arrived = arrivals.sum(axis=1)
             gap = need - (arrivals if self.strict else arrived[:, None])  # (n, G), > 0 where short
             covered = (gap <= 0).all(axis=1)
-            if covered.all() and (arrived >= total).all():
+            if covered.all() and (arrived >= total).all():  # the usual case, tested first as it is cheaper
                 return p
             gap = np.where(covered[:, None] & (need > 0), (total - arrived)[:, None], gap)
             short = (gap > 0) & (take != self.room).any(axis=-1)
