@@ -121,9 +121,9 @@ class NetworkInstance:
 
     @property
     def num_genes(self):
-        """Chromosome length: one gene per plant-DC arc and one allocation weight per DC-retailer pair."""
-        _, k, j, i = self.counts
-        return k * j + j * i
+        """Chromosome length: one allocation weight per DC-retailer pair."""
+        _, _, j, i = self.counts
+        return j * i
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,25 @@
 """From-scratch NSGA-II engine for the production-distribution network.
 
-The genotype is a real vector in [0,1]^L laid out as
-[plant-DC block (K*J) | DC-retailer allocation block (J*I)].  Decoding turns
-the allocation block into per-retailer allocation weights, so every decoded
-plan meets demand exactly by construction.  Production and raw material are
-not searched for: given the shipments, the decoder fills the plant-DC arcs
-in route-cost order c_kj + h_j (a greedy flow decode, as in Gen, Altiparmak
-& Lin, OR Spectrum 28, 2006) and buys what each plant's production needs
-from the cheapest suppliers first.  In aggregate mode any DC may ship any
-case and every plan ships the total demand, so the fill runs once per
-instance: each plant on its cheapest route, up to D_k/u.  In strict per-DC
-mode it covers each DC's shipments on the arcs into it, each arc boxed at
-D_k/(u*J); the boxes give every DC its own plant room, so that is the
-cheapest production for the shipments.  The K*J plant-DC genes are read in
-neither mode; they stay so that the chromosome keeps its layout, and the
-benchmark picks its tiny CLI instances by chromosome length.
+The genotype is a real vector in [0,1]^(J*I): one allocation weight per
+DC-retailer pair, J per retailer.  Decoding turns the weights into each
+retailer's shares, so every decoded plan meets demand exactly by
+construction.  Production and raw material are not searched for: given the
+shipments, the decoder fills the plant-DC arcs in route-cost order
+c_kj + h_j (a greedy flow decode, as in Gen, Altiparmak & Lin, OR Spectrum
+28, 2006) and buys what each plant's production needs from the cheapest
+suppliers first.  In aggregate mode any DC may ship any case and every plan
+ships the total demand, so the fill runs once per instance: each plant on
+its cheapest route, up to D_k/u.  In strict per-DC mode it covers each DC's
+shipments on the arcs into it, each arc boxed at D_k/(u*J); the boxes give
+every DC its own plant room, so that is the cheapest production for the
+shipments.
 
-Offspring are repaired before they are evaluated, and the repair is written
-back into their allocation genes: each retailer is served by its
-highest-weight DC (in strict per-DC mode DCs are filled in weight order up
-to their room).  Repaired plans sit on the boundary where the optimum lies,
-so the search no longer has to creep towards it at the low mutation rate.
-The initial population is left uniform.
+Offspring are repaired before they are evaluated, and the repaired shares
+become their genes: each retailer is served by its highest-weight DC (in
+strict per-DC mode DCs are filled in weight order up to their room).
+Repaired plans sit on the boundary where the optimum lies, so the search no
+longer has to creep towards it at the low mutation rate.  The initial
+population is left uniform.
 
 The engine minimizes the pair (total cost, total constraint violation) as a
 genuine bi-objective tradeoff and reports the cheapest zero-violation plan
@@ -41,17 +39,17 @@ window still fits in the budget, because no plan can improve on it and the
 window would close on the same plan (branch and bound's pruning rule).
 
 A generation does only the work that depends on it.  What depends on the
-instance alone (the allocation-gene slice, the arcs in route-cost order and
-their room, the suppliers in price order and their running capacity, the
-aggregate-mode production and raw purchase, the lower bound) is built on
-first use and kept with the instance.  The best plan is decoded and priced
-once, after the run; the final front is returned as population rows.
-Variation draws random numbers only where they are used: spread factors for
-the pairs that cross, and the mutation sites as geometric gaps between
-successive mutated genes, which is an exact per-gene Bernoulli(p_m) draw.  A
-seed therefore gives a different run than it did when every generation drew
-full blocks of numbers, and again since the initial population is stored in
-survival order and plans are priced once; the distributions are the same.
+instance alone (the arcs in route-cost order and their room, the suppliers
+in price order and their running capacity, the aggregate-mode production and
+raw purchase, the lower bound) is built on first use and kept with the
+instance.  The best plan is decoded and priced once, after the run; the
+final front is returned as population rows.  Variation draws random numbers
+only where they are used: spread factors for the pairs that cross, and the
+mutation sites as geometric gaps between successive mutated genes, which is
+an exact per-gene Bernoulli(p_m) draw.  A seed therefore gives a different
+run than it did when every generation drew full blocks of numbers, and again
+since the initial population is stored in survival order and plans are
+priced once; the distributions are the same.
 """
 
 from __future__ import annotations
@@ -163,8 +161,7 @@ class _Codec:
 
     def __init__(self, instance: NetworkInstance):
         _, k, j, _ = instance.counts
-        self.allocation_genes = slice(k * j, None)
-        self.gene_demand = np.repeat(instance.demand, j)  # (I*J,) demand of each allocation gene's retailer
+        self.gene_demand = np.repeat(instance.demand, j)  # (I*J,) demand of each gene's retailer
         self.utilization = instance.utilization
         self.strict = instance.strict_per_dc
         self.shape = (k, j)
@@ -177,7 +174,9 @@ class _Codec:
             plants = np.argsort(route, axis=0, kind="stable").T  # (J, K)
             self.arcs = plants * j + np.arange(j)[:, None]
             self.room = box[plants]
-            self.dc_room = np.minimum(instance.dc_capacity, box.sum())  # a DC's capacity, and what its arcs supply
+            # a DC's capacity, and what its arcs supply: a few ulps under their box sum, so that the
+            # shipments a repair fits into it, added as ``network`` adds them, stay within its full arcs
+            self.dc_room = np.minimum(instance.dc_capacity, box.sum() * (1.0 - 8.0 * np.finfo(np.float64).eps))
         else:
             arc = route.argmin(axis=1)  # each plant's cheapest route, the first on a tie
             plants = np.argsort(route[np.arange(k), arc], kind="stable")
@@ -239,17 +238,16 @@ def _codec(instance: NetworkInstance) -> _Codec:
 
 
 def decode_batch(genes: np.ndarray, instance: NetworkInstance):
-    """Decode gene rows (n, L) into stacked flows r:(n,S,K), p:(n,K,J), t:(n,J,I).
+    """Decode gene rows (n, I*J) into stacked flows r:(n,S,K), p:(n,K,J), t:(n,J,I).
 
-    The last block holds J allocation weights per retailer; shipments are the
-    demand split in proportion to the weights (uniform split when all
-    weights are zero).  Production is the cheapest that covers the
-    shipments (``_Codec.fill``), and raw material is bought for u x each
-    plant's production, cheapest supplier first, up to supplier capacity; the
-    plant-DC genes are not read.  In aggregate mode that is one read-only
-    plan per instance, broadcast over the rows.  In strict per-DC mode it is
-    filled per row: each DC's shipments on the arcs into it, each arc boxed
-    at D_k/(u*J).
+    A row holds J allocation weights per retailer; shipments are the demand
+    split in proportion to the weights (uniform split when all weights are
+    zero).  Production is the cheapest that covers the shipments
+    (``_Codec.fill``), and raw material is bought for u x each plant's
+    production, cheapest supplier first, up to supplier capacity.  In
+    aggregate mode that is one read-only plan per instance, broadcast over
+    the rows.  In strict per-DC mode it is filled per row: each DC's
+    shipments on the arcs into it, each arc boxed at D_k/(u*J).
     """
     s, k, j, i = instance.counts
     n = genes.shape[0]
@@ -259,9 +257,8 @@ def decode_batch(genes: np.ndarray, instance: NetworkInstance):
         )
     codec = _codec(instance)
     # weight sums repeated per gene: broadcasting them over the short DC axis is slow in numpy
-    w = genes[:, codec.allocation_genes]  # (n, I*J)
-    wsum = np.repeat(np.einsum("nij->ni", w.reshape(n, i, j)), j, axis=1)
-    frac = np.divide(w, wsum, out=np.full(w.shape, 1.0 / j), where=wsum > 0)
+    wsum = np.repeat(np.einsum("nij->ni", genes.reshape(n, i, j)), j, axis=1)
+    frac = np.divide(genes, wsum, out=np.full(genes.shape, 1.0 / j), where=wsum > 0)
     t = np.ascontiguousarray((frac * codec.gene_demand).reshape(n, i, j).transpose(0, 2, 1))
     if not instance.strict_per_dc:
         return np.broadcast_to(codec.raw, (n, s, k)), np.broadcast_to(codec.production, (n, k, j)), t
@@ -330,21 +327,16 @@ def _repair_delivery(w: np.ndarray, instance: NetworkInstance) -> np.ndarray:
 
 
 def repair_batch(genes: np.ndarray, instance: NetworkInstance) -> np.ndarray:
-    """Repaired copy of gene rows (n, L) whose decoded plans are tight.
+    """Repaired gene rows (n, I*J) whose decoded plans are tight.
 
-    The allocation block is rewritten so that each retailer is served as
-    ``_repair_delivery`` decides; decoding covers the shipments with the
-    cheapest production, so the plant-DC block is left as it is.  Decoding
-    the repaired genes gives the repaired plan.
+    The new genes are each retailer's shares per DC as ``_repair_delivery``
+    decides them; decoding covers the shipments with the cheapest
+    production.  Decoding the repaired genes gives the repaired plan.
     """
     _, _, j, i = instance.counts
-    n = genes.shape[0]
-    codec = _codec(instance)
-    shares = _repair_delivery(genes[:, codec.allocation_genes].reshape(n, i, j), instance)
-    repaired = genes.copy()
+    shares = _repair_delivery(genes.reshape(-1, i, j), instance)
     # a spill onto a full DC can round a share above 1 (none is below 0); w / wsum reads the same
-    repaired[:, codec.allocation_genes] = np.minimum(shares.reshape(n, i * j), 1.0)
-    return repaired
+    return np.minimum(shares, 1.0, out=shares).reshape(genes.shape)
 
 
 def decode(chromosome: np.ndarray, instance: NetworkInstance) -> FlowPlan:

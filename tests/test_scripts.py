@@ -34,7 +34,7 @@ def test_oracle_benchmark(capsys):
     header = ["instance", "topology", "optimum", "bound", "median", "gap", "gens", "oracle", "ms"]
     assert out.splitlines()[0].split() == header
     assert [line.split()[5] for line in out.splitlines()[1:3]] == ["1", "1"]  # both reach the bound at once
-    # instance 1's solves price at 38.999999999999986 against an optimum of 39: the gap rounds to zero
+    # both instances' solves price exactly at their optimum, which equals the bound
     assert [line.split()[4] for line in out.splitlines()[1:3]] == ["0.00%", "0.00%"]
     assert "2/2 instance medians within 2%" in out
 
