@@ -185,10 +185,7 @@ def cmd_compare(args) -> int:
 def cmd_oracle(args) -> int:
     instance = _load_instance_or_fail(args.instance)
     try:
-        plan, cost = brute_force_optimum(instance, grid_step=args.grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        plan, cost = brute_force_optimum(instance)
     except SearchSpaceTooLargeError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
@@ -237,11 +234,12 @@ def _shared_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the NSGA-II solver on an instance file")
     p.add_argument("instance")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--generations", type=int, default=200)
-    p.add_argument("--population", type=int, default=50)
-    p.add_argument("--crossover", type=float, default=0.6)
-    p.add_argument("--mutation", type=float, default=0.001)
+    defaults = SolverConfig()
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--generations", type=int, default=defaults.max_generations)
+    p.add_argument("--population", type=int, default=defaults.population_size)
+    p.add_argument("--crossover", type=float, default=defaults.crossover_prob)
+    p.add_argument("--mutation", type=float, default=defaults.mutation_prob)
     p.add_argument("--out", default=None, help="write the result JSON here")
     p.add_argument("--trace", default=None, help="write the per-generation trace CSV here")
     p.set_defaults(func=cmd_solve)
@@ -266,7 +264,6 @@ def _shared_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force optimum of a tiny instance")
     p.add_argument("instance")
-    p.add_argument("--grid", type=float, default=1.0)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("scenario", help="emit a scenario's instance and table fixtures")

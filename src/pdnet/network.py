@@ -244,26 +244,7 @@ class _Layout:
         self.width = int(ends[-1])
         self.scale = np.concatenate([scale for _, scale in families])
         self.storage_slack = instance.dc_capacity.sum() - demand.sum()
-        # unit cost of every flow variable, r (S,K) | p (K,J) | t (J,I) row-major
-        self.cost = np.concatenate(
-            [
-                np.repeat(instance.raw_unit_cost, k),
-                (instance.plant_dc_unit_cost + instance.holding_unit_cost[None, :]).ravel(),
-                instance.dc_retailer_unit_cost.ravel(),
-            ]
-        )
         self.scale.setflags(write=False)
-        self.cost.setflags(write=False)
-
-
-def unit_costs(instance: NetworkInstance) -> np.ndarray:
-    """Unit cost of every flow variable, r (S,K) | p (K,J) | t (J,I) row-major.
-
-    Read-only and kept with the instance.  Brute force prices its lattice
-    points with it; it is an independent reference, so it keeps its own
-    pricing, and the solver and ``evaluate_cost`` do not read this vector.
-    """
-    return instance.derived(_Layout).cost
 
 
 def _c_order(r, p, t):

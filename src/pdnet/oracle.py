@@ -3,8 +3,8 @@
 ``brute_force_optimum`` searches a flow lattice over per-variable boxes, raw
 flow at C_s/K and plant-DC flow at D_k/(u*J), and keeps the cheapest feasible
 point; it is the reference the evolutionary engine is validated against and
-shares no constraint check with it, only the model's unit-cost vector
-(``network.unit_costs``).  It gives the optimum inside those boxes.
+shares no constraint check or pricing with it: it prices a point with its
+own unit cost per flow variable.  It gives the optimum inside those boxes.
 The GA has no raw or production genes; it buys raw material without the raw
 box.  In aggregate mode it has no plant-DC box either: its production fills
 each plant up to D_k/u on the plant's cheapest route, so it beats brute
@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .network import FlowPlan, NetworkInstance, unit_costs
+from .network import FlowPlan, NetworkInstance
 
 MAX_LATTICE_POINTS = 10**8
 _CHUNK = 200_000
@@ -62,6 +62,16 @@ def _variable_boxes(instance: NetworkInstance):
     r_up = (instance.supplier_capacity / k).repeat(k)
     p_up = (instance.plant_capacity / (instance.utilization * j)).repeat(j)
     return np.concatenate([r_up, p_up] + [instance.demand] * j)
+
+
+def _variable_costs(instance: NetworkInstance):
+    """Unit cost per flow variable, in ``_variable_boxes``' order; read-only,
+    as it is kept with the instance."""
+    k = instance.num_plants
+    route = instance.plant_dc_unit_cost + instance.holding_unit_cost[None, :]
+    cost = np.concatenate([instance.raw_unit_cost.repeat(k), route.ravel(), instance.dc_retailer_unit_cost.ravel()])
+    cost.setflags(write=False)
+    return cost
 
 
 # Each check takes a block's points as a (variables, points) array, so that
@@ -112,32 +122,13 @@ class _Rows(NamedTuple):
     side: tuple  # the point's side of the next pairing
 
 
-def _spans(levels):
-    """The chunks of one block's lattice, in index (lexicographic) order, as a
-    (first, stop) level range per variable, each chunk of at most _CHUNK
-    points: the variables after a pivot take all their levels, the pivot a
-    run of them and each variable before it one level."""
-    tail = math.prod(levels[1:])
-    if tail > _CHUNK:
-        for d in range(levels[0]):
-            for spans in _spans(levels[1:]):
-                yield [(d, d + 1)] + spans
-        return
-    run = _CHUNK // tail
-    for a in range(0, levels[0], run):
-        yield [(a, min(a + run, levels[0]))] + [(0, n) for n in levels[1:]]
-
-
 def _block_rows(instance, levels, uppers, grid_step, check):
     """One block's lattice in index order, as _Rows weighted by the breaches
-    of ``check``.  A chunk is built by broadcasting each variable's levels
-    over the others, then scaled to flows and clipped at the box bounds."""
-    m = len(levels)
-    for spans in _spans(levels):
-        x = np.empty([m] + [b - a for a, b in spans])
-        for v, (a, b) in enumerate(spans):
-            x[v] = np.arange(a, b, dtype=np.float64).reshape((-1,) + (1,) * (m - 1 - v))
-        x = x.reshape(m, -1)
+    of ``check``.  A chunk is a run of at most _CHUNK flat indices, unravelled
+    into levels, then scaled to flows and clipped at the box bounds."""
+    total = math.prod(levels)
+    for a in range(0, total, _CHUNK):
+        x = np.array(np.unravel_index(np.arange(a, min(a + _CHUNK, total)), levels), dtype=np.float64)
         if grid_step != 1.0:  # at grid 1 a level is its flow
             x *= grid_step
         np.minimum(x, uppers, out=x)
@@ -194,15 +185,15 @@ def _outer_breach(r, p):
     return breach
 
 
-def _outer_rows(raw, production, unit_cost, survivors_only):
+def _outer_rows(raw, production, unit_cost):
     """The outer (r, p) points, raw and production rows paired r-major, as
-    _Rows in index order within each chunk.  With ``survivors_only`` only the
-    pairs that pass every check on r and p, weighted by cost; otherwise every
-    pair, weighted by the violation of those checks.  Chunks follow the
+    _Rows in index order within each chunk.  Given ``unit_cost``, only the
+    pairs that pass every check on r and p, weighted by cost; without it,
+    every pair, weighted by the violation of those checks.  Chunks follow the
     pairing's sub-blocks, so they need not come in index order."""
     for r, p, breach in _pairs(raw, production, _outer_breach):
         side = p.side[:2]  # production in all and per DC
-        if survivors_only:
+        if unit_cost is not None:
             a, b = (breach <= 0.0).all(axis=0).nonzero()
             if a.size:
                 x = np.concatenate([r.points[a], p.points[b]], axis=1)
@@ -252,7 +243,7 @@ def brute_force_optimum(instance: NetworkInstance, grid_step: float = 1.0):
         raise SearchSpaceTooLargeError(total)
     levels = list(map(int, levels))
     uppers = uppers[:, None]
-    unit = unit_costs(instance)
+    unit = instance.derived(_variable_costs)
     split = s * k + k * j
     raw, production, delivery = (
         partial(_block_rows, instance, levels[lo:hi], uppers[lo:hi], grid_step, check)
@@ -262,7 +253,7 @@ def brute_force_optimum(instance: NetworkInstance, grid_step: float = 1.0):
     storage = max(0.0, instance.demand.sum() - instance.dc_capacity.sum())  # no point meets it if > 0
     best_cost, x_o, x_d = np.inf, None, None
     pairs = _pairs(
-        _outer_rows(raw(), production, unit[:split], survivors_only=True),
+        _outer_rows(raw(), production, unit[:split]),
         lambda: _priced_survivors(delivery(), unit[split:]),
         _shipped_within_produced,
     )
@@ -279,9 +270,7 @@ def brute_force_optimum(instance: NetworkInstance, grid_step: float = 1.0):
             best_cost, x_o, x_d = c, o.points[a_o], d.points[a_d]
 
     if x_o is None:
-        pairs = _pairs(
-            _outer_rows(raw(), production, None, survivors_only=False), delivery, _shipped_within_produced
-        )
+        pairs = _pairs(_outer_rows(raw(), production, None), delivery, _shipped_within_produced)
         min_violation = storage + min(
             float((d.weight.sum(axis=0)[:, None] + o.weight + over).min()) for o, d, over in pairs
         )

@@ -303,12 +303,18 @@ class TestCLI:
         assert main(["solve", str(inst_path), flag, value]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: {field}")
 
-    @pytest.mark.parametrize("grid", ["0", "nan", "inf"])
-    def test_oracle_rejects_a_bad_grid_by_name(self, tmp_path, capsys, grid):
+    def test_solve_without_flags_runs_the_default_config(self, tmp_path, monkeypatch):
+        configs = []
+
+        def recording_solve(instance, config):
+            configs.append(config)
+            return solve(instance, config)
+
+        monkeypatch.setattr(cli, "solve", recording_solve)
         inst_path = tmp_path / "i.json"
         save_instance(single_chain(), inst_path)
-        assert main(["oracle", str(inst_path), "--grid", grid]) == EXIT_INPUT
-        assert capsys.readouterr().err.startswith("error: grid_step")
+        assert main(["solve", str(inst_path)]) == EXIT_OK
+        assert configs == [SolverConfig()]
 
     def test_oracle_tiny(self, tmp_path, capsys):
         inst_path = tmp_path / "i.json"

@@ -17,7 +17,6 @@ from pdnet.network import (
     batch_evaluate,
     evaluate_constraints,
     evaluate_cost,
-    unit_costs,
     validate_instance,
 )
 from pdnet.nsga2 import decode_batch, repair_batch
@@ -114,7 +113,7 @@ class TestEquality:
 
     def test_a_filled_derived_cache_does_not_tell_instances_apart(self):
         inst, fresh = self.instance(), self.instance()
-        unit_costs(inst)
+        evaluate_constraints(inst, random_plan(np.random.default_rng(6), inst))
         assert inst._derived and not fresh._derived
         assert inst == fresh and fresh == inst
 

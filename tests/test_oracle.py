@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdnet import oracle
-from pdnet.network import FLOW_AXES, NetworkInstance, evaluate_constraints, evaluate_cost, unit_costs
+from pdnet.network import FLOW_AXES, NetworkInstance, evaluate_constraints, evaluate_cost
 from pdnet.oracle import (
     NoFeasibleLatticePointError,
     OracleError,
@@ -49,6 +49,13 @@ def reference_violations(instance, x, grid_step):
     return v
 
 
+def reference_prices(instance):
+    """Unit cost of every flow variable, as rows of [r | p | t] price them."""
+    route = instance.plant_dc_unit_cost + instance.holding_unit_cost[None, :]
+    raw = np.repeat(instance.raw_unit_cost, instance.num_plants)
+    return np.concatenate([raw, route.ravel(), instance.dc_retailer_unit_cost.ravel()])
+
+
 def reference_lattice(instance, grid_step):
     """Every lattice point in index (lexicographic) order, as rows of [r | p | t]."""
     uppers = _variable_boxes(instance)
@@ -68,7 +75,7 @@ def reference_brute_force(instance, grid_step):
     feas = np.flatnonzero(viol == 0.0)
     if not feas.size:
         return False, None, None, float(viol.min())
-    costs = x[feas] @ unit_costs(instance)
+    costs = x[feas] @ reference_prices(instance)
     a = int(np.argmin(costs))  # first occurrence: lexicographically smallest
     return True, x[feas[a]], float(costs[a]), 0.0
 
@@ -131,7 +138,7 @@ def assert_matches_reference(inst, grid_step, exact):
     assert cost == pytest.approx(cost_ref, rel=1e-12)
     if not np.array_equal(x, x_ref):
         assert reference_violations(inst, x[None, :], grid_step)[0] == 0.0
-        assert x @ unit_costs(inst) == pytest.approx(cost_ref, rel=1e-12)
+        assert x @ reference_prices(inst) == pytest.approx(cost_ref, rel=1e-12)
 
 
 class TestAgainstTheRowByRowReference:

@@ -14,19 +14,6 @@ def load_script(name):
     return module
 
 
-def test_audit_tables(capsys):
-    load_script("audit_tables").main()
-    out = capsys.readouterr().out
-    assert [line for line in out.splitlines() if line.startswith("==")] == [
-        "== baseline (table1.csv) ==",
-        "== dc_expansion (table2.csv) ==",
-        "== network_expansion (table3.csv) ==",
-    ]
-    for total in ("50493", "58558", "117110"):
-        assert f"grand total: {total} cases" in out
-    assert "13.77% (new basis)" in out and "56.88% (new basis)" in out
-
-
 def test_oracle_benchmark(capsys):
     assert load_script("oracle_benchmark").main(["--instances", "2", "--seeds", "2"]) == 0
     out = capsys.readouterr().out
