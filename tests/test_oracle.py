@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdnet import oracle
-from pdnet.network import FLOW_AXES, NetworkInstance, evaluate_constraints, evaluate_cost
+from pdnet.network import FLOW_AXES, FlowPlan, NetworkInstance, evaluate_constraints, evaluate_cost
 from pdnet.oracle import (
     NoFeasibleLatticePointError,
     OracleError,
     SearchSpaceTooLargeError,
     _variable_boxes,
+    _variable_costs,
     brute_force_optimum,
     lower_bound,
 )
@@ -274,6 +277,42 @@ class TestAgainstTheRowByRowReference:
         got, got_cost = brute_force_optimum(inst, grid_step=1.0)
         assert got_cost == cost
         assert tuple(getattr(got, name).tolist() for name in FLOW_AXES) == plan
+
+
+class TestBlocksAndPrices:
+    @pytest.mark.parametrize("grid_step", [1.0, 0.5])
+    @pytest.mark.parametrize("chunk", [1, 7, oracle._CHUNK])
+    def test_each_block_is_its_own_lattice_in_index_order(self, monkeypatch, chunk, grid_step):
+        # chunks of 1 and 7 flat indices end inside a variable's run of levels
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        checks = (oracle._raw_check, oracle._production_check, oracle._delivery_check)
+        for seed in range(6):
+            inst = small_lattice_instance(np.random.default_rng(seed), grid_step, False, bool(seed % 2), max_points=400)
+            s, k, j, i = inst.counts
+            uppers = _variable_boxes(inst)
+            bounds = (0, s * k, s * k + k * j, uppers.size)
+            for lo, hi, check in zip(bounds, bounds[1:], checks):
+                values = [
+                    [min(n * grid_step, up) for n in range(1 + math.ceil(up / grid_step))] for up in uppers[lo:hi]
+                ]
+                levels = [len(v) for v in values]
+                rows = list(oracle._block_rows(inst, levels, uppers[lo:hi, None], grid_step, check))
+                assert all(0 < r.points.shape[0] <= chunk for r in rows)
+                assert np.concatenate([r.points for r in rows]).tolist() == list(map(list, itertools.product(*values)))
+
+    def test_variable_costs_price_a_plan_as_evaluate_cost_does(self):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            inst = small_lattice_instance(rng, 1.0, False, bool(seed % 2))
+            s, k, j, i = inst.counts
+            x = rng.uniform(0.0, 1.0, _variable_boxes(inst).size) * _variable_boxes(inst)
+            r, p, t = np.split(x, [s * k, s * k + k * j])
+            plan = FlowPlan(r.reshape(s, k), p.reshape(k, j), t.reshape(j, i))
+            cost = inst.derived(_variable_costs)
+            assert cost.shape == x.shape and not cost.flags.writeable
+            assert cost is inst.derived(_variable_costs)
+            assert x @ cost == pytest.approx(evaluate_cost(inst, plan).total, rel=1e-12)
+            np.testing.assert_array_equal(cost, reference_prices(inst))
 
 
 class TestBruteForce:
