@@ -33,10 +33,11 @@ collapsing feasible comparisons to cost alone starves the population of
 diversity under the low mutation rate and stalls far from the optimum.
 
 A run ends at max_generations or on a stall: the best price gained too
-little over the last stall_generations generations.  A run whose best price
-reaches ``oracle.lower_bound`` ends as a stall at once, when the stall
-window still fits in the budget, because no plan can improve on it and the
-window would close on the same plan (branch and bound's pruning rule).
+little over the last stall_generations generations.  A run whose best price,
+the initial population's included, reaches ``oracle.lower_bound`` ends as a
+stall at once, when the stall window still fits in the budget, because no
+plan can improve on it and the window would close on the same plan (branch
+and bound's pruning rule).
 
 A generation does only the work that depends on it.  What depends on the
 instance alone (the arcs in route-cost order and their room, the suppliers
@@ -134,7 +135,7 @@ class SolveResult:
     final_front: Population  # the rank-0 rows of the last population, in survival order
     trace: list  # GenerationRecord per generation
     generations_run: int
-    terminated_by: str  # "max-generations" | "stall": the window closed or the best price reached lower_bound
+    terminated_by: str  # "max-generations" | "stall": window closed or best price at lower_bound, generation 0 included
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +189,7 @@ class _Codec:
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
+        self.tiles = {}  # aggregate mode: row count n -> raw (n,S,K) and production (n,K,J), repeated
 
     def fill(self, need: np.ndarray, total: np.ndarray) -> np.ndarray:
         """The cheapest production (n, K, J) whose arrivals cover ``need`` (n, G) per group and ``total`` (n,).
@@ -245,11 +247,11 @@ def decode_batch(genes: np.ndarray, instance: NetworkInstance):
     zero).  Production is the cheapest that covers the shipments
     (``_Codec.fill``), and raw material is bought for u x each plant's
     production, cheapest supplier first, up to supplier capacity.  In
-    aggregate mode that is one read-only plan per instance, broadcast over
+    aggregate mode that is one read-only plan per instance, repeated over
     the rows.  In strict per-DC mode it is filled per row: each DC's
     shipments on the arcs into it, each arc boxed at D_k/(u*J).
     """
-    s, k, j, i = instance.counts
+    _, _, j, i = instance.counts
     n = genes.shape[0]
     if genes.shape[1] != instance.num_genes:
         raise DimensionMismatchError(
@@ -261,7 +263,11 @@ def decode_batch(genes: np.ndarray, instance: NetworkInstance):
     frac = np.divide(genes, wsum, out=np.full(genes.shape, 1.0 / j), where=wsum > 0)
     t = np.ascontiguousarray((frac * codec.gene_demand).reshape(n, i, j).transpose(0, 2, 1))
     if not instance.strict_per_dc:
-        return np.broadcast_to(codec.raw, (n, s, k)), np.broadcast_to(codec.production, (n, k, j)), t
+        if n not in codec.tiles:  # one read-only C-ordered copy per row count: evaluation copies nothing
+            codec.tiles[n] = [np.repeat(a[None], n, axis=0) for a in (codec.raw, codec.production)]
+            for a in codec.tiles[n]:
+                a.setflags(write=False)
+        return (*codec.tiles[n], t)
     p = codec.fill(np.einsum("nji->nj", t), np.einsum("nji->ni", t).sum(axis=1))
     return codec.raw_fill(np.einsum("nkj->nk", p)), p, t
 
@@ -387,13 +393,16 @@ def _make_offspring(parent_genes: np.ndarray, config: SolverConfig, rng) -> np.n
     children = parent_genes.copy()
     fire = np.flatnonzero(rng.random(n // 2) < config.crossover_prob)
     if fire.size:
-        u = rng.random((fire.size, length))
-        exp = 1.0 / (SBX_ETA + 1.0)
-        beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** exp
-        a = parent_genes[2 * fire]
-        b = parent_genes[2 * fire + 1]
-        children[2 * fire] = np.clip(0.5 * ((1.0 + beta) * a + (1.0 - beta) * b), 0.0, 1.0)
-        children[2 * fire + 1] = np.clip(0.5 * ((1.0 - beta) * a + (1.0 + beta) * b), 0.0, 1.0)
+        beta = rng.random((fire.size, length))  # u, made in place into (2u or 1 / (2(1 - u))) ** (1 / (eta + 1))
+        upper = beta > 0.5
+        np.subtract(1.0, beta, out=beta, where=upper)
+        np.multiply(beta, 2.0, out=beta)
+        np.divide(1.0, beta, out=beta, where=upper)
+        np.power(beta, 1.0 / (SBX_ETA + 1.0), out=beta)
+        pairs = parent_genes.reshape(-1, 2, length)[fire]  # (fired pairs, 2, L): parents a, b
+        weight = np.stack((1.0 + beta, 1.0 - beta), axis=1)  # child 0 is (1+beta) a + (1-beta) b, child 1 the mirror
+        mixed = 0.5 * (weight * pairs[:, :1] + weight[:, ::-1] * pairs[:, 1:])
+        children.reshape(-1, 2, length)[fire] = np.clip(mixed, 0.0, 1.0, out=mixed)
     sites = _mutation_sites(n * length, config.mutation_prob, rng)
     if sites.size:
         um = rng.random(sites.size)
@@ -435,30 +444,28 @@ def _front_ranks(cost: np.ndarray, violation: np.ndarray) -> np.ndarray:
     return out
 
 
-def _crowding(ranks: np.ndarray, objectives: np.ndarray) -> np.ndarray:
+def _crowding(ranks: np.ndarray, objectives) -> np.ndarray:
     """Deb-style crowding of every point within its front, all fronts in one pass per objective.
 
-    Per objective, the points are sorted by (front, value, index); each
-    front's first and last points get +inf and its interior points add the
-    gap between their neighbours over the front's span.
+    ``objectives`` holds M columns (n,), one per objective.  Per objective, the
+    points are sorted by (front, value, index); each front's first and last
+    points get +inf and its interior points add the gap between their
+    neighbours over the front's span.
     """
     n = ranks.size
     dist = np.zeros(n)
-    if n == 0:
-        return dist
-    index = np.arange(n)
-    for col in objectives.T:
-        order = np.lexsort((index, col, ranks))
-        front, value = ranks[order], col[order]
-        edge = np.flatnonzero(front[1:] != front[:-1])
-        first = np.concatenate(([0], edge + 1))
-        last = np.concatenate((edge, [n - 1]))
-        span = (value[last] - value[first])[front]  # fronts are numbered 0, 1, ... in sorted order
+    size = np.bincount(ranks)  # fronts are numbered 0, 1, ..., and the sorts put them in that order
+    last = np.cumsum(size) - 1
+    first = last - (size - 1)
+    ends = np.concatenate((first, last))
+    for col in objectives:
+        order = np.lexsort((col, ranks))  # stable, so ties stay in index order
+        value = col[order]
+        span = np.repeat(value[last] - value[first], size)
         gap = np.zeros(n)
-        gap[1:-1] = value[2:] - value[:-2]
-        dist[order] += np.where(span > 0, gap / np.where(span > 0, span, 1.0), 0.0)
-        dist[order[first]] = np.inf
-        dist[order[last]] = np.inf
+        np.subtract(value[2:], value[:-2], out=gap[1:-1])
+        dist[order] += np.divide(gap, span, out=np.zeros(n), where=span > 0)
+        dist[order[ends]] = np.inf
     return dist
 
 
@@ -469,8 +476,8 @@ def _rank_and_crowd(cost: np.ndarray, violation: np.ndarray):
     truncating it at N implements elitist survival.
     """
     ranks = _front_ranks(cost, violation)
-    crowd = _crowding(ranks, np.stack([cost, violation], axis=1))
-    order = np.lexsort((np.arange(ranks.size), -crowd, ranks))
+    crowd = _crowding(ranks, (cost, violation))
+    order = np.lexsort((-crowd, ranks))  # stable, so ties stay in index order
     return ranks, crowd, order
 
 
@@ -482,7 +489,7 @@ def select_next_generation(parents: Population, offspring: Population, config: S
     """
     if len(parents) != config.population_size or len(offspring) != config.population_size:
         raise ValueError("parents and offspring must each have population_size members")
-    genes = np.vstack([parents.genes, offspring.genes])
+    genes = np.concatenate([parents.genes, offspring.genes])
     cost = np.concatenate([parents.cost, offspring.cost])
     violation = np.concatenate([parents.violation, offspring.violation])
     ranks, _, order = _rank_and_crowd(cost, violation)
@@ -496,7 +503,8 @@ def _tournament_indices(n, rng, n_select):
     The order is (rank asc, crowding desc, index asc), so comparing two
     indices decides what rank, then crowding, then index would.
     """
-    return rng.integers(0, n, size=(n_select, 2)).min(axis=1)
+    drawn = rng.integers(0, n, size=(n_select, 2))
+    return np.minimum(drawn[:, 0], drawn[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +527,8 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
     The run also ends as a stall at the first generation ``gen`` whose best
     price is at or below ``oracle.lower_bound`` while ``gen +
     stall_generations <= max_generations``: no feasible plan costs less, so
-    the window would close by then on the same plan.  The bound is computed
+    the window would close by then on the same plan; at generation 0, the
+    initial population, it leaves an empty trace.  The bound is computed
     only when the window is shorter than the budget, and once per instance.
     """
     rng = np.random.default_rng(config.seed)
@@ -532,7 +541,17 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
     w = config.stall_generations
     bound = instance.derived(lower_bound) if w < config.max_generations else -np.inf
 
-    for gen in range(1, config.max_generations + 1):
+    for gen in range(config.max_generations + 1):  # gen generations are done: test the stops, then run the next
+        if best_cost <= bound and gen + w <= config.max_generations:
+            terminated_by = "stall"
+            break
+        old = trace[-1 - w].best_feasible_cost if gen > w else None
+        if old is not None and (old - best_cost) < STALL_TOLERANCE * max(1.0, abs(old)):
+            terminated_by = "stall"
+            break
+        if gen == config.max_generations:
+            break
+
         mating = _tournament_indices(n, rng, n)
 
         child_genes = repair_batch(_make_offspring(pop.genes[mating], config, rng), instance)
@@ -548,21 +567,13 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
         feasible_count = int(np.count_nonzero(pop.violation == 0.0))
         trace.append(
             GenerationRecord(
-                generation=gen,
+                generation=gen + 1,
                 best_feasible_cost=None if best_genes is None else best_cost,
                 mean_cost=float(pop.cost.mean()),
                 min_violation=float(pop.violation.min()),
                 feasible_count=feasible_count,
             )
         )
-
-        if best_cost <= bound and gen + w <= config.max_generations:
-            terminated_by = "stall"
-            break
-        old = trace[-1 - w].best_feasible_cost if gen > w else None
-        if old is not None and (old - best_cost) < STALL_TOLERANCE * max(1.0, abs(old)):
-            terminated_by = "stall"
-            break
 
     best_feasible = None  # (FlowPlan, CostBreakdown); a row's price ignores its batch, so the total is best_cost
     if best_genes is not None:

@@ -104,7 +104,7 @@ class Agreement(NamedTuple):
     bound: float  # oracle.lower_bound
     median_gap: float  # median over seeds of (cost - optimum) / optimum, inf for a run with no feasible plan
     below_bound: bool  # some feasible cost fell more than 1e-9 below the bound
-    generations: float  # median over seeds of generations_run
+    generations: tuple  # generations_run of each seed's solve
     oracle_s: float  # wall time of brute_force_optimum on this instance
 
 
@@ -132,7 +132,7 @@ def oracle_agreement(master_seed, instances, seeds, generations):
         costs = np.array(costs)
         median_gap = float(np.median((costs - optimum) / optimum))
         below = bool(np.any(costs < bound - 1e-9))
-        rows.append(Agreement(instance, optimum, bound, median_gap, below, float(np.median(runs)), oracle_s))
+        rows.append(Agreement(instance, optimum, bound, median_gap, below, tuple(runs), oracle_s))
     return rows
 
 

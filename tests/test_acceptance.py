@@ -171,7 +171,7 @@ def test_criterion_6_nsga2_unit_properties(capsys):
 
     elitism_ok = True
     for seed in range(5):
-        # the whole 60 generations: a run that stopped at the bound would leave a 1-row trace
+        # the whole 60 generations: a run that stopped at the bound would leave an empty trace
         result = solve(single_chain(), SolverConfig(seed=seed, max_generations=60, stall_generations=60))
         best = [r.best_feasible_cost for r in result.trace if r.best_feasible_cost is not None]
         if any(b2 > b1 for b1, b2 in zip(best, best[1:])):

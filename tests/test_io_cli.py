@@ -243,7 +243,7 @@ class TestCLI:
         save_instance(single_chain(), inst_path)
         assert main(["solve", str(inst_path), "--seed", "7", "--generations", "60"]) == EXIT_OK
         out = capsys.readouterr().out.splitlines()
-        assert out[0] == "generations run: 1 (terminated by stall)"
+        assert out[0] == "generations run: 0 (terminated by stall)"
         assert out[-1] == "lower bound: 100.000000 (best 0.00% above it)"
 
     @pytest.mark.parametrize("generations, stops_at_the_bound", [(300, True), (3, False)])
@@ -282,6 +282,22 @@ class TestCLI:
                   "--out", str(out), "--trace", str(trace)])
             blobs.append((out.read_bytes(), trace.read_bytes()))
         assert blobs[0] == blobs[1]
+
+    def test_solve_stopped_in_generation_0_writes_an_empty_trace_byte_for_byte(self, tmp_path):
+        # criterion-4 instance 0's initial population at seed 0 already holds a plan at the bound
+        inst_path = tmp_path / "i.json"
+        save_instance(criterion_4_instances(1)[0], inst_path)
+        blobs = []
+        for run in ("a", "b"):
+            out, trace = tmp_path / f"r{run}.json", tmp_path / f"t{run}.csv"
+            assert main(["solve", str(inst_path), "--seed", "0", "--generations", "300",
+                         "--out", str(out), "--trace", str(trace)]) == EXIT_OK
+            blobs.append((out.read_bytes(), trace.read_bytes()))
+        assert blobs[0] == blobs[1]
+        result = json.loads(blobs[0][0])
+        assert (result["generations_run"], result["terminated_by"]) == (0, "stall")
+        assert result["best_feasible"] is not None
+        assert blobs[0][1] == b"generation,best_feasible_cost,mean_cost,min_violation,feasible_count\n"
 
     def test_solve_infeasible_exits_one(self, tmp_path):
         inst_path = tmp_path / "i.json"

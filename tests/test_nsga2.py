@@ -559,7 +559,7 @@ def fronts_of(objs):
 def front_crowding(objs):
     """``_crowding`` of points that all lie on one front."""
     objs = np.asarray(objs, dtype=float)
-    return _crowding(np.zeros(objs.shape[0], dtype=np.int64), objs)
+    return _crowding(np.zeros(objs.shape[0], dtype=np.int64), objs.T)
 
 
 class TestSorting:
@@ -598,6 +598,9 @@ class TestCrowding:
         d = front_crowding([(1, 3), (2, 2), (3, 1)])
         assert np.isinf(d[0]) and np.isinf(d[2])
         assert d[1] == pytest.approx(2.0)
+
+    def test_no_points(self):
+        assert front_crowding(np.zeros((0, 2))).shape == (0,)
 
     def test_identical_points(self):
         d = front_crowding([(1, 1)] * 5)
@@ -688,7 +691,41 @@ def matrix_rank_and_crowd(cost, violation):
     return ranks, crowd, order
 
 
+def keyed_rank_and_crowd(cost, violation):
+    """Reference ranking that breaks every tie by an explicit index key and finds each front's
+    first and last sorted places from where the front changes, per objective."""
+    ranks = _front_ranks(cost, violation)
+    n = ranks.size
+    index = np.arange(n)
+    crowd = np.zeros(n)
+    for col in (cost, violation):
+        order = np.lexsort((index, col, ranks))
+        front, value = ranks[order], col[order]
+        edge = np.flatnonzero(front[1:] != front[:-1])
+        first = np.concatenate(([0], edge + 1))
+        last = np.concatenate((edge, [n - 1]))
+        span = (value[last] - value[first])[front]
+        gap = np.zeros(n)
+        gap[1:-1] = value[2:] - value[:-2]
+        crowd[order] += np.where(span > 0, gap / np.where(span > 0, span, 1.0), 0.0)
+        crowd[order[first]] = np.inf
+        crowd[order[last]] = np.inf
+    return ranks, crowd, np.lexsort((index, -crowd, ranks))
+
+
 class TestRankAndCrowd:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=200, deadline=None)
+    def test_survivor_order_matches_explicit_index_keys_on_duplicates_and_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 101))
+        # a few distinct points, each repeated, on a coarse grid: duplicates, equal crowding and equal values
+        distinct = rng.integers(0, int(rng.integers(1, 6)), size=(int(rng.integers(1, 9)), 2)).astype(float)
+        distinct[rng.random(len(distinct)) < 0.5, 1] = 0.0
+        cost, violation = distinct[rng.integers(0, len(distinct), n)].T
+        for got, want in zip(_rank_and_crowd(cost, violation), keyed_rank_and_crowd(cost, violation)):
+            assert np.array_equal(got, want)
+
     @given(st.integers(0, 10**9))
     @settings(max_examples=200, deadline=None)
     def test_matches_the_matrix_reference_on_tie_heavy_cases(self, seed):
@@ -795,7 +832,7 @@ class TestSolve:
         assert a.generations_run == b.generations_run
 
     def test_trace_best_cost_non_increasing(self):
-        # a window as long as the budget keeps the run from stopping at the bound in generation 1
+        # a window as long as the budget keeps the run from stopping at the bound at once
         res = solve(single_chain(), SolverConfig(seed=11, max_generations=60, stall_generations=60))
         best = [r.best_feasible_cost for r in res.trace if r.best_feasible_cost is not None]
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
@@ -833,11 +870,14 @@ class TestSolve:
         if index == 5:
             inst = dataclasses.replace(inst, strict_per_dc=True)
         bound = lower_bound(inst)
-        stopped = [solve(inst, SolverConfig(seed=seed, max_generations=300)) for seed in range(3)]
+        configs = [SolverConfig(seed=seed, max_generations=300) for seed in range(3)]
+        stopped = [solve(inst, cfg) for cfg in configs]
         monkeypatch.setattr(nsga2, "lower_bound", lambda instance: -np.inf)
-        full = [solve(inst, SolverConfig(seed=seed, max_generations=300)) for seed in range(3)]
-        for a, b in zip(stopped, full):
-            traced = [(r.generation, r.best_feasible_cost) for r in b.trace if r.best_feasible_cost is not None]
+        full = [solve(inst, cfg) for cfg in configs]
+        for a, b, cfg in zip(stopped, full, configs):
+            initial = init_population(inst, cfg, np.random.default_rng(cfg.seed))  # generation 0
+            traced = [(0, c) for c in initial.cost[initial.violation == 0.0]]
+            traced += [(r.generation, r.best_feasible_cost) for r in b.trace if r.best_feasible_cost is not None]
             at_bound = [g for g, best in traced if best <= bound]
             if index == 5:
                 assert not at_bound  # the optimum stays above the bound: no early stop
@@ -847,14 +887,38 @@ class TestSolve:
             assert a.terminated_by == b.terminated_by == "stall"
         assert any(a.generations_run < b.generations_run for a, b in zip(stopped, full)) == (index != 5)
 
-    def test_criterion_4_solves_reach_the_optimum_and_stop_in_generation_one(self):
-        # every criterion-4 optimum is its lower bound; brute force's arc box keeps it from three of them
+    def test_a_solve_at_the_bound_in_generation_0_returns_its_initial_populations_best(self):
+        # criterion-4 instance 0's initial population at seed 0 already holds a plan at the bound
+        inst = criterion_4_instances(1)[0]
+        cfg = SolverConfig(seed=0, max_generations=300)
+        res = solve(inst, cfg)
+        assert (res.generations_run, res.terminated_by, res.trace) == (0, "stall", [])
+        plan, breakdown = res.best_feasible
+        assert evaluate_constraints(inst, plan).total_violation == 0.0
+        assert breakdown.total == lower_bound(inst)
+        initial = init_population(inst, cfg, np.random.default_rng(cfg.seed))
+        front = initial.rank == 0
+        for name in ("genes", "cost", "violation", "rank"):
+            assert np.array_equal(getattr(res.final_front, name), getattr(initial, name)[front])
+
+    def test_criterion_4_solves_reach_the_optimum_and_stop_in_generation_zero_or_one(self):
+        # every criterion-4 optimum is its lower bound; brute force's arc box keeps it from three of them.
+        # A solve stops in generation 0 exactly when its initial population already holds a plan at the bound.
         instances = criterion_4_instances(20)
-        for inst in instances:
+        stops = {0: set(), 1: set()}  # generations run -> (instance, seed) pairs
+        for index, inst in enumerate(instances):
+            bound = lower_bound(inst)
             for seed in range(10):
-                res = solve(inst, SolverConfig(seed=seed, max_generations=300))
-                assert res.best_feasible[1].total == lower_bound(inst)
-                assert (res.terminated_by, res.generations_run) == ("stall", 1)
+                cfg = SolverConfig(seed=seed, max_generations=300)
+                res = solve(inst, cfg)
+                initial = init_population(inst, cfg, np.random.default_rng(seed))
+                feasible = initial.cost[initial.violation == 0.0]
+                at_once = feasible.size > 0 and feasible.min() <= bound
+                assert res.best_feasible[1].total == bound
+                assert (res.terminated_by, res.generations_run) == ("stall", 0 if at_once else 1)
+                stops[res.generations_run].add((index, seed))
+        assert (len(stops[0]), len(stops[1])) == (140, 60)
+        assert len({index for index, _ in stops[0]}) == 14
         for index, optimum, boxed in ((5, 29.0, 31.0), (12, 39.0, 40.0), (17, 58.0, 62.0)):
             assert lower_bound(instances[index]) == optimum
             assert brute_force_optimum(instances[index], grid_step=1.0)[1] == boxed
@@ -921,7 +985,7 @@ class TestSolve:
         for name in calls:
             monkeypatch.setattr(nsga2, name, counted(name, getattr(nsga2, name)))
         improved_twice = 0
-        # criterion-4 runs stop at the bound in generation 1; strict per-DC scenario runs improve on their first plan
+        # criterion-4 runs stop at the bound in generation 0 or 1; strict per-DC scenario runs improve on their first plan
         runs = [(inst, seed) for inst in criterion_4_instances(20) for seed in range(2)]
         scenarios = ("baseline", "dc_expansion", "network_expansion")
         runs += [(dataclasses.replace(default_instance(s), strict_per_dc=True), seed) for s in scenarios for seed in range(3)]
