@@ -7,9 +7,9 @@ the solver's best feasible cost and the exact lattice optimum over a set of
 seeds, together with the lower-bound sanity check, the median number of
 generations the solves ran and the time the oracle took on the instance.  A
 solve whose best plan reaches the lower bound stops there, so instances whose
-optimum equals the bound show 0 generations (the initial population already
-holds such a plan) or 1.  The summary adds the generations all solves ran and
-how many of them stopped at generation 0.  The instances
+optimum equals the bound show 0 generations: the initial population already
+holds such a plan.  The summary adds the generations all solves ran and how
+many of them stopped at generation 0.  The instances
 and the loop are criterion 4's own (``oracle_agreement`` in
 ``tests/conftest.py``); run it directly to study how the gap responds to the
 generation budget.

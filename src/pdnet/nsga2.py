@@ -14,12 +14,13 @@ shipments on the arcs into it, each arc boxed at D_k/(u*J); the boxes give
 every DC its own plant room, so that is the cheapest production for the
 shipments.
 
-Offspring are repaired before they are evaluated, and the repaired shares
-become their genes: each retailer is served by its highest-weight DC (in
-strict per-DC mode DCs are filled in weight order up to their room).
-Repaired plans sit on the boundary where the optimum lies, so the search no
-longer has to creep towards it at the low mutation rate.  The initial
-population is left uniform.
+Decoding serves each retailer whole from its highest-weight DC; in strict
+per-DC mode, where that would overflow a DC, retailers fill DCs in weight
+order up to each one's room.  This is the greedy key-to-flow decoding of Gen,
+Altiparmak & Lin applied to the allocation weights.  Decoded plans sit on the
+boundary where the optimum lies, and the genes stay continuous and are never
+rewritten, so crossover and mutation can move a retailer to another DC by
+changing which of its weights is highest.
 
 The engine minimizes the pair (total cost, total constraint violation) as a
 genuine bi-objective tradeoff and reports the cheapest zero-violation plan
@@ -47,10 +48,7 @@ instance.  The best plan is decoded and priced once, after the run; the
 final front is returned as population rows.  Variation draws random numbers
 only where they are used: spread factors for the pairs that cross, and the
 mutation sites as geometric gaps between successive mutated genes, which is
-an exact per-gene Bernoulli(p_m) draw.  A seed therefore gives a different
-run than it did when every generation drew full blocks of numbers, and again
-since the initial population is stored in survival order and plans are
-priced once; the distributions are the same.
+an exact per-gene Bernoulli(p_m) draw.
 """
 
 from __future__ import annotations
@@ -149,7 +147,7 @@ def _greedy_fill(room: np.ndarray, need: np.ndarray, out=None) -> np.ndarray:
 
 
 class _Codec:
-    """Per-instance constants of decoding and repair, built once per instance.
+    """Per-instance constants of decoding, built once per instance.
 
     ``arcs`` (G, M) lists flat plant-DC arc indices k*J + j in groups, each
     group cheapest route c_kj + h_j first, and ``room`` (G, M) what each arc
@@ -176,7 +174,7 @@ class _Codec:
             self.arcs = plants * j + np.arange(j)[:, None]
             self.room = box[plants]
             # a DC's capacity, and what its arcs supply: a few ulps under their box sum, so that the
-            # shipments a repair fits into it, added as ``network`` adds them, stay within its full arcs
+            # shipments decoding fits into it, added as ``network`` adds them, stay within its full arcs
             self.dc_room = np.minimum(instance.dc_capacity, box.sum() * (1.0 - 8.0 * np.finfo(np.float64).eps))
         else:
             arc = route.argmin(axis=1)  # each plant's cheapest route, the first on a tie
@@ -242,12 +240,13 @@ def _codec(instance: NetworkInstance) -> _Codec:
 def decode_batch(genes: np.ndarray, instance: NetworkInstance):
     """Decode gene rows (n, I*J) into stacked flows r:(n,S,K), p:(n,K,J), t:(n,J,I).
 
-    A row holds J allocation weights per retailer; shipments are the demand
-    split in proportion to the weights (uniform split when all weights are
-    zero).  Production is the cheapest that covers the shipments
-    (``_Codec.fill``), and raw material is bought for u x each plant's
-    production, cheapest supplier first, up to supplier capacity.  In
-    aggregate mode that is one read-only plan per instance, repeated over
+    A row holds J allocation weights per retailer; the shipments are each
+    retailer's demand times its shares per DC as ``_delivery_shares`` gives
+    them, so each retailer goes whole to its highest-weight DC unless a
+    strict-mode DC overflows.  Production is the cheapest that covers the
+    shipments (``_Codec.fill``), and raw material is bought for u x each
+    plant's production, cheapest supplier first, up to supplier capacity.
+    In aggregate mode that is one read-only plan per instance, repeated over
     the rows.  In strict per-DC mode it is filled per row: each DC's
     shipments on the arcs into it, each arc boxed at D_k/(u*J).
     """
@@ -258,10 +257,9 @@ def decode_batch(genes: np.ndarray, instance: NetworkInstance):
             f"chromosome length {genes.shape[1]}, expected {instance.num_genes}"
         )
     codec = _codec(instance)
-    # weight sums repeated per gene: broadcasting them over the short DC axis is slow in numpy
-    wsum = np.repeat(np.einsum("nij->ni", genes.reshape(n, i, j)), j, axis=1)
-    frac = np.divide(genes, wsum, out=np.full(genes.shape, 1.0 / j), where=wsum > 0)
-    t = np.ascontiguousarray((frac * codec.gene_demand).reshape(n, i, j).transpose(0, 2, 1))
+    shares = _delivery_shares(genes.reshape(n, i, j), instance).reshape(n, -1)
+    np.minimum(shares, 1.0, out=shares)  # a spill onto a full DC can round a share above 1 (none is below 0)
+    t = np.ascontiguousarray((shares * codec.gene_demand).reshape(n, i, j).transpose(0, 2, 1))
     if not instance.strict_per_dc:
         if n not in codec.tiles:  # one read-only C-ordered copy per row count: evaluation copies nothing
             codec.tiles[n] = [np.repeat(a[None], n, axis=0) for a in (codec.raw, codec.production)]
@@ -272,7 +270,7 @@ def decode_batch(genes: np.ndarray, instance: NetworkInstance):
     return codec.raw_fill(np.einsum("nkj->nk", p)), p, t
 
 
-def _repair_delivery(w: np.ndarray, instance: NetworkInstance) -> np.ndarray:
+def _delivery_shares(w: np.ndarray, instance: NetworkInstance) -> np.ndarray:
     """Shares (n,I,J) of each retailer's demand per DC, from allocation weights w (n,I,J).
 
     Each retailer goes to its highest-weight DC.  In strict per-DC mode, rows
@@ -330,19 +328,6 @@ def _repair_delivery(w: np.ndarray, instance: NetworkInstance) -> np.ndarray:
     tail /= np.where(rest > 0, rest, 1.0)[:, None]
     shares[over, start:] = tail
     return shares
-
-
-def repair_batch(genes: np.ndarray, instance: NetworkInstance) -> np.ndarray:
-    """Repaired gene rows (n, I*J) whose decoded plans are tight.
-
-    The new genes are each retailer's shares per DC as ``_repair_delivery``
-    decides them; decoding covers the shipments with the cheapest
-    production.  Decoding the repaired genes gives the repaired plan.
-    """
-    _, _, j, i = instance.counts
-    shares = _repair_delivery(genes.reshape(-1, i, j), instance)
-    # a spill onto a full DC can round a share above 1 (none is below 0); w / wsum reads the same
-    return np.minimum(shares, 1.0, out=shares).reshape(genes.shape)
 
 
 def decode(chromosome: np.ndarray, instance: NetworkInstance) -> FlowPlan:
@@ -554,7 +539,7 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
 
         mating = _tournament_indices(n, rng, n)
 
-        child_genes = repair_batch(_make_offspring(pop.genes[mating], config, rng), instance)
+        child_genes = _make_offspring(pop.genes[mating], config, rng)
 
         c_r, c_p, c_t = decode_batch(child_genes, instance)
         c_cost, c_viol = batch_evaluate(instance, c_r, c_p, c_t)

@@ -19,7 +19,7 @@ from pdnet.network import (
     evaluate_cost,
     validate_instance,
 )
-from pdnet.nsga2 import decode_batch, repair_batch
+from pdnet.nsga2 import decode_batch
 from pdnet.scenarios import default_instance
 
 from conftest import random_instance, random_plan, single_chain, tiny_oracle_instance
@@ -415,9 +415,9 @@ def reference_cost(instance, plan):
 
 
 def tight_plans(instance, rng, rows=6):
-    """Repaired, decoded plans: every residual within rounding of zero on tiny instances."""
+    """Decoded plans: every residual within rounding of zero on tiny instances."""
     genes = rng.random((rows, instance.num_genes))
-    r, p, t = decode_batch(repair_batch(genes, instance), instance)
+    r, p, t = decode_batch(genes, instance)
     return [FlowPlan(r[q], p[q], t[q]) for q in range(rows)]
 
 

@@ -20,12 +20,12 @@ def test_oracle_benchmark(capsys):
     assert len(out.splitlines()) == 5  # header, two instances, a blank line, the summary
     header = ["instance", "topology", "optimum", "bound", "median", "gap", "gens", "oracle", "ms"]
     assert out.splitlines()[0].split() == header
-    # instance 0's initial populations already hold a plan at the bound; instance 1 reaches it in generation 1
-    assert [line.split()[5] for line in out.splitlines()[1:3]] == ["0", "1"]
+    # both instances' initial populations already hold a plan at the bound
+    assert [line.split()[5] for line in out.splitlines()[1:3]] == ["0", "0"]
     # both instances' solves price exactly at their optimum, which equals the bound
     assert [line.split()[4] for line in out.splitlines()[1:3]] == ["0.00%", "0.00%"]
     assert "2/2 instance medians within 2%" in out
-    assert "; 2 generations run, 2/4 solves stopped at generation 0;" in out
+    assert "; 0 generations run, 4/4 solves stopped at generation 0;" in out
 
 
 def test_solve_scenarios(tmp_path, capsys):
