@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the NSGA-II engine against the brute-force oracle on tiny instances.
+"""Benchmark the NSGA-II engine against the exact optimum on tiny instances.
 
 For each randomized tiny instance (at most 1 supplier, 2 plants, 2 DCs,
 2 retailers, integer data) the script reports the median relative gap between
-the solver's best feasible cost and the exact lattice optimum over a set of
+the solver's best feasible cost and ``oracle.exact_optimum`` over a set of
 seeds, together with the lower-bound sanity check, the median number of
 generations the solves ran and the time the oracle took on the instance.  A
 solve whose best plan reaches the lower bound stops there, so instances whose

@@ -3,8 +3,8 @@
 Suppliers feed plants, plants feed distribution centers, DCs serve retailers.
 The package models the network's linear cost and capacity/demand constraints,
 solves instances with a from-scratch NSGA-II engine, validates the engine
-against exact oracles on tiny instances, and audits published production
-schedules for three capacity scenarios.
+against the model's exact optimum, computed at any size, and audits published
+production schedules for three capacity scenarios.
 """
 
 from .network import (
@@ -18,7 +18,7 @@ from .network import (
     validate_instance,
 )
 from .nsga2 import SolveResult, SolverConfig, solve
-from .oracle import brute_force_optimum, lower_bound
+from .oracle import exact_optimum, lower_bound
 from .scenarios import (
     ScenarioSpec,
     ScheduleAudit,
@@ -48,7 +48,6 @@ __all__ = [
     "ScheduleTable",
     "SolveResult",
     "SolverConfig",
-    "brute_force_optimum",
     "build_scenario",
     "check_schedule",
     "compare_scenarios",
@@ -57,6 +56,7 @@ __all__ = [
     "emit_trace",
     "evaluate_constraints",
     "evaluate_cost",
+    "exact_optimum",
     "load_instance",
     "load_instance_file",
     "lower_bound",

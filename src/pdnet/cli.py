@@ -1,7 +1,6 @@
 """Command-line surface: solve, check, audit, compare, oracle, scenario.
 
-Exit codes: 0 success, 1 infeasible / no result, 2 input error,
-3 refused (oracle search space too large).
+Exit codes: 0 success, 1 infeasible / no result, 2 input error.
 """
 
 from __future__ import annotations
@@ -14,12 +13,7 @@ import sys
 from . import scenarios
 from .network import FLOW_AXES
 from .nsga2 import SolverConfig, solve
-from .oracle import (
-    NoFeasibleLatticePointError,
-    SearchSpaceTooLargeError,
-    brute_force_optimum,
-    lower_bound,
-)
+from .oracle import OracleError, exact_optimum, lower_bound
 from .serialize import (
     InstanceLoadError,
     _atomic_write,
@@ -34,7 +28,6 @@ from .serialize import (
 EXIT_OK = 0
 EXIT_NO_RESULT = 1
 EXIT_INPUT = 2
-EXIT_REFUSED = 3
 
 
 def _file_error(path, exc) -> int:
@@ -185,12 +178,9 @@ def cmd_compare(args) -> int:
 def cmd_oracle(args) -> int:
     instance = _load_instance_or_fail(args.instance)
     try:
-        plan, cost = brute_force_optimum(instance)
-    except SearchSpaceTooLargeError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except NoFeasibleLatticePointError as exc:
-        print(f"no feasible lattice point; minimal violation {exc.min_violation:.6g}", file=sys.stderr)
+        plan, cost = exact_optimum(instance)
+    except OracleError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_NO_RESULT
     print(f"optimum cost: {cost:.6f}")
     for name in FLOW_AXES:
@@ -262,7 +252,7 @@ def _shared_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario-b", required=True, choices=scenarios.SCENARIO_NAMES)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("oracle", help="brute-force optimum of a tiny instance")
+    p = sub.add_parser("oracle", help="exact optimum of an instance, at any size")
     p.add_argument("instance")
     p.set_defaults(func=cmd_oracle)
 

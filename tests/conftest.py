@@ -3,10 +3,11 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from pdnet.network import FlowPlan, NetworkInstance
+from pdnet.network import FlowPlan, NetworkInstance, _c_order, _evaluate, _Layout
 from pdnet.nsga2 import SolverConfig, solve
-from pdnet.oracle import brute_force_optimum, lower_bound
+from pdnet.oracle import exact_optimum, lower_bound
 
 
 def single_chain(d=10.0, u=1.0, c_s=2.0, c_kj=3.0, h_j=1.0, r_ji=4.0, cap=20.0):
@@ -92,6 +93,36 @@ def tiny_oracle_instance(rng):
     )
 
 
+def family_lp(instance, drop=(), arc_box=None):
+    """The model's optimum as an LP over [r | p | t], or None when HiGHS finds it infeasible.
+
+    Each row is a constraint of a family in ``network._Layout.columns``, but
+    those named in ``drop``, read off ``network``'s own signed residuals, which
+    are linear in the flows: the residuals of the zero plan and of each unit
+    flow give the row's constant and coefficients, and the prices give the
+    cost vector the same way.  ``arc_box`` (K, J) bounds each plant-DC flow.
+    """
+    s, k, j, i = instance.counts
+    n = s * k + k * j + j * i
+    r, p, t = np.split(np.vstack([np.zeros(n), np.eye(n)]), [s * k, s * k + k * j], axis=1)
+    terms, res, _ = _evaluate(instance, *_c_order(r.reshape(-1, s, k), p.reshape(-1, k, j), t.reshape(-1, j, i)))
+    cost = sum(terms)
+    columns = instance.derived(_Layout).columns
+    rows = np.concatenate([np.arange(res.shape[1])[cols] for name, cols in columns.items() if name not in drop])
+    upper = np.full(n, np.inf)
+    if arc_box is not None:
+        upper[s * k : s * k + k * j] = np.ravel(arc_box)
+    out = linprog(  # residual(x) = res[0] + (res[1:] - res[0]).T @ x >= 0
+        cost[1:] - cost[0],
+        A_ub=-(res[1:, rows] - res[0, rows]).T,
+        b_ub=res[0, rows],
+        bounds=np.stack([np.zeros(n), upper], axis=1),
+        method="highs",
+    )
+    assert out.status in (0, 2), out.message  # solved, or infeasible
+    return out.fun if out.status == 0 else None
+
+
 def criterion_4_instances(count=20):
     """The first ``count`` instances criterion 4 solves, drawn from its master seed."""
     rng = np.random.default_rng(20260823)
@@ -100,16 +131,16 @@ def criterion_4_instances(count=20):
 
 class Agreement(NamedTuple):
     instance: NetworkInstance
-    optimum: float  # brute-force optimum on the grid-1 lattice
+    optimum: float  # oracle.exact_optimum
     bound: float  # oracle.lower_bound
     median_gap: float  # median over seeds of (cost - optimum) / optimum, inf for a run with no feasible plan
     below_bound: bool  # some feasible cost fell more than 1e-9 below the bound
     generations: tuple  # generations_run of each seed's solve
-    oracle_s: float  # wall time of brute_force_optimum on this instance
+    oracle_s: float  # wall time of exact_optimum on this instance
 
 
 def oracle_agreement(master_seed, instances, seeds, generations):
-    """The GA against the brute-force oracle on tiny instances (criterion 4): one Agreement per instance.
+    """The GA against the exact optimum on tiny instances (criterion 4): one Agreement per instance.
 
     Draws ``instances`` instances with ``tiny_oracle_instance`` from
     ``master_seed`` and solves each with solver seeds 0 .. seeds-1 for
@@ -120,7 +151,7 @@ def oracle_agreement(master_seed, instances, seeds, generations):
     for _ in range(instances):
         instance = tiny_oracle_instance(rng)
         t0 = time.perf_counter()
-        _, optimum = brute_force_optimum(instance, grid_step=1.0)
+        _, optimum = exact_optimum(instance)
         oracle_s = time.perf_counter() - t0
         bound = lower_bound(instance)
         costs = []

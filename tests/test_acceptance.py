@@ -97,7 +97,7 @@ def test_criterion_4_oracle_agreement(capsys):
     never_below_lb = not any(row.below_bound for row in rows)
     within_two_pct = [m <= 0.02 for m in medians]
     ok = all(within_two_pct) and never_below_lb and elapsed < 60.0
-    announce(capsys, 4, "GA within 2% of brute-force oracle", ok)
+    announce(capsys, 4, "GA within 2% of the exact optimum", ok)
     assert never_below_lb, "a reported feasible cost fell below the lower bound"
     assert elapsed < 60.0, f"benchmark took {elapsed:.1f}s"
     assert all(within_two_pct), (

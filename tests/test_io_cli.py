@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdnet import cli, nsga2
-from pdnet.cli import EXIT_INPUT, EXIT_NO_RESULT, EXIT_OK, EXIT_REFUSED, main
+from pdnet.cli import EXIT_INPUT, EXIT_NO_RESULT, EXIT_OK, main
+from pdnet.network import FLOW_AXES, FlowPlan, evaluate_constraints, evaluate_cost
 from pdnet.nsga2 import SolverConfig, solve
 from pdnet.oracle import lower_bound
 from pdnet.scenarios import SCENARIO_NAMES, default_instance
@@ -338,12 +339,31 @@ class TestCLI:
         assert main(["oracle", str(inst_path)]) == EXIT_OK
         assert "optimum cost: 100" in capsys.readouterr().out
 
-    def test_oracle_refuses_large(self, tmp_path, capsys):
+    def test_oracle_prints_the_emitted_baseline_optimum(self, tmp_path, capsys):
+        assert main(["scenario", "baseline", "--emit", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["oracle", str(tmp_path / "baseline.instance.json")]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "optimum cost: 4416602.105263"
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_oracle_prints_a_feasible_plan_at_its_price_at_any_size(self, tmp_path, capsys, strict):
+        # 3x3x3x3: a lattice of far more than 10^8 points
+        inst = dataclasses.replace(random_instance(np.random.default_rng(0), s=3, k=3, j=3, i=3), strict_per_dc=strict)
         inst_path = tmp_path / "i.json"
-        rng = np.random.default_rng(0)
-        save_instance(random_instance(rng, s=3, k=3, j=3, i=3), inst_path)
-        assert main(["oracle", str(inst_path)]) == EXIT_REFUSED
-        assert "refused" in capsys.readouterr().err
+        save_instance(inst, inst_path)
+        assert main(["oracle", str(inst_path)]) == EXIT_OK
+        fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        plan = FlowPlan(*(json.loads(fields[name]) for name in FLOW_AXES))
+        assert evaluate_constraints(inst, plan).total_violation == 0.0
+        assert float(fields["optimum cost"]) == pytest.approx(evaluate_cost(inst, plan).total, rel=1e-9)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_oracle_on_an_infeasible_instance_names_the_check(self, tmp_path, capsys, strict):
+        inst_path = tmp_path / "i.json"
+        save_instance(dataclasses.replace(single_chain(d=30.0), strict_per_dc=strict), inst_path)
+        assert main(["oracle", str(inst_path)]) == EXIT_NO_RESULT
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "infeasible: supplier capacity 20 falls short of the 30 the demand needs\n")
 
     def test_audit_text_and_json(self, capsys):
         table = str(data_path("table1.csv"))

@@ -26,10 +26,10 @@ from pdnet.nsga2 import (
     _rank_and_crowd,
     _tournament_indices,
 )
-from pdnet.oracle import brute_force_optimum, lower_bound
+from pdnet.oracle import exact_optimum, lower_bound
 from pdnet.scenarios import default_instance
 
-from conftest import criterion_4_instances, random_instance, single_chain, tiny_oracle_instance
+from conftest import criterion_4_instances, family_lp, random_instance, single_chain, tiny_oracle_instance
 
 
 def alloc_instance():
@@ -917,11 +917,12 @@ class TestSolve:
             assert np.array_equal(getattr(res.final_front, name), getattr(initial, name)[front])
 
     def test_criterion_4_solves_reach_the_optimum_and_stop_in_generation_zero(self):
-        # every criterion-4 optimum is its lower bound; brute force's arc box keeps it from three of them.
-        # Every initial population already holds a plan at the bound, so every solve stops in generation 0.
+        # every criterion-4 optimum is its lower bound, and every initial population already
+        # holds a plan at the bound, so every solve stops in generation 0 at the optimum.
         instances = criterion_4_instances(20)
         for index, inst in enumerate(instances):
             bound = lower_bound(inst)
+            assert exact_optimum(inst)[1] == bound
             for seed in range(10):
                 cfg = SolverConfig(seed=seed, max_generations=300)
                 res = solve(inst, cfg)
@@ -929,9 +930,12 @@ class TestSolve:
                 assert initial.cost[initial.violation == 0.0].min() == bound
                 assert res.best_feasible[1].total == bound
                 assert (res.terminated_by, res.generations_run, res.trace) == ("stall", 0, [])
+        # the optimum with each plant-DC arc boxed at D_k/(u*J), the strict decoder's box, is dearer on three
         for index, optimum, boxed in ((5, 29.0, 31.0), (12, 39.0, 40.0), (17, 58.0, 62.0)):
-            assert lower_bound(instances[index]) == optimum
-            assert brute_force_optimum(instances[index], grid_step=1.0)[1] == boxed
+            inst = instances[index]
+            box = np.repeat(inst.plant_capacity / (inst.utilization * inst.num_dcs), inst.num_dcs)
+            assert lower_bound(inst) == optimum
+            assert family_lp(inst, arc_box=box) == pytest.approx(boxed, abs=1e-9)
 
     def test_no_strict_criterion_4_solve_prices_below_the_lower_bound(self):
         # strict per-DC mode only adds constraints, so the bound holds there too; production

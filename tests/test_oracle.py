@@ -1,6 +1,6 @@
+import ast
 import dataclasses
-import itertools
-import math
+import inspect
 
 import numpy as np
 import pytest
@@ -8,22 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdnet import oracle
-from pdnet.network import FLOW_AXES, FlowPlan, NetworkInstance, evaluate_constraints, evaluate_cost
-from pdnet.oracle import (
-    NoFeasibleLatticePointError,
-    OracleError,
-    SearchSpaceTooLargeError,
-    _variable_boxes,
-    _variable_costs,
-    brute_force_optimum,
-    lower_bound,
-)
+from pdnet.network import NetworkInstance, evaluate_constraints, evaluate_cost
+from pdnet.oracle import OracleError, brute_force_optimum, exact_optimum, lower_bound
+from pdnet.scenarios import default_instance
 
-from conftest import criterion_4_instances, single_chain, tiny_oracle_instance
+from conftest import criterion_4_instances, family_lp, random_instance, single_chain, tiny_oracle_instance
+
+# the constraint families whose rows cover a need: a plan short on one is priced below what it must cost
+COVER_FAMILIES = ("demand_mismatch", "production_vs_shipment", "raw_per_plant", "dc_throughput")
 
 
-def reference_violations(instance, x, grid_step):
-    """Total violation per lattice point, each row judged on its own; demand equality at grid_step/2."""
+def reference_boxes(instance):
+    """Upper bound per flow variable in the order [r (S,K) | p (K,J) | t (J,I)], row-major.
+
+    Each flow is boxed by the one capacity or demand at its own end, so the
+    boxes imply neither supplier capacity (with K >= 2) nor plant capacity
+    (with J >= 2): the lattice holds points that breach each of them.
+    """
+    s, k, j, i = instance.counts
+    r_up = instance.supplier_capacity.repeat(k)
+    p_up = (instance.plant_capacity / instance.utilization).repeat(j)
+    return np.concatenate([r_up, p_up, np.tile(instance.demand, j)])
+
+
+def reference_violations(instance, x):
+    """Total violation per lattice point, each row judged on its own at the 1e-9 tolerance."""
     s, k, j, i = instance.counts
     n = x.shape[0]
     r = x[:, : s * k].reshape(n, s, k)
@@ -36,7 +45,7 @@ def reference_violations(instance, x, grid_step):
     v += max(0.0, instance.demand.sum() - instance.dc_capacity.sum())
     v += np.maximum(0.0, t.sum(axis=(1, 2)) - p.sum(axis=(1, 2)))
     mism = np.abs(t.sum(axis=1) - instance.demand[None, :])
-    v += np.where(mism > grid_step / 2.0 + tol, mism, 0.0).sum(axis=1)
+    v += np.where(mism > tol * np.maximum(1.0, instance.demand), mism, 0.0).sum(axis=1)
     prod = p.sum(axis=2)
     v += np.maximum(0.0, u * prod - r.sum(axis=1) - tol * np.maximum(1.0, u * prod)).sum(axis=1)
     v += np.maximum(
@@ -61,7 +70,7 @@ def reference_prices(instance):
 
 def reference_lattice(instance, grid_step):
     """Every lattice point in index (lexicographic) order, as rows of [r | p | t]."""
-    uppers = _variable_boxes(instance)
+    uppers = reference_boxes(instance)
     levels = (1 + np.ceil(uppers / grid_step)).astype(np.int64)
     strides = np.ones(uppers.size, dtype=np.int64)
     for v in range(uppers.size - 2, -1, -1):
@@ -72,19 +81,10 @@ def reference_lattice(instance, grid_step):
 
 
 def reference_brute_force(instance, grid_step):
-    """Row-by-row enumeration of the whole lattice: (feasible, x or None, cost, smallest violation)."""
+    """Row-by-row enumeration of the whole lattice: the cheapest feasible point's cost, None if none is feasible."""
     x = reference_lattice(instance, grid_step)
-    viol = reference_violations(instance, x, grid_step)
-    feas = np.flatnonzero(viol == 0.0)
-    if not feas.size:
-        return False, None, None, float(viol.min())
-    costs = x[feas] @ reference_prices(instance)
-    a = int(np.argmin(costs))  # first occurrence: lexicographically smallest
-    return True, x[feas[a]], float(costs[a]), 0.0
-
-
-def flat(plan):
-    return np.concatenate([getattr(plan, name).ravel() for name in FLOW_AXES])
+    feas = np.flatnonzero(reference_violations(instance, x) == 0.0)
+    return float((x[feas] @ reference_prices(instance)).min()) if feas.size else None
 
 
 def small_lattice_instance(rng, grid_step, integer, strict, max_points=3000):
@@ -118,30 +118,58 @@ def small_lattice_instance(rng, grid_step, integer, strict, max_points=3000):
             utilization=u,
             strict_per_dc=strict,
         )
-        if np.prod(1 + np.ceil(_variable_boxes(instance) / grid_step)) <= max_points:
+        if np.prod(1 + np.ceil(reference_boxes(instance) / grid_step)) <= max_points:
             return instance
 
 
-def assert_matches_reference(inst, grid_step, exact):
-    """Same feasibility verdict as the reference; on exact data the same plan
-    and cost, elsewhere cost within 1e-12 and the same plan unless another
-    plan ties within that; the same smallest violation when nothing is feasible."""
-    feasible, x_ref, cost_ref, min_violation = reference_brute_force(inst, grid_step)
-    if not feasible:
-        with pytest.raises(NoFeasibleLatticePointError) as exc:
-            brute_force_optimum(inst, grid_step)
-        assert exc.value.min_violation == pytest.approx(min_violation, rel=1e-12)
-        return
-    plan, cost = brute_force_optimum(inst, grid_step)
-    x = flat(plan)
-    if exact:
-        assert cost == cost_ref
-        assert np.array_equal(x, x_ref)
-        return
-    assert cost == pytest.approx(cost_ref, rel=1e-12)
-    if not np.array_equal(x, x_ref):
-        assert reference_violations(inst, x[None, :], grid_step)[0] == 0.0
-        assert x @ reference_prices(inst) == pytest.approx(cost_ref, rel=1e-12)
+def optimum_or_none(instance):
+    try:
+        return exact_optimum(instance)
+    except OracleError:
+        return None
+
+
+def chain(strict=False, **fields):
+    """``single_chain``'s worked example, with fields replaced."""
+    return dataclasses.replace(single_chain(), strict_per_dc=strict, **fields)
+
+
+class TestAgainstTheFamilyLP:
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_same_verdict_and_optimum(self, seed, strict):
+        inst = dataclasses.replace(random_instance(np.random.default_rng(seed)), strict_per_dc=strict)
+        lp = family_lp(inst)
+        found = optimum_or_none(inst)
+        assert (found is None) == (lp is None)
+        if lp is not None:
+            assert found[1] == pytest.approx(lp, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_only_the_dc_storage_row_fails(self, strict):
+        # DC storage holds 9 of the 10 cases; suppliers and plants hold 20
+        inst = chain(strict, dc_capacity=[9.0])
+        with pytest.raises(OracleError, match="^DC storage 9 falls short of the 10 the demand needs$"):
+            exact_optimum(inst)
+        assert family_lp(inst) is None
+        # without the storage row, aggregate mode has no other DC row; strict mode's per-DC capacity still fails
+        assert (family_lp(inst, drop=("dc_storage",)) is None) == strict
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"supplier_capacity": [19.0], "utilization": 2.0}, "supplier capacity 19 falls short of the 20"),
+            ({"plant_capacity": [9.0]}, "plant capacity 9 falls short of the 10"),
+            ({"plant_capacity": [19.0], "utilization": 2.0}, "plant capacity 9.5 falls short of the 10"),
+        ],
+        ids=["supplier", "plant", "plant-at-u-2"],
+    )
+    def test_a_total_that_falls_short_is_named(self, fields, message, strict):
+        inst = chain(strict, **fields)
+        with pytest.raises(OracleError, match=f"^{message} the demand needs$"):
+            exact_optimum(inst)
+        assert family_lp(inst) is None
 
 
 class TestAgainstTheRowByRowReference:
@@ -152,190 +180,117 @@ class TestAgainstTheRowByRowReference:
         st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_same_verdict_plan_cost_and_smallest_violation(self, seed, grid_step, integer, strict):
+    def test_no_lattice_point_is_cheaper(self, seed, grid_step, integer, strict):
+        # every feasible lattice point is a plan, so none costs less than the optimum; with
+        # integer data and u = 1 the flow matrix is totally unimodular and the optimum is a lattice point
         inst = small_lattice_instance(np.random.default_rng(seed), grid_step, integer, strict)
-        assert_matches_reference(inst, grid_step, exact=integer)
+        ref = reference_brute_force(inst, grid_step)
+        found = optimum_or_none(inst)
+        if found is None:
+            assert ref is None
+            return
+        if ref is not None:
+            assert found[1] <= ref + 1e-9 * max(1.0, ref)
+        if integer and inst.utilization == 1.0:
+            assert ref == found[1]
 
-    @pytest.mark.parametrize("chunk", [1, 5, 64])
-    def test_chunks_smaller_than_a_block_give_the_same_answer(self, monkeypatch, chunk):
-        # many block chunks and pair sub-blocks: ties resolve across them
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        for seed in range(24):
-            rng = np.random.default_rng(seed)
-            strict = bool(seed % 2)
-            inst = small_lattice_instance(rng, 1.0, integer=True, strict=strict, max_points=400)
-            assert_matches_reference(inst, 1.0, exact=True)
 
-    @pytest.mark.parametrize("chunk", [3, 5, 6, oracle._CHUNK])
-    def test_a_tie_across_delivery_chunks_goes_to_the_smaller_plan(self, monkeypatch, chunk):
-        # two plans cost 14: [r | p | t] = [1 1 | 0 1 1 1 | 1 2] and the larger
-        # [1 1 | 0 2 0 1 | 0 3], whose delivery point comes first; at chunks of
-        # 3, 5 or 6 points the two lie in different production chunks
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        inst = NetworkInstance(
-            num_suppliers=1,
-            num_plants=2,
-            num_dcs=2,
-            num_retailers=1,
-            supplier_capacity=[6],
-            plant_capacity=[4, 1],
-            dc_capacity=[4, 4],
-            demand=[3],
-            raw_unit_cost=[1],
-            holding_unit_cost=[1, 1],
-            plant_dc_unit_cost=[[2, 1], [2, 1]],
-            dc_retailer_unit_cost=[[1], [2]],
-            utilization=0.5,
-            strict_per_dc=True,
-        )
-        plan, cost = brute_force_optimum(inst, grid_step=1.0)
-        assert cost == 14.0
-        assert plan.raw_flow.tolist() == [[1.0, 1.0]]
-        assert plan.plant_dc_flow.tolist() == [[0.0, 1.0], [1.0, 1.0]]
-        assert plan.dc_retailer_flow.tolist() == [[1.0], [2.0]]
+class TestExactOptimum:
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_plan_is_feasible_covers_every_need_and_is_priced_as_evaluate_cost_prices_it(self, seed, strict):
+        inst = dataclasses.replace(random_instance(np.random.default_rng(seed)), strict_per_dc=strict)
+        found = optimum_or_none(inst)
+        if found is None:
+            return
+        plan, cost = found
+        assert evaluate_constraints(inst, plan).total_violation == 0.0
+        exact = evaluate_constraints(inst, plan, tolerance=0.0).residuals
+        assert all(exact[name].min() >= 0.0 for name in COVER_FAMILIES if name in exact)
+        assert cost == evaluate_cost(inst, plan).total
 
-    @pytest.mark.parametrize("chunk", [3, 5, 6, oracle._CHUNK])
-    def test_a_tie_that_differs_first_in_raw_goes_to_the_smaller_plan(self, monkeypatch, chunk):
-        # raw is free, so two plans cost 1: [r | p | t] = [1 0 | .5 .5 0 0 | 1 0]
-        # and the larger [1 1 | 0 .5 0 .5 | 1 0]; at chunks of 3 points the
-        # larger one lies in the same raw chunk but an earlier production chunk
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        inst = NetworkInstance(
-            num_suppliers=1,
-            num_plants=2,
-            num_dcs=2,
-            num_retailers=1,
-            supplier_capacity=[2],
-            plant_capacity=[1, 1],
-            dc_capacity=[1, 1],
-            demand=[1],
-            raw_unit_cost=[0],
-            holding_unit_cost=[1, 0],
-            plant_dc_unit_cost=[[0, 1], [1, 1]],
-            dc_retailer_unit_cost=[[0], [1]],
-            utilization=1.0,
-        )
-        plan, cost = brute_force_optimum(inst, grid_step=1.0)
-        assert cost == 1.0
-        assert plan.raw_flow.tolist() == [[1.0, 0.0]]
-        assert plan.plant_dc_flow.tolist() == [[0.5, 0.5], [0.0, 0.0]]
-        assert plan.dc_retailer_flow.tolist() == [[1.0], [0.0]]
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_strict_mode_never_costs_less_than_aggregate_mode(self, seed):
+        # strict per-DC mode only adds constraints, and both modes share the feasibility checks
+        inst = random_instance(np.random.default_rng(seed))
+        aggregate, strict = (optimum_or_none(dataclasses.replace(inst, strict_per_dc=m)) for m in (False, True))
+        assert (aggregate is None) == (strict is None)
+        if aggregate is not None:
+            assert strict[1] >= aggregate[1] - 1e-9 * max(1.0, aggregate[1])
 
-    @pytest.mark.parametrize("chunk", [3, 5, 6, oracle._CHUNK])
-    def test_a_tie_that_differs_first_in_production_goes_to_the_smaller_plan(self, monkeypatch, chunk):
-        # both DCs cost 2 per case to fill and 1 per case to deliver from, so
-        # every split of the 2 cases costs 8 with the same raw purchase:
-        # [r | p | t] = [2 | 0 2 | 0 2] is the smallest and [2 | 2 0 | 2 0]
-        # the largest; at chunks of 3, 5 or 6 points they lie in different
-        # production chunks, at the default size in one
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        inst = NetworkInstance(
-            num_suppliers=1,
-            num_plants=1,
-            num_dcs=2,
-            num_retailers=1,
-            supplier_capacity=[2],
-            plant_capacity=[4],
-            dc_capacity=[2, 2],
-            demand=[2],
-            raw_unit_cost=[1],
-            holding_unit_cost=[1, 0],
-            plant_dc_unit_cost=[[1, 2]],
-            dc_retailer_unit_cost=[[1], [1]],
-            utilization=1.0,
-            strict_per_dc=True,
-        )
-        plan, cost = brute_force_optimum(inst, grid_step=1.0)
-        assert cost == 8.0
-        assert plan.raw_flow.tolist() == [[2.0]]
-        assert plan.plant_dc_flow.tolist() == [[0.0, 2.0]]
-        assert plan.dc_retailer_flow.tolist() == [[0.0], [2.0]]
+    def test_the_oracle_does_not_import_the_solver_it_checks(self):
+        tree = ast.parse(inspect.getsource(oracle))
+        imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        assert not [name for name in imported if name and "nsga2" in name]
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_criterion_4_instances(self, strict):
-        rng = np.random.default_rng(20260823)
-        for _ in range(20):
-            inst = dataclasses.replace(tiny_oracle_instance(rng), strict_per_dc=strict)
-            if np.prod(1 + np.ceil(_variable_boxes(inst))) > 300_000:
-                continue  # the reference takes about a second on the two 2e6-point lattices
-            assert_matches_reference(inst, 1.0, exact=True)
+        costs = []
+        for inst in criterion_4_instances(20):
+            inst = dataclasses.replace(inst, strict_per_dc=strict)
+            plan, cost = exact_optimum(inst)
+            assert cost == round(cost)  # integer data, u = 1: a totally unimodular flow
+            assert evaluate_constraints(inst, plan, tolerance=0.0).total_violation == 0.0
+            assert cost >= lower_bound(inst)
+            costs.append(cost)
+        if strict:
+            assert (costs[5], costs[17]) == (37.0, 58.0)
+        else:
+            assert costs == [lower_bound(inst) for inst in criterion_4_instances(20)]
 
     @pytest.mark.parametrize(
-        "index, strict, cost, plan",
+        "name, strict, optimum",
         [
-            (12, False, 40.0, ([[1, 4]], [[1, 0], [0, 4]], [[2, 0], [0, 3]])),
-            (12, True, 41.0, ([[2, 3]], [[2, 0], [0, 3]], [[2, 0], [0, 3]])),
-            (17, False, 62.0, ([[3, 2]], [[3, 0], [0, 2]], [[2, 0], [0, 3]])),
-            (17, True, 62.0, ([[3, 2]], [[3, 0], [0, 2]], [[2, 1], [0, 2]])),
+            ("baseline", False, 4_416_602.105263158),
+            ("baseline", True, 4_704_882.105263158),
+            ("dc_expansion", False, 4_416_602.105263158),
+            ("dc_expansion", True, 4_638_082.105263158),
+            ("network_expansion", False, 11_585_105.263157895),
+            ("network_expansion", True, 13_030_105.263157895),
         ],
     )
-    def test_the_two_criterion_4_lattices_the_reference_skips(self, index, strict, cost, plan):
-        # instances 12 and 17 (2,073,600 and 1,806,336 points): the row-by-row
-        # reference's plans and costs, written out because it takes about a
-        # second on each
-        inst = dataclasses.replace(criterion_4_instances()[index], strict_per_dc=strict)
-        got, got_cost = brute_force_optimum(inst, grid_step=1.0)
-        assert got_cost == cost
-        assert tuple(getattr(got, name).tolist() for name in FLOW_AXES) == plan
+    def test_bundled_scenarios(self, name, strict, optimum):
+        inst = dataclasses.replace(default_instance(name), strict_per_dc=strict)
+        plan, cost = exact_optimum(inst)
+        assert cost == pytest.approx(optimum, rel=1e-12)
+        assert evaluate_constraints(inst, plan).total_violation == 0.0
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_perfbench_alias_is_the_exact_optimum(self, strict):
+        inst = dataclasses.replace(criterion_4_instances(13)[12], strict_per_dc=strict)
+        assert brute_force_optimum(inst, grid_step=1.0) == exact_optimum(inst)
 
-class TestBlocksAndPrices:
-    @pytest.mark.parametrize("grid_step", [1.0, 0.5])
-    @pytest.mark.parametrize("chunk", [1, 7, oracle._CHUNK])
-    def test_each_block_is_its_own_lattice_in_index_order(self, monkeypatch, chunk, grid_step):
-        # chunks of 1 and 7 flat indices end inside a variable's run of levels
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        checks = (oracle._raw_check, oracle._production_check, oracle._delivery_check)
-        for seed in range(6):
-            inst = small_lattice_instance(np.random.default_rng(seed), grid_step, False, bool(seed % 2), max_points=400)
-            s, k, j, i = inst.counts
-            uppers = _variable_boxes(inst)
-            bounds = (0, s * k, s * k + k * j, uppers.size)
-            for lo, hi, check in zip(bounds, bounds[1:], checks):
-                values = [
-                    [min(n * grid_step, up) for n in range(1 + math.ceil(up / grid_step))] for up in uppers[lo:hi]
-                ]
-                levels = [len(v) for v in values]
-                rows = list(oracle._block_rows(inst, levels, uppers[lo:hi, None], grid_step, check))
-                assert all(0 < r.points.shape[0] <= chunk for r in rows)
-                assert np.concatenate([r.points for r in rows]).tolist() == list(map(list, itertools.product(*values)))
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_worked_example(self, strict):
+        plan, cost = exact_optimum(chain(strict))
+        assert cost == 100.0
+        assert (plan.raw_flow[0, 0], plan.plant_dc_flow[0, 0], plan.dc_retailer_flow[0, 0]) == (10.0, 10.0, 10.0)
 
-    def test_variable_costs_price_a_plan_as_evaluate_cost_does(self):
-        for seed in range(12):
-            rng = np.random.default_rng(seed)
-            inst = small_lattice_instance(rng, 1.0, False, bool(seed % 2))
-            s, k, j, i = inst.counts
-            x = rng.uniform(0.0, 1.0, _variable_boxes(inst).size) * _variable_boxes(inst)
-            r, p, t = np.split(x, [s * k, s * k + k * j])
-            plan = FlowPlan(r.reshape(s, k), p.reshape(k, j), t.reshape(j, i))
-            cost = inst.derived(_variable_costs)
-            assert cost.shape == x.shape and not cost.flags.writeable
-            assert cost is inst.derived(_variable_costs)
-            assert x @ cost == pytest.approx(evaluate_cost(inst, plan).total, rel=1e-12)
-            np.testing.assert_array_equal(cost, reference_prices(inst))
-
-
-class TestBruteForce:
-    def test_worked_example(self):
-        plan, cost = brute_force_optimum(single_chain(), grid_step=1.0)
-        assert cost == pytest.approx(100.0)
-        assert plan.raw_flow[0, 0] == 10.0
-        assert plan.plant_dc_flow[0, 0] == 10.0
-        assert plan.dc_retailer_flow[0, 0] == 10.0
-
-    def test_zero_demand(self):
-        plan, cost = brute_force_optimum(single_chain(d=0.0), grid_step=1.0)
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_zero_demand(self, strict):
+        plan, cost = exact_optimum(chain(strict, demand=[0.0]))
         assert cost == 0.0
-        assert plan.raw_flow.sum() == 0.0
-        assert plan.plant_dc_flow.sum() == 0.0
-        assert plan.dc_retailer_flow.sum() == 0.0
+        assert plan.raw_flow.sum() == plan.plant_dc_flow.sum() == plan.dc_retailer_flow.sum() == 0.0
 
     def test_utilization_doubles_raw_purchase(self):
         # 10 cases at u = 2 need 20 raw: 2*20 + (3 + 1 + 4)*10
-        plan, cost = brute_force_optimum(single_chain(d=10, u=2.0, cap=40.0), grid_step=1.0)
-        assert cost == pytest.approx(120.0)
+        plan, cost = exact_optimum(chain(utilization=2.0, supplier_capacity=[40.0], plant_capacity=[40.0]))
+        assert cost == 120.0
         assert plan.raw_flow[0, 0] == 20.0
         assert plan.plant_dc_flow[0, 0] == 10.0
+
+    def test_raw_comes_from_the_cheapest_suppliers_first(self):
+        # 10 cases need 10 raw: the supplier at 1 has 6, the one at 2 the other 4, the one at 3 none
+        inst = dataclasses.replace(
+            single_chain(),
+            num_suppliers=3,
+            supplier_capacity=[20.0, 6.0, 20.0],
+            raw_unit_cost=[3.0, 1.0, 2.0],
+        )
+        plan, _ = exact_optimum(inst)
+        assert plan.raw_flow.tolist() == [[0.0], [6.0], [4.0]]
 
     def test_routes_through_cheap_plant(self):
         inst = NetworkInstance(
@@ -353,14 +308,35 @@ class TestBruteForce:
             dc_retailer_unit_cost=[[1]],
             utilization=1.0,
         )
-        plan, cost = brute_force_optimum(inst, grid_step=1.0)
-        assert plan.plant_dc_flow[1, 0] == 0.0
-        assert plan.plant_dc_flow[0, 0] == 4.0
+        plan, cost = exact_optimum(inst)
+        assert plan.plant_dc_flow.tolist() == [[4.0], [0.0]]
+        assert cost == 4 * (1 + 2 + 1)
 
-    def test_cost_tie_goes_to_the_lexicographically_smallest_plan(self):
+    def test_a_full_plant_passes_the_rest_to_the_next_route(self):
+        # plant 0's route costs 2, plant 1's 6; plant 0 makes at most 3 of the 5 cases
+        inst = NetworkInstance(
+            num_suppliers=1,
+            num_plants=2,
+            num_dcs=1,
+            num_retailers=1,
+            supplier_capacity=[20],
+            plant_capacity=[3, 10],
+            dc_capacity=[10],
+            demand=[5],
+            raw_unit_cost=[1],
+            holding_unit_cost=[1],
+            plant_dc_unit_cost=[[1], [5]],
+            dc_retailer_unit_cost=[[1]],
+            utilization=1.0,
+        )
+        plan, cost = exact_optimum(inst)
+        assert plan.plant_dc_flow.tolist() == [[3.0], [2.0]]
+        assert plan.raw_flow.tolist() == [[3.0, 2.0]]
+        assert cost == 5 * 1 + 3 * 2 + 2 * 6 + 5 * 1
+
+    def test_a_cost_tie_goes_to_the_first_cheapest_route_and_dc(self):
         # both DCs cost 2 per case to fill and 3 per case to deliver from, so
-        # any split of the 2 cases is optimal; variables are ordered
-        # [r00 | p00 p01 | t00 t10] and the smallest such vector wins
+        # any split of the 2 cases is optimal; the aggregate greedy takes DC 0
         inst = NetworkInstance(
             num_suppliers=1,
             num_plants=1,
@@ -376,11 +352,10 @@ class TestBruteForce:
             dc_retailer_unit_cost=[[3], [3]],
             utilization=1.0,
         )
-        plan, cost = brute_force_optimum(inst, grid_step=1.0)
+        plan, cost = exact_optimum(inst)
         assert cost == 2 * (1 + 2 + 3)
-        assert plan.raw_flow.tolist() == [[2.0]]
-        assert plan.plant_dc_flow.tolist() == [[0.0, 2.0]]
-        assert plan.dc_retailer_flow.tolist() == [[0.0], [2.0]]
+        assert plan.plant_dc_flow.tolist() == [[2.0, 0.0]]
+        assert plan.dc_retailer_flow.tolist() == [[2.0], [0.0]]
 
     def test_strict_dc_capacity_forces_a_split(self):
         # DC 0 is cheaper on both legs but holds 3 of the 4 cases demanded:
@@ -400,84 +375,33 @@ class TestBruteForce:
             dc_retailer_unit_cost=[[1], [3]],
             utilization=1.0,
         )
-        plan, cost = brute_force_optimum(inst, grid_step=1.0)
+        plan, cost = exact_optimum(inst)
         assert cost == 4 * 1 + 4 * (1 + 1) + 4 * 1
         assert plan.plant_dc_flow.tolist() == [[4.0, 0.0]]
         assert plan.dc_retailer_flow.tolist() == [[4.0], [0.0]]
 
-        plan, cost = brute_force_optimum(dataclasses.replace(inst, strict_per_dc=True), grid_step=1.0)
+        plan, cost = exact_optimum(dataclasses.replace(inst, strict_per_dc=True))
         assert cost == 4 * 1 + 3 * (1 + 1) + 1 * (2 + 1) + 3 * 1 + 1 * 3
         assert plan.raw_flow.tolist() == [[4.0]]
         assert plan.plant_dc_flow.tolist() == [[3.0, 1.0]]
         assert plan.dc_retailer_flow.tolist() == [[3.0], [1.0]]
 
-    def test_optimum_is_feasible(self):
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_optimum_is_feasible(self, strict):
         rng = np.random.default_rng(31)
         for _ in range(5):
-            inst = tiny_oracle_instance(rng)
-            plan, cost = brute_force_optimum(inst, grid_step=1.0)
-            report = evaluate_constraints(inst, plan)
-            assert report.total_violation == 0.0
-            assert evaluate_cost(inst, plan).total == pytest.approx(cost)
+            inst = dataclasses.replace(tiny_oracle_instance(rng), strict_per_dc=strict)
+            plan, cost = exact_optimum(inst)
+            assert evaluate_constraints(inst, plan).total_violation == 0.0
+            assert evaluate_cost(inst, plan).total == cost
 
-    def test_refuses_large_search_space(self):
-        inst = NetworkInstance(
-            num_suppliers=3,
-            num_plants=3,
-            num_dcs=3,
-            num_retailers=3,
-            supplier_capacity=[100] * 3,
-            plant_capacity=[100] * 3,
-            dc_capacity=[100] * 3,
-            demand=[50] * 3,
-            raw_unit_cost=[1] * 3,
-            holding_unit_cost=[1] * 3,
-            plant_dc_unit_cost=[[1] * 3] * 3,
-            dc_retailer_unit_cost=[[1] * 3] * 3,
-            utilization=1.0,
-        )
-        with pytest.raises(SearchSpaceTooLargeError) as exc:
-            brute_force_optimum(inst, grid_step=1.0)
-        assert exc.value.size > 10**8
-
-    def test_no_feasible_point_reports_min_violation(self):
-        # the single chain's capacities of 20 fall short of a demand of 30
-        inst = single_chain(d=30.0, cap=20.0)
-        with pytest.raises(NoFeasibleLatticePointError) as exc:
-            brute_force_optimum(inst, grid_step=1.0)
-        assert isinstance(exc.value, OracleError)
-        assert exc.value.min_violation > 0
-
-    def test_invalid_grid_rejected(self):
-        with pytest.raises(ValueError):
-            brute_force_optimum(single_chain(), grid_step=0.0)
-
-    def test_grid_refinement_never_raises_optimum(self):
-        rng = np.random.default_rng(97)
-        for _ in range(4):
-            inst = tiny_oracle_instance(rng)
-            _, coarse = brute_force_optimum(inst, grid_step=1.0)
-            _, fine = brute_force_optimum(inst, grid_step=0.5)
-            assert fine <= coarse + 1e-9
-
-    def test_cost_monotone_in_unit_costs(self):
-        rng = np.random.default_rng(55)
-        inst = tiny_oracle_instance(rng)
-        _, base = brute_force_optimum(inst, grid_step=1.0)
-        fields = {
-            f: getattr(inst, f)
-            for f in (
-                "num_suppliers", "num_plants", "num_dcs", "num_retailers",
-                "supplier_capacity", "plant_capacity", "dc_capacity", "demand",
-                "raw_unit_cost", "holding_unit_cost", "plant_dc_unit_cost",
-                "dc_retailer_unit_cost", "utilization",
-            )
-        }
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_cost_monotone_in_unit_costs(self, strict):
+        inst = dataclasses.replace(tiny_oracle_instance(np.random.default_rng(55)), strict_per_dc=strict)
+        _, base = exact_optimum(inst)
         for name in ("raw_unit_cost", "holding_unit_cost", "plant_dc_unit_cost", "dc_retailer_unit_cost"):
-            bumped = dict(fields)
-            bumped[name] = np.asarray(fields[name]) + 2.0
-            _, raised = brute_force_optimum(NetworkInstance(**bumped), grid_step=1.0)
-            assert raised >= base - 1e-9
+            _, raised = exact_optimum(dataclasses.replace(inst, **{name: getattr(inst, name) + 2.0}))
+            assert raised >= base
 
 
 class TestLowerBound:
@@ -487,10 +411,10 @@ class TestLowerBound:
     def test_zero_demand(self):
         assert lower_bound(single_chain(d=0.0)) == 0.0
 
-    @given(st.integers(0, 10**9))
+    @given(st.integers(0, 10**9), st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_sandwich_below_brute_force(self, seed):
+    def test_sandwich_below_the_exact_optimum(self, seed, strict):
         rng = np.random.default_rng(seed)
-        inst = tiny_oracle_instance(rng)
-        _, cost = brute_force_optimum(inst, grid_step=1.0)
+        inst = dataclasses.replace(tiny_oracle_instance(rng), strict_per_dc=strict)
+        _, cost = exact_optimum(inst)
         assert lower_bound(inst) <= cost + 1e-9
