@@ -1,6 +1,7 @@
 """Command-line surface: solve, check, audit, compare, oracle, scenario.
 
-Exit codes: 0 success, 1 infeasible / no result, 2 input error.
+Exit codes: 0 success, 1 infeasible / no result, 2 input error, 141 stdout
+closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .serialize import (
 EXIT_OK = 0
 EXIT_NO_RESULT = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command killed by a closed pipe
 
 
 def _file_error(path, exc) -> int:
@@ -273,7 +275,14 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    sys.exit(main())
+    """Run ``main`` on the command line; a reader that closes stdout early ends it quietly with ``EXIT_PIPE``."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, inside the handler, rather than at interpreter exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot raise again
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -44,11 +44,18 @@ A generation does only the work that depends on it.  What depends on the
 instance alone (the arcs in route-cost order and their room, the suppliers
 in price order and their running capacity, the aggregate-mode production and
 raw purchase, the lower bound) is built on first use and kept with the
-instance.  The best plan is decoded and priced once, after the run; the
-final front is returned as population rows.  Variation draws random numbers
-only where they are used: spread factors for the pairs that cross, and the
-mutation sites as geometric gaps between successive mutated genes, which is
-an exact per-gene Bernoulli(p_m) draw.
+instance.  A decoded plan is a function of its plan key, what decoding reads
+of a row: each retailer's favourite DC in aggregate mode, each retailer's DCs
+in weight order in strict per-DC mode.  The population collapses onto a few
+plans, so a solve keeps a dict from each child's plan key to its price and
+decodes and evaluates, in one batch, only the children whose key is new; a
+row's price does not depend on its batch, so the run is the same bit for
+bit.  The dict lives for one solve, from generation 1 on, and is cleared
+whenever its keys pass PLAN_CACHE_BYTES.  The best plan is decoded and priced
+once, after the run; the final front is returned as population rows.
+Variation draws random numbers only where they are used: spread factors for
+the pairs that cross, and the mutation sites as geometric gaps between
+successive mutated genes, which is an exact per-gene Bernoulli(p_m) draw.
 """
 
 from __future__ import annotations
@@ -73,6 +80,9 @@ from .oracle import lower_bound
 SBX_ETA = 15.0  # distribution index of simulated binary crossover
 PM_ETA = 20.0  # distribution index of polynomial mutation
 STALL_TOLERANCE = 1e-6  # relative gain in best cost below which a generation window counts as a stall
+# Key bytes a solve's plan cache may hold; once they pass this it is cleared.  An entry also
+# holds about 190 bytes of Python objects, so a cache of 20-byte keys stays below about 45 MB.
+PLAN_CACHE_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -330,6 +340,45 @@ def _delivery_shares(w: np.ndarray, instance: NetworkInstance) -> np.ndarray:
     return shares
 
 
+def _plan_keys(genes: np.ndarray, instance: NetworkInstance) -> list:
+    """One bytes key per gene row (n, I*J): exactly what ``_delivery_shares`` reads of the row.
+
+    That is each retailer's favourite DC in aggregate mode and each
+    retailer's DCs in weight order in strict per-DC mode, packed in the
+    smallest unsigned dtype that holds J - 1.  Rows with equal keys decode to
+    the same flows, bit for bit, so they have one price.
+    """
+    n = genes.shape[0]
+    _, _, j, i = instance.counts
+    w = genes.reshape(n, i, j)
+    index = np.argsort(-w, axis=2, kind="stable") if instance.strict_per_dc else w.argmax(axis=2)
+    packed = index.astype(np.min_scalar_type(j - 1)).reshape(n, -1)
+    return packed.view(np.dtype((np.void, packed.shape[1] * packed.itemsize))).ravel().tolist()
+
+
+def _price_rows(genes: np.ndarray, instance: NetworkInstance, cache: dict):
+    """(cost, violation) of each gene row, decoding and evaluating only the rows whose plan key is new.
+
+    ``cache`` maps a plan key to its (cost, violation).  The new keys'
+    first rows are priced in one batch, and the rest are read from
+    ``cache``; a row's price does not depend on its batch, so each row gets
+    the bits it would get priced alone.  Once the keys held pass
+    ``PLAN_CACHE_BYTES`` the cache is cleared.
+    """
+    keys = _plan_keys(genes, instance)
+    first = {}  # each new key's first row
+    for row, key in enumerate(keys):
+        if key not in cache:
+            first.setdefault(key, row)
+    if first:
+        cost, violation = batch_evaluate(instance, *decode_batch(genes[list(first.values())], instance))
+        cache.update(zip(first, zip(cost.tolist(), violation.tolist())))
+    priced = np.array([cache[key] for key in keys])
+    if len(cache) * len(keys[0]) > PLAN_CACHE_BYTES:
+        cache.clear()
+    return priced[:, 0], priced[:, 1]
+
+
 def decode(chromosome: np.ndarray, instance: NetworkInstance) -> FlowPlan:
     chromosome = np.asarray(chromosome, dtype=np.float64)
     r, p, t = decode_batch(chromosome[None, :], instance)
@@ -378,23 +427,23 @@ def _make_offspring(parent_genes: np.ndarray, config: SolverConfig, rng) -> np.n
     children = parent_genes.copy()
     fire = np.flatnonzero(rng.random(n // 2) < config.crossover_prob)
     if fire.size:
-        beta = rng.random((fire.size, length))  # u, made in place into (2u or 1 / (2(1 - u))) ** (1 / (eta + 1))
-        upper = beta > 0.5
-        np.subtract(1.0, beta, out=beta, where=upper)
-        np.multiply(beta, 2.0, out=beta)
-        np.divide(1.0, beta, out=beta, where=upper)
-        np.power(beta, 1.0 / (SBX_ETA + 1.0), out=beta)
+        u = rng.random((fire.size, length))
+        x = 2.0 * np.minimum(u, 1.0 - u)  # 2u, or 2(1 - u) above 0.5, where 1 - u is exact
+        beta = np.power(np.where(u > 0.5, 1.0 / x, x), 1.0 / (SBX_ETA + 1.0))
+        plus, minus = 1.0 + beta, 1.0 - beta
         pairs = parent_genes.reshape(-1, 2, length)[fire]  # (fired pairs, 2, L): parents a, b
-        weight = np.stack((1.0 + beta, 1.0 - beta), axis=1)  # child 0 is (1+beta) a + (1-beta) b, child 1 the mirror
-        mixed = 0.5 * (weight * pairs[:, :1] + weight[:, ::-1] * pairs[:, 1:])
-        children.reshape(-1, 2, length)[fire] = np.clip(mixed, 0.0, 1.0, out=mixed)
+        a, b = pairs[:, 0], pairs[:, 1]
+        mixed = np.empty_like(pairs)  # child 0 is (1+beta) a + (1-beta) b, child 1 the mirror
+        mixed[:, 0] = 0.5 * (plus * a + minus * b)
+        mixed[:, 1] = 0.5 * (minus * a + plus * b)
+        children.reshape(-1, 2, length)[fire] = np.minimum(np.maximum(mixed, 0.0, out=mixed), 1.0, out=mixed)
     sites = _mutation_sites(n * length, config.mutation_prob, rng)
     if sites.size:
         um = rng.random(sites.size)
         expm = 1.0 / (PM_ETA + 1.0)
         delta = np.where(um < 0.5, (2.0 * um) ** expm - 1.0, 1.0 - (2.0 * (1.0 - um)) ** expm)
         flat = children.reshape(-1)  # a view: children is a fresh contiguous copy
-        flat[sites] = np.clip(flat[sites] + delta, 0.0, 1.0)
+        flat[sites] = np.minimum(np.maximum(flat[sites] + delta, 0.0), 1.0)
     return children
 
 
@@ -525,6 +574,7 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
     terminated_by = "max-generations"
     w = config.stall_generations
     bound = instance.derived(lower_bound) if w < config.max_generations else -np.inf
+    cache = {}  # plan key -> (cost, violation) of the children priced so far
 
     for gen in range(config.max_generations + 1):  # gen generations are done: test the stops, then run the next
         if best_cost <= bound and gen + w <= config.max_generations:
@@ -541,8 +591,7 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
 
         child_genes = _make_offspring(pop.genes[mating], config, rng)
 
-        c_r, c_p, c_t = decode_batch(child_genes, instance)
-        c_cost, c_viol = batch_evaluate(instance, c_r, c_p, c_t)
+        c_cost, c_viol = _price_rows(child_genes, instance, cache)
         offspring = Population(genes=child_genes, cost=c_cost, violation=c_viol)
 
         best_genes, best_cost = _cheaper(offspring, best_genes, best_cost)  # survivors were scanned as offspring

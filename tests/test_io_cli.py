@@ -563,6 +563,27 @@ class TestCLI:
         assert done.returncode == EXIT_OK, done.stderr
         assert done.stdout.startswith("ok: 5 suppliers, 4 plants, 4 DCs,")
 
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("command", [["oracle"], ["solve", "--generations", "5"], ["check"]])
+    def test_a_stdout_closed_by_its_reader_exits_141_without_a_traceback(self, tmp_path, command, unbuffered):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)  # buffered, a short output first meets the closed pipe at the final flush
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        path = tmp_path / "strict.json"
+        save_instance(dataclasses.replace(default_instance("baseline"), strict_per_dc=True), path)
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first write
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pdnet.cli", command[0], str(path), *command[1:]],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (cli.EXIT_PIPE, "")
+
     def test_scenario_emit_onto_a_file_names_it(self, tmp_path, capsys):
         path = tmp_path / "taken"
         path.write_text("mine")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -407,6 +408,26 @@ class TestDelivery:
         rng = np.random.default_rng(seed)
         inst, w = overloaded_population(rng)
         assert np.array_equal(_delivery_shares(w, inst), sequential_delivery(w, inst))
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_with_equal_plan_keys_decode_to_the_same_flows(self, seed):
+        rng = np.random.default_rng(seed)
+        cases = [overloaded_population(rng)]
+        cases += [(inst, rng.random((30, inst.num_retailers, inst.num_dcs))) for inst in both_modes(seed)]
+        for inst, w in cases:
+            top = w.max(axis=2, keepdims=True)
+            rows = np.concatenate([
+                w,
+                w ** rng.uniform(0.5, 2.0, (*w.shape[:2], 1)),  # each retailer's weights in the same order, ties kept
+                np.where(w == top, w, rng.random(w.shape) * top),  # the same favourites, another order below them
+            ]).reshape(3 * len(w), -1)
+            flows = decode_batch(rows, inst)
+            first = {}  # each plan key's first row
+            for row, key in enumerate(nsga2._plan_keys(rows, inst)):
+                q = first.setdefault(key, row)
+                assert all(a[q].tobytes() == a[row].tobytes() for a in flows)
+            assert 3 * len(w) - len(first) >= len(w) // 2  # many rows share a key
 
     def test_the_strict_test_populations_overload(self):
         refilled = 0
@@ -1015,22 +1036,31 @@ class TestSolve:
         assert res.best_feasible is None and improved_twice >= 5
 
     def test_the_initial_population_counts_for_the_best_plan(self, monkeypatch):
-        inst = criterion_4_instances(1)[0]
+        inst = criterion_4_instances(6)[5]  # two DCs and two retailers: four plans
         cfg = SolverConfig(seed=0, max_generations=3, stall_generations=3)
         pop = init_population(inst, cfg, np.random.default_rng(cfg.seed))
         feasible = pop.violation == 0.0
         assert feasible.any()
         # offspring priced as infeasible, so only the initial population has a best plan
-        evaluate, priced = nsga2.batch_evaluate, []
+        evaluate, decode_rows, decoded, priced = nsga2.batch_evaluate, nsga2.decode_batch, [], []
+
+        def keyed_decode(genes, instance):
+            decoded.append(nsga2._plan_keys(genes, instance))
+            return decode_rows(genes, instance)
 
         def offspring_infeasible(instance, *flows):
+            priced.append(decoded[-1])  # the plan keys of the rows priced
             cost, violation = evaluate(instance, *flows)
-            priced.append(len(cost))
             return cost, violation + (len(priced) > 1)  # the first call prices the initial population
 
+        monkeypatch.setattr(nsga2, "decode_batch", keyed_decode)
         monkeypatch.setattr(nsga2, "batch_evaluate", offspring_infeasible)
         res = solve(inst, cfg)
-        assert priced == [50] * 4
+        assert len(priced[0]) == 50 and len(priced) > 1
+        seen = set()
+        for keys in priced[1:]:  # each plan of the offspring is decoded and priced once
+            assert len(set(keys)) == len(keys) and not seen & set(keys)
+            seen |= set(keys)
         assert [r.best_feasible_cost for r in res.trace] == [pop.cost[feasible].min()] * 3
         assert res.best_feasible[1].total == pop.cost[feasible].min()
 
@@ -1051,6 +1081,68 @@ class TestSolve:
         res = solve(inst, SolverConfig(seed=0, max_generations=20))
         assert res.best_feasible is None
         assert res.final_front.violation.min() > 0
+
+
+def decoded_rows(monkeypatch):
+    """The number of rows of each ``decode_batch`` call ``solve`` makes from now on."""
+    rows, decode_rows = [], nsga2.decode_batch
+
+    def counted(genes, instance):
+        rows.append(len(genes))
+        return decode_rows(genes, instance)
+
+    monkeypatch.setattr(nsga2, "decode_batch", counted)
+    return rows
+
+
+def assert_same_solve(a, b):
+    assert (a.trace, a.generations_run, a.terminated_by) == (b.trace, b.generations_run, b.terminated_by)
+    assert a.best_feasible == b.best_feasible  # FlowPlan compares with array_equal
+    for name in ("genes", "cost", "violation", "rank"):
+        assert getattr(a.final_front, name).tobytes() == getattr(b.final_front, name).tobytes()
+
+
+class TestPlanCache:
+    def test_a_solve_equals_the_solve_that_prices_every_row(self, monkeypatch):
+        scenarios = [
+            dataclasses.replace(default_instance(name), strict_per_dc=strict)
+            for name in ("baseline", "dc_expansion", "network_expansion")
+            for strict in (False, True)
+        ]
+        runs = [(inst, SolverConfig(seed=1, max_generations=300)) for inst in scenarios]
+        # in aggregate mode every criterion-4 solve stops at generation 0, in strict mode four per seed run on
+        runs += [
+            (dataclasses.replace(inst, strict_per_dc=True), SolverConfig(seed=seed, max_generations=300))
+            for inst in criterion_4_instances(20)
+            for seed in range(3)
+        ]
+        rows = decoded_rows(monkeypatch)
+        cached = [solve(inst, cfg) for inst, cfg in runs]
+        cached_rows = sum(rows)
+        fresh = itertools.count()  # every row gets a key of its own, so every row is decoded and priced
+        monkeypatch.setattr(nsga2, "_plan_keys", lambda genes, instance: [next(fresh).to_bytes(8, "little") for _ in genes])
+        for (inst, cfg), res in zip(runs, cached):
+            assert_same_solve(res, solve(inst, cfg))
+        assert sum(res.generations_run > 0 for res in cached[len(scenarios):]) == 12
+        assert 3 * cached_rows < sum(rows) - cached_rows
+
+    def test_a_cache_past_its_budget_is_cleared_and_the_solve_is_unchanged(self, monkeypatch):
+        inst = dataclasses.replace(default_instance("baseline"), strict_per_dc=True)  # a key is I*J = 80 bytes
+        cfg = SolverConfig(seed=2, max_generations=300)
+        rows = decoded_rows(monkeypatch)
+        kept = solve(inst, cfg)
+        kept_rows, held, price = sum(rows), [], nsga2._price_rows
+
+        def spied(genes, instance, cache):
+            out = price(genes, instance, cache)
+            held.append(len(cache))
+            return out
+
+        monkeypatch.setattr(nsga2, "_price_rows", spied)
+        monkeypatch.setattr(nsga2, "PLAN_CACHE_BYTES", 10 * inst.num_genes)  # room for ten keys
+        assert_same_solve(solve(inst, cfg), kept)
+        assert held.count(0) > 1 and max(held) <= 10  # cleared again and again, never holding more than ten
+        assert sum(rows) - kept_rows > kept_rows
 
 
 class TestConfig:
