@@ -89,6 +89,9 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if args.out and args.trace and os.path.realpath(args.out) == os.path.realpath(args.trace):
+        print(f"error: --out {args.out} and --trace {args.trace} name the same file", file=sys.stderr)
+        return EXIT_INPUT
     for path in filter(None, (args.out, args.trace)):
         try:  # a missing output directory fails before the solve; the trailing separator fails a file too
             os.stat(os.path.join(os.path.dirname(path) or os.curdir, ""))

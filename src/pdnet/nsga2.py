@@ -1,10 +1,10 @@
 """From-scratch NSGA-II engine for the production-distribution network.
 
 The genotype is a real vector in [0,1]^(J*I): one allocation weight per
-DC-retailer pair, J per retailer.  Decoding turns the weights into each
-retailer's shares, so every decoded plan meets demand exactly by
-construction.  Production and raw material are not searched for: given the
-shipments, the decoder fills the plant-DC arcs in route-cost order
+DC-retailer pair, J per retailer.  Decoding turns the weights into the
+cases each retailer gets from each DC, so every decoded plan meets demand
+exactly by construction.  Production and raw material are not searched for:
+given the shipments, the decoder fills the plant-DC arcs in route-cost order
 c_kj + h_j (a greedy flow decode, as in Gen, Altiparmak & Lin, OR Spectrum
 28, 2006) and buys what each plant's production needs from the cheapest
 suppliers first.  In aggregate mode any DC may ship any case and every plan
@@ -14,11 +14,14 @@ shipments on the arcs into it, each arc boxed at D_k/(u*J); the boxes give
 every DC its own plant room, so that is the cheapest production for the
 shipments.
 
-Decoding serves each retailer whole from its highest-weight DC; in strict
-per-DC mode, where that would overflow a DC, retailers fill DCs in weight
-order up to each one's room.  This is the greedy key-to-flow decoding of Gen,
-Altiparmak & Lin applied to the allocation weights.  Decoded plans sit on the
-boundary where the optimum lies, and the genes stay continuous and are never
+Decoding reads a row only through its plan index (``_plan_index``): each
+retailer's favourite DC, its highest weight, in aggregate mode, and its DCs
+in weight order in strict per-DC mode.  From the index it sends each
+retailer's demand whole to its favourite DC; in strict per-DC mode, where
+that would overflow a DC, retailers fill DCs in weight order up to each
+one's room.  This is the greedy key-to-flow decoding of Gen, Altiparmak &
+Lin applied to the allocation weights.  Decoded plans sit on the boundary
+where the optimum lies, and the genes stay continuous and are never
 rewritten, so crossover and mutation can move a retailer to another DC by
 changing which of its weights is highest.
 
@@ -44,15 +47,15 @@ A generation does only the work that depends on it.  What depends on the
 instance alone (the arcs in route-cost order and their room, the suppliers
 in price order and their running capacity, the aggregate-mode production and
 raw purchase, the lower bound) is built on first use and kept with the
-instance.  A decoded plan is a function of its plan key, what decoding reads
-of a row: each retailer's favourite DC in aggregate mode, each retailer's DCs
-in weight order in strict per-DC mode.  The population collapses onto a few
-plans, so a solve keeps a dict from each child's plan key to its price and
-decodes and evaluates, in one batch, only the children whose key is new; a
-row's price does not depend on its batch, so the run is the same bit for
-bit.  The dict lives for one solve, from generation 1 on, and is cleared
-whenever its keys pass PLAN_CACHE_BYTES.  The best plan is decoded and priced
-once, after the run; the final front is returned as population rows.
+instance.  A decoded plan is a function of its plan key, the packed plan
+index, because decoding reads nothing else of a row.  The population
+collapses onto a few plans, so a solve keeps a dict from each child's plan
+key to its price and decodes and evaluates, in one batch, only the children
+whose key is new; a row's price does not depend on its batch, so the run is
+the same bit for bit.  The dict lives for one solve, from generation 1 on,
+and is cleared whenever its keys pass PLAN_CACHE_BYTES.  The best plan is
+decoded and priced once, after the run; the final front is returned as
+population rows.
 Variation draws random numbers only where they are used: spread factors for
 the pairs that cross, and the mutation sites as geometric gaps between
 successive mutated genes, which is an exact per-gene Bernoulli(p_m) draw.
@@ -170,7 +173,6 @@ class _Codec:
 
     def __init__(self, instance: NetworkInstance):
         _, k, j, _ = instance.counts
-        self.gene_demand = np.repeat(instance.demand, j)  # (I*J,) demand of each gene's retailer
         self.utilization = instance.utilization
         self.strict = instance.strict_per_dc
         self.shape = (k, j)
@@ -197,7 +199,7 @@ class _Codec:
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
-        self.tiles = {}  # aggregate mode: row count n -> raw (n,S,K) and production (n,K,J), repeated
+        self.tiles = ()  # aggregate mode: raw (N,S,K) and production (N,K,J), repeated over the most rows decoded yet
 
     def fill(self, need: np.ndarray, total: np.ndarray) -> np.ndarray:
         """The cheapest production (n, K, J) whose arrivals cover ``need`` (n, G) per group and ``total`` (n,).
@@ -250,44 +252,49 @@ def _codec(instance: NetworkInstance) -> _Codec:
 def decode_batch(genes: np.ndarray, instance: NetworkInstance):
     """Decode gene rows (n, I*J) into stacked flows r:(n,S,K), p:(n,K,J), t:(n,J,I).
 
-    A row holds J allocation weights per retailer; the shipments are each
-    retailer's demand times its shares per DC as ``_delivery_shares`` gives
-    them, so each retailer goes whole to its highest-weight DC unless a
-    strict-mode DC overflows.  Production is the cheapest that covers the
-    shipments (``_Codec.fill``), and raw material is bought for u x each
-    plant's production, cheapest supplier first, up to supplier capacity.
-    In aggregate mode that is one read-only plan per instance, repeated over
-    the rows.  In strict per-DC mode it is filled per row: each DC's
-    shipments on the arcs into it, each arc boxed at D_k/(u*J).
+    A row holds J allocation weights per retailer, and decoding reads them
+    only through their plan index (``_plan_index``): the shipments are the
+    cases ``_shipments`` sends from it, so each retailer goes whole to its
+    highest-weight DC unless a strict-mode DC overflows.  Production is the
+    cheapest that covers the shipments (``_Codec.fill``), and raw material is
+    bought for u x each plant's production, cheapest supplier first, up to
+    supplier capacity.  In aggregate mode that is one read-only plan per
+    instance, repeated over the rows.  In strict per-DC mode it is filled per
+    row: each DC's shipments on the arcs into it, each arc boxed at D_k/(u*J).
     """
-    _, _, j, i = instance.counts
     n = genes.shape[0]
     if genes.shape[1] != instance.num_genes:
-        raise DimensionMismatchError(
-            f"chromosome length {genes.shape[1]}, expected {instance.num_genes}"
-        )
+        raise DimensionMismatchError(f"chromosome length {genes.shape[1]}, expected {instance.num_genes}")
     codec = _codec(instance)
-    shares = _delivery_shares(genes.reshape(n, i, j), instance).reshape(n, -1)
-    np.minimum(shares, 1.0, out=shares)  # a spill onto a full DC can round a share above 1 (none is below 0)
-    t = np.ascontiguousarray((shares * codec.gene_demand).reshape(n, i, j).transpose(0, 2, 1))
+    t = np.ascontiguousarray(_shipments(_plan_index(genes, instance), instance).transpose(0, 2, 1))
     if not instance.strict_per_dc:
-        if n not in codec.tiles:  # one read-only C-ordered copy per row count: evaluation copies nothing
-            codec.tiles[n] = [np.repeat(a[None], n, axis=0) for a in (codec.raw, codec.production)]
-            for a in codec.tiles[n]:
+        if not codec.tiles or len(codec.tiles[0]) < n:  # one read-only C-ordered tile, sliced
+            codec.tiles = tuple(np.repeat(a[None], n, axis=0) for a in (codec.raw, codec.production))
+            for a in codec.tiles:
                 a.setflags(write=False)
-        return (*codec.tiles[n], t)
+        return (*(a[:n] for a in codec.tiles), t)
     p = codec.fill(np.einsum("nji->nj", t), np.einsum("nji->ni", t).sum(axis=1))
     return codec.raw_fill(np.einsum("nkj->nk", p)), p, t
 
 
-def _delivery_shares(w: np.ndarray, instance: NetworkInstance) -> np.ndarray:
-    """Shares (n,I,J) of each retailer's demand per DC, from allocation weights w (n,I,J).
+def _plan_index(genes: np.ndarray, instance: NetworkInstance) -> np.ndarray:
+    """All that decoding reads of gene rows (n, I*J), and the only code that reads them.
 
-    Each retailer goes to its highest-weight DC.  In strict per-DC mode, rows
-    where that would overload a DC are filled instead: the retailers, in
-    index order, fill DCs in weight order up to the room left in each (its
-    capacity, and no more than its inbound arcs can supply); a retailer that
-    finds every DC full puts the rest on its favourite DC.
+    Each retailer's favourite DC (n, I), its first highest weight, in aggregate mode; its DCs in
+    weight order (n, I, J), ties in index order, in strict per-DC mode.
+    """
+    w = genes.reshape(len(genes), instance.num_retailers, instance.num_dcs)
+    return np.argsort(-w, axis=2, kind="stable") if instance.strict_per_dc else w.argmax(axis=2)
+
+
+def _shipments(index: np.ndarray, instance: NetworkInstance) -> np.ndarray:
+    """Cases (n,I,J) each retailer gets from each DC, from the plan index ``_plan_index`` gives.
+
+    Each retailer goes whole to its favourite DC.  In strict per-DC mode,
+    rows where that would overload a DC are filled instead: the retailers,
+    first to last, fill DCs in weight order up to the room left in each
+    (its capacity, and no more than its inbound arcs can supply); a retailer
+    that finds every DC full puts the rest on its favourite DC.
 
     Until a row's first overflow every retailer takes its favourite DC
     whole, so those retailers are assigned at once, and a running sum from
@@ -295,64 +302,50 @@ def _delivery_shares(w: np.ndarray, instance: NetworkInstance) -> np.ndarray:
     rounds it.  The fill goes retailer by retailer only from the earliest
     overflow in any row on.
     """
-    n, i, j = w.shape
-    favourite = w.argmax(axis=2)
-    shares = np.zeros((n, i, j))
-    shares.reshape(-1)[np.arange(n * i) * j + favourite.ravel()] = 1.0
-    if not instance.strict_per_dc:
-        return shares
+    favourite = index[..., 0] if instance.strict_per_dc else index
+    n, i = favourite.shape
     demand = instance.demand
+    sent = np.zeros((n, i, instance.num_dcs))
+    sent[np.arange(n)[:, None], np.arange(i), favourite] = demand
+    if not instance.strict_per_dc:
+        return sent
     dc_room = _codec(instance).dc_room
-    over = np.flatnonzero((np.einsum("nij,i->nj", shares, demand) > dc_room).any(axis=1))
+    over = np.flatnonzero((np.einsum("nij->nj", sent) > dc_room).any(axis=1))
     if over.size == 0:
-        return shares
-    m = over.size
-    favourite_over = shares[over]
+        return sent
+    m, j = over.size, dc_room.size
     # room[:, r]: what each DC has left for retailer r if all before it took their favourite whole
-    taken = favourite_over * np.maximum(demand, 0.0)[None, :, None]
-    room = np.cumsum(np.concatenate([np.broadcast_to(dc_room, (m, 1, j)), -taken], axis=1), axis=1)
+    room = np.cumsum(np.concatenate([np.broadcast_to(dc_room, (m, 1, j)), -sent[over]], axis=1), axis=1)
     # the sequential fill gives a retailer its favourite whole when the demand fits the room there
     # by more than the rounding of the fill's running sums, at most a few ulps of the total room
     margin = 4.0 * np.finfo(np.float64).eps * dc_room.sum()
-    fits = demand <= np.einsum("mij,mij->mi", room[:, :-1], favourite_over) - margin
+    fits = demand <= room[np.arange(m)[:, None], np.arange(i), favourite[over]] - margin
     overflows = np.flatnonzero(~(fits | (demand <= 0)).all(axis=0))
     if overflows.size == 0:
-        return shares
+        return sent
     start = overflows[0]
-    order = np.argsort(-w[over, start:], axis=2, kind="stable")  # DCs in weight order
+    order = index[over, start:]  # DCs in weight order
     at = np.arange(m)[:, None, None] * j + order  # flat index into room of each DC in weight order
     room = room[:, start].ravel()
     rest = demand[start:]
-    taken = np.empty((m, i - start, j))  # amounts in weight order
+    taken = np.empty((m, i - start, j))  # cases in weight order
     for f, d in enumerate(rest):
-        if d <= 0:
-            taken[:, f, :] = 0.0
-            taken[:, f, 0] = 1.0  # all of nothing on the favourite
-            continue
         left = room[at[:, f]]
         take = _greedy_fill(left, d, out=taken[:, f, :])
         take[:, 0] += np.maximum(d - take.sum(axis=1), 0.0)
         room[at[:, f]] = np.maximum(left - take, 0.0)
-    tail = np.empty_like(taken)  # the shares in DC order
-    tail.reshape(-1)[np.arange(m * (i - start)).reshape(m, -1, 1) * j + order] = taken
-    tail /= np.where(rest > 0, rest, 1.0)[:, None]
-    shares[over, start:] = tail
-    return shares
+    np.minimum(taken, rest[:, None], out=taken)  # a spill onto a full DC can round above the demand
+    sent[over[:, None, None], np.arange(start, i)[:, None], order] = taken
+    return sent
 
 
 def _plan_keys(genes: np.ndarray, instance: NetworkInstance) -> list:
-    """One bytes key per gene row (n, I*J): exactly what ``_delivery_shares`` reads of the row.
+    """One bytes key per gene row (n, I*J): its plan index in the smallest unsigned dtype that holds J - 1.
 
-    That is each retailer's favourite DC in aggregate mode and each
-    retailer's DCs in weight order in strict per-DC mode, packed in the
-    smallest unsigned dtype that holds J - 1.  Rows with equal keys decode to
-    the same flows, bit for bit, so they have one price.
+    Decoding reads a row only through ``_plan_index``, so rows with equal
+    keys decode to the same flows, bit for bit, and have one price.
     """
-    n = genes.shape[0]
-    _, _, j, i = instance.counts
-    w = genes.reshape(n, i, j)
-    index = np.argsort(-w, axis=2, kind="stable") if instance.strict_per_dc else w.argmax(axis=2)
-    packed = index.astype(np.min_scalar_type(j - 1)).reshape(n, -1)
+    packed = _plan_index(genes, instance).astype(np.min_scalar_type(instance.num_dcs - 1)).reshape(len(genes), -1)
     return packed.view(np.dtype((np.void, packed.shape[1] * packed.itemsize))).ravel().tolist()
 
 

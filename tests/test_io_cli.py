@@ -553,6 +553,18 @@ class TestCLI:
         assert main(["solve", str(inst_path), "--out", str(out)]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {out}: Not a directory\n"
 
+    def test_solve_rejects_one_file_for_both_the_result_and_the_trace(self, tmp_path, capsys, monkeypatch):
+        # the trace would silently replace the result; a second name for the file is caught too
+        monkeypatch.setattr(cli, "solve", no_solve)
+        inst_path = tmp_path / "i.json"
+        save_instance(single_chain(), inst_path)
+        out, alias = tmp_path / "r.json", tmp_path / "sub" / ".." / "r.json"
+        (tmp_path / "sub").mkdir()
+        for trace in (out, alias):
+            assert main(["solve", str(inst_path), "--out", str(out), "--trace", str(trace)]) == EXIT_INPUT
+            assert capsys.readouterr().err == f"error: --out {out} and --trace {trace} name the same file\n"
+        assert not out.exists()
+
     def test_python_dash_m_runs_a_command(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -20,11 +20,12 @@ from pdnet.nsga2 import (
 from pdnet.nsga2 import (
     Population,
     _crowding,
-    _delivery_shares,
     _front_ranks,
     _make_offspring,
     _mutation_sites,
+    _plan_index,
     _rank_and_crowd,
+    _shipments,
     _tournament_indices,
 )
 from pdnet.oracle import exact_optimum, lower_bound
@@ -88,6 +89,16 @@ class TestDecode:
         assert np.array_equal(plan.plant_dc_flow, [[300.0, 0.0], [400.0, 300.0]])
         assert np.array_equal(plan.raw_flow, [[600.0, 1400.0]])  # u x each plant's production
         assert evaluate_constraints(inst, plan, tolerance=0.0).total_violation == 0.0
+
+    def test_aggregate_production_is_one_read_only_tile_grown_to_the_largest_batch(self):
+        inst = random_instance(np.random.default_rng(5))
+        codec = nsga2._codec(inst)
+        for n in (3, 5, 2):
+            r, p, _ = decode_batch(np.random.default_rng(n).random((n, inst.num_genes)), inst)
+            for a, one in ((r, codec.raw), (p, codec.production)):
+                assert a.flags.c_contiguous and not a.flags.writeable
+                assert np.array_equal(a, np.broadcast_to(one, (n, *one.shape)))
+        assert [len(a) for a in codec.tiles] == [5, 5]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -248,26 +259,22 @@ def decoded(inst, seed, rows=16):
 
 
 def sequential_delivery(w, instance):
-    """Reference strict-mode delivery: each overloaded row filled retailer by retailer."""
+    """Reference strict-mode delivery in cases (n, I, J): each overloaded row filled retailer by retailer."""
     n, i, j = w.shape
-    shares = np.eye(j)[w.argmax(axis=2)]
+    sent = np.eye(j)[w.argmax(axis=2)] * instance.demand[:, None]
     box = instance.plant_capacity / (instance.utilization * j)
     capacity = np.minimum(instance.dc_capacity, box.sum() * (1.0 - 8.0 * np.finfo(np.float64).eps))
-    over = np.flatnonzero((np.einsum("nij,i->nj", shares, instance.demand) > capacity).any(axis=1))
+    over = np.flatnonzero((sent.sum(axis=1) > capacity).any(axis=1))
     for row in over:
         room = capacity.copy()
         for r, d in enumerate(instance.demand):
             order = np.argsort(-w[row, r], kind="stable")  # DCs in weight order
-            shares[row, r] = 0.0
-            if d <= 0:
-                shares[row, r, order[0]] = 1.0
-                continue
             left = room[order]
             take = np.minimum(left, np.maximum(d - (np.cumsum(left) - left), 0.0))
             take[0] += max(d - take.sum(), 0.0)  # every DC full: the rest on the favourite
             room[order] = np.maximum(left - take, 0.0)
-            shares[row, r, order] = take / d
-    return shares
+            sent[row, r, order] = np.minimum(take, d)  # the spill's rounding clipped at the demand
+    return sent
 
 
 def overloaded_population(rng, rows=30):
@@ -357,14 +364,15 @@ class TestDelivery:
             assert residuals["production_vs_shipment"].min() >= 0.0
             assert residuals["dc_throughput"].min() >= 0.0
 
-    def test_a_retailer_that_finds_every_dc_full_keeps_its_share_at_most_one(self):
-        # one DC holding less than the demand: the second retailer spills its room + (demand - room)
-        # back onto that DC, which rounds to 1.0000000000000002 of its demand here
+    def test_a_retailer_that_finds_every_dc_full_keeps_its_cases_at_most_its_demand(self):
+        # one DC holding less than the demand: the second retailer takes the room left and spills
+        # demand - room back onto that DC, which adds up to more than its demand here
         inst = dataclasses.replace(random_instance(np.random.default_rng(339508)), strict_per_dc=True)
         assert inst.counts == (2, 1, 1, 2) and inst.dc_capacity[0] < inst.demand.sum()
+        left = nsga2._codec(inst).dc_room[0] - inst.demand[0]
+        assert 0.0 < left and left + (inst.demand[1] - left) > inst.demand[1]
         genes = np.random.default_rng(339509).random((16, inst.num_genes))
-        assert np.all(_delivery_shares(genes.reshape(16, 2, 1), inst)[:, 1] > 1.0)
-        # the decoded plan is clipped to a share of 1: the whole demand on the one DC, and no more
+        # the decoded plan is clipped to the demand: the whole demand on the one DC, and no more
         _, _, t = decode_batch(genes, inst)
         assert np.array_equal(t, np.broadcast_to(inst.demand, (16, 1, 2)))
 
@@ -403,11 +411,13 @@ class TestDelivery:
         assert plan.plant_dc_flow == pytest.approx(np.array([[10.0, 13.0]]))
 
     @given(st.integers(0, 10**9))
+    @example(430)  # a spill here adds up to more than its retailer's demand: the clip is exercised
     @settings(max_examples=100, deadline=None)
     def test_strict_delivery_equals_the_per_retailer_fill(self, seed):
         rng = np.random.default_rng(seed)
         inst, w = overloaded_population(rng)
-        assert np.array_equal(_delivery_shares(w, inst), sequential_delivery(w, inst))
+        index = _plan_index(w.reshape(len(w), -1), inst)
+        assert np.array_equal(_shipments(index, inst), sequential_delivery(w, inst))
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
@@ -433,7 +443,8 @@ class TestDelivery:
         refilled = 0
         for seed in range(20):
             inst, w = overloaded_population(np.random.default_rng(seed))
-            refilled += not np.array_equal(sequential_delivery(w, inst), np.eye(inst.num_dcs)[w.argmax(axis=2)])
+            whole = np.eye(inst.num_dcs)[w.argmax(axis=2)] * inst.demand[:, None]
+            refilled += not np.array_equal(sequential_delivery(w, inst), whole)
         assert refilled >= 15
 
     @given(st.integers(0, 10**9))
