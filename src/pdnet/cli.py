@@ -7,6 +7,7 @@ closed by its reader (128 + SIGPIPE).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -93,8 +94,12 @@ def cmd_solve(args) -> int:
         print(f"error: --out {args.out} and --trace {args.trace} name the same file", file=sys.stderr)
         return EXIT_INPUT
     for path in filter(None, (args.out, args.trace)):
-        try:  # a missing output directory fails before the solve; the trailing separator fails a file too
+        # a missing output directory, or a path that names a directory, fails before the solve;
+        # the trailing separator fails a file too
+        try:
             os.stat(os.path.join(os.path.dirname(path) or os.curdir, ""))
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         except OSError as exc:
             return _file_error(path, exc)
     result = solve(instance, config)

@@ -55,10 +55,15 @@ whose key is new; a row's price does not depend on its batch, so the run is
 the same bit for bit.  The dict lives for one solve, from generation 1 on,
 and is cleared whenever its keys pass PLAN_CACHE_BYTES.  The best plan is
 decoded and priced once, after the run; the final front is returned as
-population rows.
+population rows.  Survival ranks the parent+offspring union by its objectives
+alone, and a collapsed population repeats its unions, so a solve also keeps a
+dict from each union's objectives to their ranking, cleared by the same rule.
 Variation draws random numbers only where they are used: spread factors for
 the pairs that cross, and the mutation sites as geometric gaps between
 successive mutated genes, which is an exact per-gene Bernoulli(p_m) draw.
+The draws of DRAW_BLOCK generations are made at once, in the order each
+generation would make them, and what follows from them alone (tournament
+winners, spread factors, mutation deltas) is computed once per block.
 """
 
 from __future__ import annotations
@@ -83,9 +88,13 @@ from .oracle import lower_bound
 SBX_ETA = 15.0  # distribution index of simulated binary crossover
 PM_ETA = 20.0  # distribution index of polynomial mutation
 STALL_TOLERANCE = 1e-6  # relative gain in best cost below which a generation window counts as a stall
-# Key bytes a solve's plan cache may hold; once they pass this it is cleared.  An entry also
-# holds about 190 bytes of Python objects, so a cache of 20-byte keys stays below about 45 MB.
+# Key bytes a solve's plan cache, or its dict of rankings, may hold; once they pass this it is cleared.
+# A plan entry also holds about 190 bytes of Python objects, so a cache of 20-byte keys stays below
+# about 45 MB; a ranking's 1,600-byte key (population 50) holds about 2.9 kB more, about 12 MB in all.
 PLAN_CACHE_BYTES = 1 << 22
+# Generations whose random draws are made at once, never past the budget.  A generation's RNG calls
+# keep their order, so runs do not depend on it; draws made for generations after a stall are wasted.
+DRAW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -113,6 +122,8 @@ class SolverConfig:
         for name in ("max_generations", "stall_generations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -407,35 +418,65 @@ def _mutation_sites(size: int, prob: float, rng) -> np.ndarray:
     return sites[: np.searchsorted(sites, size)]
 
 
-def _make_offspring(parent_genes: np.ndarray, config: SolverConfig, rng) -> np.ndarray:
-    """Crossover + mutation over the whole mating pool in one batch.
+def _variation_draws(n: int, length: int, config: SolverConfig, rng):
+    """Yield each generation's ``_make_offspring`` arguments after the genes, for ``n`` rows of ``length`` genes.
 
-    Pairs are consecutive rows.  Simulated binary crossover fires per pair
-    with probability crossover_prob, polynomial mutation per gene with
-    probability mutation_prob, genes stay clamped to [0,1].  Random numbers
-    are drawn only where they are used: spread factors for the pairs that
-    cross, and the sites and deltas of the genes that mutate.
+    A generation calls the RNG in a fixed order: tournament pairs, one
+    number per pair of the pool, a number per gene of the pairs that cross
+    (those whose number is below crossover_prob), mutation sites, a number
+    per site.  The calls of up to DRAW_BLOCK generations, never more than
+    max_generations in all, are made in turn, and what follows from them
+    alone (tournament winners, spread factors, mutation deltas) is computed
+    once for the block.
     """
-    n, length = parent_genes.shape
-    children = parent_genes.copy()
-    fire = np.flatnonzero(rng.random(n // 2) < config.crossover_prob)
-    if fire.size:
-        u = rng.random((fire.size, length))
-        x = 2.0 * np.minimum(u, 1.0 - u)  # 2u, or 2(1 - u) above 0.5, where 1 - u is exact
-        beta = np.power(np.where(u > 0.5, 1.0 / x, x), 1.0 / (SBX_ETA + 1.0))
-        plus, minus = 1.0 + beta, 1.0 - beta
-        pairs = parent_genes.reshape(-1, 2, length)[fire]  # (fired pairs, 2, L): parents a, b
-        a, b = pairs[:, 0], pairs[:, 1]
-        mixed = np.empty_like(pairs)  # child 0 is (1+beta) a + (1-beta) b, child 1 the mirror
-        mixed[:, 0] = 0.5 * (plus * a + minus * b)
-        mixed[:, 1] = 0.5 * (minus * a + plus * b)
-        children.reshape(-1, 2, length)[fire] = np.minimum(np.maximum(mixed, 0.0, out=mixed), 1.0, out=mixed)
-    sites = _mutation_sites(n * length, config.mutation_prob, rng)
-    if sites.size:
-        um = rng.random(sites.size)
-        expm = 1.0 / (PM_ETA + 1.0)
+    expm = 1.0 / (PM_ETA + 1.0)
+    left = config.max_generations
+    while left:
+        gens = min(DRAW_BLOCK, left)
+        left -= gens
+        pairs, fire, u, sites, um = [], [], [], [], []
+        for _ in range(gens):
+            pairs.append(rng.integers(0, n, size=(n, 2)))
+            fire.append((rng.random(n // 2) < config.crossover_prob).nonzero()[0])
+            u.append(rng.random((fire[-1].size, length)))
+            sites.append(_mutation_sites(n * length, config.mutation_prob, rng))
+            um.append(rng.random(sites[-1].size))
+        mating = _tournament_indices(np.array(pairs))
+        u, um = np.concatenate(u), np.concatenate(um)
+        # beta is x^(1/(eta+1)) for x = 2u, and (1/x)^(1/(eta+1)) for x = 2(1 - u) above 0.5, where
+        # 1 - u is exact.  With x negated above 0.5, max(y, -1/y) picks x or 1/x without a branch.
+        y = np.copysign(2.0 * np.minimum(u, 1.0 - u), 0.5 - u)
+        beta = np.power(np.maximum(y, -1.0 / y), 1.0 / (SBX_ETA + 1.0))
+        spread = np.empty((len(u), 2, length))  # [1 + beta, 1 - beta] per fired pair and gene
+        np.add(1.0, beta, out=spread[:, 0])
+        np.subtract(1.0, beta, out=spread[:, 1])
         delta = np.where(um < 0.5, (2.0 * um) ** expm - 1.0, 1.0 - (2.0 * (1.0 - um)) ** expm)
-        flat = children.reshape(-1)  # a view: children is a fresh contiguous copy
+        a = b = 0  # the generation's first fired pair and first site in the block
+        for g in range(gens):
+            c, d = a + fire[g].size, b + sites[g].size
+            yield mating[g], fire[g], spread[a:c], sites[g], delta[b:d]
+            a, b = c, d
+
+
+def _make_offspring(genes, mating, fire, spread, sites, delta) -> np.ndarray:
+    """Crossover + mutation of the mating pool ``genes[mating]`` in one batch, from one generation's draws.
+
+    Pairs are consecutive rows of the pool.  The pairs ``fire`` cross by
+    simulated binary crossover: with ``spread`` [1 + beta, 1 - beta] per
+    gene, child 0 is ((1 + beta) a + (1 - beta) b) / 2 and child 1 the
+    mirror image.  Then the flat gene ``sites`` move by ``delta``
+    (polynomial mutation).  Genes stay clamped to [0,1].
+    """
+    children = genes[mating]
+    length = children.shape[1]
+    if fire.size:
+        pairs = children.reshape(-1, 2, length)[fire]  # (fired pairs, 2, L): parents a, b
+        mixed = spread * pairs[:, :1]
+        mixed += spread[:, ::-1] * pairs[:, 1:]
+        mixed *= 0.5
+        children.reshape(-1, 2, length)[fire] = np.minimum(np.maximum(mixed, 0.0, out=mixed), 1.0, out=mixed)
+    if sites.size:
+        flat = children.reshape(-1)  # a view: children is a fresh contiguous gather
         flat[sites] = np.minimum(np.maximum(flat[sites] + delta, 0.0), 1.0)
     return children
 
@@ -508,30 +549,43 @@ def _rank_and_crowd(cost: np.ndarray, violation: np.ndarray):
     return ranks, crowd, order
 
 
-def select_next_generation(parents: Population, offspring: Population, config: SolverConfig) -> Population:
+def select_next_generation(
+    parents: Population, offspring: Population, config: SolverConfig, rankings: Optional[dict] = None
+) -> Population:
     """Elitist survival from the parent+offspring union by (rank, crowding).
 
     The survivors keep the ranks they got in the union and are stored in
     survival order, so a survivor's index is its place in that order.
+    ``rankings`` maps a union's cost and violation bytes to
+    ``_rank_and_crowd``'s read-only result on them, so a union seen before is
+    not ranked again; it is cleared once its keys pass PLAN_CACHE_BYTES.
     """
     if len(parents) != config.population_size or len(offspring) != config.population_size:
         raise ValueError("parents and offspring must each have population_size members")
     genes = np.concatenate([parents.genes, offspring.genes])
     cost = np.concatenate([parents.cost, offspring.cost])
     violation = np.concatenate([parents.violation, offspring.violation])
-    ranks, _, order = _rank_and_crowd(cost, violation)
+    rankings = {} if rankings is None else rankings
+    key = cost.tobytes() + violation.tobytes()
+    if key not in rankings:
+        if len(rankings) * len(key) > PLAN_CACHE_BYTES:
+            rankings.clear()
+        rankings[key] = _rank_and_crowd(cost, violation)
+        for a in rankings[key]:
+            a.setflags(write=False)
+    ranks, _, order = rankings[key]
     keep = order[: config.population_size]
     return Population(genes=genes[keep], cost=cost[keep], violation=violation[keep], rank=ranks[keep])
 
 
-def _tournament_indices(n, rng, n_select):
-    """Binary tournaments among n members stored in survival order: the earlier member wins.
+def _tournament_indices(drawn: np.ndarray) -> np.ndarray:
+    """Winners of binary tournaments between the drawn pairs (..., 2) of members stored in survival order.
 
-    The order is (rank asc, crowding desc, index asc), so comparing two
-    indices decides what rank, then crowding, then index would.
+    The earlier member wins: the order is (rank asc, crowding desc, index
+    asc), so comparing two indices decides what rank, then crowding, then
+    index would.
     """
-    drawn = rng.integers(0, n, size=(n_select, 2))
-    return np.minimum(drawn[:, 0], drawn[:, 1])
+    return np.minimum(drawn[..., 0], drawn[..., 1])
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +622,8 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
     w = config.stall_generations
     bound = instance.derived(lower_bound) if w < config.max_generations else -np.inf
     cache = {}  # plan key -> (cost, violation) of the children priced so far
+    rankings = {}  # a union's objectives -> their ranking
+    draws = _variation_draws(n, instance.num_genes, config, rng)
 
     for gen in range(config.max_generations + 1):  # gen generations are done: test the stops, then run the next
         if best_cost <= bound and gen + w <= config.max_generations:
@@ -580,16 +636,14 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
         if gen == config.max_generations:
             break
 
-        mating = _tournament_indices(n, rng, n)
-
-        child_genes = _make_offspring(pop.genes[mating], config, rng)
+        child_genes = _make_offspring(pop.genes, *next(draws))
 
         c_cost, c_viol = _price_rows(child_genes, instance, cache)
         offspring = Population(genes=child_genes, cost=c_cost, violation=c_viol)
 
         best_genes, best_cost = _cheaper(offspring, best_genes, best_cost)  # survivors were scanned as offspring
 
-        pop = select_next_generation(pop, offspring, config)
+        pop = select_next_generation(pop, offspring, config, rankings)
 
         feasible_count = int(np.count_nonzero(pop.violation == 0.0))
         trace.append(

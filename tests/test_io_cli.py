@@ -312,6 +312,7 @@ class TestCLI:
             ("--crossover", "1.5", "crossover_prob"),
             ("--mutation", "2", "mutation_prob"),
             ("--generations", "0", "max_generations"),
+            ("--seed", "-1", "seed"),
         ],
     )
     def test_solve_rejects_a_bad_setting_by_name(self, tmp_path, capsys, flag, value, field):
@@ -544,6 +545,26 @@ class TestCLI:
         assert main(["solve", str(inst_path), "--out", str(tmp_path / "r.json"), "--trace", str(out)]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
         assert not (tmp_path / "r.json").exists()
+
+    def test_solve_with_a_negative_seed_is_an_input_error_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "solve", no_solve)
+        inst_path = tmp_path / "i.json"
+        save_instance(single_chain(), inst_path)
+        assert main(["solve", str(inst_path), "--seed", "-1"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+
+    def test_solve_into_an_existing_directory_names_the_output_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "solve", no_solve)
+        inst_path = tmp_path / "i.json"
+        save_instance(single_chain(), inst_path)
+        for option in ("--out", "--trace"):
+            assert main(["solve", str(inst_path), option, str(tmp_path)]) == EXIT_INPUT
+            assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+        # an existing --out file does not let a directory --trace through
+        out = tmp_path / "r.json"
+        assert main(["solve", str(inst_path), "--out", str(out), "--trace", str(tmp_path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+        assert not out.exists()
 
     def test_solve_under_a_file_names_the_output_path(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "solve", no_solve)

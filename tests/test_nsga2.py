@@ -486,17 +486,24 @@ class TestInit:
         assert 0.48 <= genes.mean() <= 0.52
 
 
+def breed(parents, config, rng):
+    """Children of the mating pool ``parents``, paired as they stand, from one generation's draws as in ``solve``."""
+    n, length = parents.shape
+    _, *variation = next(nsga2._variation_draws(n, length, dataclasses.replace(config, max_generations=1), rng))
+    return _make_offspring(parents, np.arange(n), *variation)
+
+
 class TestVariation:
     def test_identical_parents_give_identical_children(self):
         rng = np.random.default_rng(1)
         parents = np.repeat(rng.random((5, 10)), 2, axis=0)  # each pair is one parent twice
-        children = _make_offspring(parents, SolverConfig(crossover_prob=1.0, mutation_prob=0.0), rng)
+        children = breed(parents, SolverConfig(crossover_prob=1.0, mutation_prob=0.0), rng)
         assert np.allclose(children, parents)
 
     def test_sbx_preserves_parent_mean(self):
         rng = np.random.default_rng(3)
         parents = np.array([[0.2], [0.8]]).repeat(10_000, axis=1)
-        children = _make_offspring(parents, SolverConfig(crossover_prob=1.0, mutation_prob=0.0), rng)
+        children = breed(parents, SolverConfig(crossover_prob=1.0, mutation_prob=0.0), rng)
         pair_means = children.mean(axis=0)
         assert abs(pair_means.mean() - 0.5) < 0.02
 
@@ -507,23 +514,23 @@ class TestVariation:
         genes = rng.random((4, 12))
         cfg = SolverConfig(crossover_prob=1.0, mutation_prob=0.5)
         for _ in range(3):
-            genes = _make_offspring(genes, cfg, rng)
+            genes = breed(genes, cfg, rng)
         assert np.all((genes >= 0.0) & (genes <= 1.0))
 
     def test_offspring_mutation_rate_is_binomial(self):
         # 10^6 genes at p_m 0.001: 1000 hits expected, standard deviation 31.6
         parents = np.full((1000, 1000), 0.5)
         cfg = SolverConfig(crossover_prob=0.0, mutation_prob=0.001)
-        children = _make_offspring(parents, cfg, np.random.default_rng(5))
+        children = breed(parents, cfg, np.random.default_rng(5))
         hits = int(np.count_nonzero(children != parents))
         assert 800 <= hits <= 1200
 
     def test_no_variation_leaves_every_gene_and_full_mutation_changes_every_gene(self):
         rng = np.random.default_rng(8)
         parents = rng.uniform(0.01, 0.99, (20, 30))
-        same = _make_offspring(parents, SolverConfig(crossover_prob=0.0, mutation_prob=0.0), rng)
+        same = breed(parents, SolverConfig(crossover_prob=0.0, mutation_prob=0.0), rng)
         assert np.array_equal(same, parents)
-        changed = _make_offspring(parents, SolverConfig(crossover_prob=0.0, mutation_prob=1.0), rng)
+        changed = breed(parents, SolverConfig(crossover_prob=0.0, mutation_prob=1.0), rng)
         assert np.all(changed != parents)
 
     def test_mutation_sites_are_independent_per_gene(self):
@@ -562,14 +569,14 @@ class TestVariation:
         moved = 0
         for _ in range(200):
             parents = rng.random((50, inst.num_genes))
-            children = _make_offspring(parents, SolverConfig(), rng)
+            children = breed(parents, SolverConfig(), rng)
             moved += np.count_nonzero((assignment(children) != assignment(parents)).any(axis=1))
         assert moved >= at_least
 
     def test_children_differ_from_parents_when_sbx_fires(self):
         rng = np.random.default_rng(9)
         parents = rng.random((10, 6))
-        children = _make_offspring(parents, SolverConfig(crossover_prob=1.0), rng)
+        children = breed(parents, SolverConfig(crossover_prob=1.0), rng)
         assert children.shape == parents.shape
         assert not np.array_equal(children, parents)
 
@@ -695,6 +702,45 @@ class TestSelection:
         nxt = select_next_generation(parents, offspring, cfg)
         assert sorted(nxt.cost.tolist()) == [1, 2, 3, 4]
 
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=100, deadline=None)
+    def test_a_repeated_union_survives_as_it_would_ranked_afresh(self, seed):
+        rng = np.random.default_rng(seed)
+        size = 2 * int(rng.integers(2, 26))
+        cfg = SolverConfig(population_size=size)
+        # a few distinct points, repeated, make a few unions; each is drawn again and again with new genes
+        points = rng.integers(0, int(rng.integers(1, 5)), size=(int(rng.integers(1, 6)), 2)).astype(float)
+        points[rng.random(len(points)) < 0.5, 1] = 0.0
+        unions = [points[rng.integers(0, len(points), 2 * size)].T for _ in range(int(rng.integers(1, 4)))]
+        rankings, budget = {}, int(rng.integers(1, 4)) * 2 * size * 8 * 2  # room for one to three unions
+        for _ in range(12):
+            cost, violation = unions[int(rng.integers(0, len(unions)))]
+            genes = rng.random((2 * size, 3))
+            parents = pop_from(genes[:size], cost[:size], violation[:size])
+            offspring = pop_from(genes[size:], cost[size:], violation[size:])
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(nsga2, "PLAN_CACHE_BYTES", budget)
+                nxt = select_next_generation(parents, offspring, cfg, rankings)
+            ranks, _, order = _rank_and_crowd(cost, violation)
+            keep = order[:size]
+            assert np.array_equal(nxt.genes, genes[keep]) and np.array_equal(nxt.rank, ranks[keep])
+            assert np.array_equal(nxt.cost, cost[keep]) and np.array_equal(nxt.violation, violation[keep])
+            assert 1 <= len(rankings) <= min(len(unions), budget // (2 * size * 16) + 1)
+            assert not any(a.flags.writeable for ranked in rankings.values() for a in ranked)
+
+    def test_a_repeated_union_is_ranked_once(self, monkeypatch):
+        ranked, rank_and_crowd = [], nsga2._rank_and_crowd
+        monkeypatch.setattr(nsga2, "_rank_and_crowd", lambda *a: ranked.append(1) or rank_and_crowd(*a))
+        cfg = SolverConfig(population_size=4)
+        parents = pop_from(np.eye(4), [1, 2, 3, 4], [4, 3, 2, 1])
+        offspring = pop_from(np.eye(4) * 2, [1, 2, 10, 10], [4, 3, 10, 10])
+        rankings = {}
+        first = select_next_generation(parents, offspring, cfg, rankings)
+        again = select_next_generation(pop_from(np.eye(4) * 3, parents.cost, parents.violation), offspring, cfg, rankings)
+        assert len(ranked) == 1 and len(rankings) == 1
+        assert np.array_equal(again.rank, first.rank) and np.array_equal(again.cost, first.cost)
+        assert not np.array_equal(again.genes, first.genes)
+
     def test_size_mismatch_rejected(self):
         cfg = SolverConfig(population_size=4)
         parents = pop_from(np.eye(4), [1, 2, 3, 4], [0] * 4)
@@ -819,38 +865,49 @@ class TestTournament:
         violation = rng.integers(0, levels, n).astype(float)
         ranks, crowd, order = _rank_and_crowd(cost, violation)
         # a population is stored in survival order: member m is the m-th of that order
-        got = _tournament_indices(n, np.random.default_rng(seed), 3 * n)
+        got = _tournament_indices(np.random.default_rng(seed).integers(0, n, size=(3 * n, 2)))
         want = rank_crowd_tournament(ranks[order], crowd[order], np.random.default_rng(seed), 3 * n)
         assert np.array_equal(got, want)
 
     def test_solve_passes_each_members_place_in_survival_order(self, monkeypatch):
-        initial, survivals, tournaments = [], [], []
-        init_population, select, tournament = (
-            nsga2.init_population, nsga2.select_next_generation, nsga2._tournament_indices
+        initial, survivals, tournaments, pools = [], [], [], []
+        init_population, select, tournament, make_offspring = (
+            nsga2.init_population, nsga2.select_next_generation, nsga2._tournament_indices, nsga2._make_offspring
         )
 
         def recording_init(*args):
             initial.append(init_population(*args))
             return initial[-1]
 
-        def recording_select(parents, offspring, config):
-            survivals.append((parents, offspring, select(parents, offspring, config)))
+        def recording_select(parents, offspring, config, rankings):
+            survivals.append((parents, offspring, select(parents, offspring, config, rankings)))
             return survivals[-1][-1]
 
-        def recording_tournament(n, rng, n_select):
-            tournaments.append(n)
-            return tournament(n, rng, n_select)
+        def recording_tournament(drawn):
+            tournaments.append(drawn)
+            return tournament(drawn)
+
+        def recording_offspring(genes, mating, *variation):
+            pools.append((genes, mating))
+            return make_offspring(genes, mating, *variation)
 
         monkeypatch.setattr(nsga2, "init_population", recording_init)
         monkeypatch.setattr(nsga2, "select_next_generation", recording_select)
         monkeypatch.setattr(nsga2, "_tournament_indices", recording_tournament)
+        monkeypatch.setattr(nsga2, "_make_offspring", recording_offspring)
+        monkeypatch.setattr(nsga2, "DRAW_BLOCK", 3)
         cfg = SolverConfig(population_size=20, max_generations=4, seed=3)
         # 3^8 assignments for 20 rows: the initial population holds no duplicate points to reorder
         solve(random_instance(np.random.default_rng(3), s=2, k=2, j=3, i=8), cfg)
+        # the tournaments draw among 20 members, for a block of three generations and then the one left
+        assert [drawn.shape for drawn in tournaments] == [(3, 20, 2), (1, 20, 2)] and len(survivals) == 4
+        winners = np.concatenate([tournament(drawn) for drawn in tournaments])
         # the tournament draws from the initial population, then from each generation's survivors
-        assert tournaments == [20] * 4 and len(survivals) == 4
         drawn = [initial[0]] + [nxt for _, _, nxt in survivals[:-1]]
         assert all(parents is pop for (parents, _, _), pop in zip(survivals, drawn))
+        assert len(pools) == 4
+        for (genes, mating), pop, won in zip(pools, drawn, winners):
+            assert genes is pop.genes and np.array_equal(mating, won)
         ranks, _, order = _rank_and_crowd(initial[0].cost, initial[0].violation)
         assert np.array_equal(order, np.arange(20)) and np.array_equal(initial[0].rank, ranks)
         for parents, offspring, nxt in survivals:
@@ -1156,6 +1213,54 @@ class TestPlanCache:
         assert sum(rows) - kept_rows > kept_rows
 
 
+class TestRankingsAndDrawBlocks:
+    RUNS = (  # strict and aggregate, stopped by the stall rule partway through a block of 16, and run to the end
+        (dataclasses.replace(default_instance("dc_expansion"), strict_per_dc=True), SolverConfig(seed=1, max_generations=300)),
+        (default_instance("baseline"), SolverConfig(seed=2, max_generations=300)),
+        (default_instance("network_expansion"), SolverConfig(seed=3, max_generations=40, stall_generations=40)),
+    )
+
+    def test_a_solve_does_not_depend_on_the_draw_block(self, monkeypatch):
+        kept = [solve(inst, cfg) for inst, cfg in self.RUNS]
+        ends = [res.generations_run for res in kept]
+        assert ends[2] == 40 and all(0 < end < 300 and end % nsga2.DRAW_BLOCK for end in ends[:2])
+        for block in (1, 16, 301):
+            monkeypatch.setattr(nsga2, "DRAW_BLOCK", block)
+            for (inst, cfg), res in zip(self.RUNS, kept):
+                assert_same_solve(solve(inst, cfg), res)
+
+    def test_a_solve_equals_the_solve_that_ranks_every_union(self, monkeypatch):
+        ranked, rank_and_crowd, select = [], nsga2._rank_and_crowd, nsga2.select_next_generation
+        monkeypatch.setattr(nsga2, "_rank_and_crowd", lambda *a: ranked.append(1) or rank_and_crowd(*a))
+        kept = [solve(inst, cfg) for inst, cfg in self.RUNS]
+        cached = len(ranked)
+        monkeypatch.setattr(nsga2, "select_next_generation", lambda parents, offspring, config, _: select(parents, offspring, config))
+        for (inst, cfg), res in zip(self.RUNS, kept):
+            assert_same_solve(solve(inst, cfg), res)
+        assert len(ranked) - cached == sum(res.generations_run + 1 for res in kept) > cached
+
+    def test_every_layer_the_benchmark_times_is_still_called(self, monkeypatch):
+        # perfbench times these names of pdnet.nsga2 as per-layer spans; a name solve stops calling reads 0 there
+        names = (
+            "init_population", "_rank_and_crowd", "_tournament_indices", "_make_offspring", "decode_batch",
+            "decode", "batch_evaluate", "select_next_generation", "evaluate_cost",
+        )
+        calls = dict.fromkeys(names, 0)
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in names:
+            monkeypatch.setattr(nsga2, name, spy(name, getattr(nsga2, name)))
+        inst = dataclasses.replace(default_instance("baseline"), strict_per_dc=True)
+        res = solve(inst, SolverConfig(seed=1, max_generations=5))
+        assert res.generations_run == 5 and res.best_feasible is not None
+        assert all(calls.values()), calls
+
+
 class TestConfig:
     def test_odd_population_rejected(self):
         with pytest.raises(ValueError):
@@ -1199,6 +1304,11 @@ class TestConfig:
     def test_non_integer_setting_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_negative_seed_rejected_by_name(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+            SolverConfig(seed=seed)
 
     def test_numpy_integers_accepted(self):
         assert SolverConfig(seed=np.int64(3), max_generations=np.int32(5)).seed == 3

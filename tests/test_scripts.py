@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -35,3 +36,12 @@ def test_solve_scenarios(tmp_path, capsys):
         assert json.loads((tmp_path / f"{name}.result.json").read_text())["generations_run"] == 3
         assert len((tmp_path / f"{name}.trace.csv").read_text().splitlines()) == 4
     assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == list(names)
+
+
+def test_solve_digest(capsys):
+    argv = ["--generations", "20", "--seeds", "1", "--tiny", "16"]
+    digests = []
+    for _ in range(2):
+        assert load_script("solve_digest").main(argv) == 0
+        digests.append(capsys.readouterr().out)
+    assert re.fullmatch(r"[0-9a-f]{64}\n", digests[0]) and digests[1] == digests[0]
