@@ -50,14 +50,26 @@ raw purchase, the lower bound) is built on first use and kept with the
 instance.  A decoded plan is a function of its plan key, the packed plan
 index, because decoding reads nothing else of a row.  The population
 collapses onto a few plans, so a solve keeps a dict from each child's plan
-key to its price and decodes and evaluates, in one batch, only the children
-whose key is new; a row's price does not depend on its batch, so the run is
+key to its column in one price array, cost over violation, made at the first
+key with room for all the dict can hold.  It decodes and evaluates, in one
+batch, only the children whose key is new, and gathers every child's price
+from its column; a row's price does not depend on its batch, so the run is
 the same bit for bit.  The dict lives for one solve, from generation 1 on,
-and is cleared whenever its keys pass PLAN_CACHE_BYTES.  The best plan is
-decoded and priced once, after the run; the final front is returned as
-population rows.  Survival ranks the parent+offspring union by its objectives
-alone, and a collapsed population repeats its unions, so a solve also keeps a
-dict from each union's objectives to their ranking, cleared by the same rule.
+and is cleared whenever its keys pass PLAN_CACHE_BYTES.  Only new plans are
+scanned for the best plan: one priced before was scanned then, so it costs
+no less than the best.  The best plan is decoded and priced once, after the
+run; the final front is returned as population rows.  Survival ranks the
+parent+offspring union by its objectives alone, and a collapsed population
+repeats its unions, so a solve also keeps a dict from each union's
+objectives to its survivors' indices, their read-only cost, violation and
+rank, and the trace's statistics of them, cleared by the same rule; a
+repeated union costs one gather of genes.  A union with no violation (every
+union ranked in 2000-generation solves of the bundled scenarios, seeds 1-5)
+is ranked by cost alone: an earlier distinct point dominates a later one iff
+its violation is no larger, so with every violation 0 the fronts are the
+distinct costs in order, and a front's points are identical.  Every crowding
+span is then 0, so crowding is +inf at each front's first and last point and
+0 between, as the sweep and the crowding pass give it, bit for bit.
 Variation draws random numbers only where they are used: spread factors for
 the pairs that cross, and the mutation sites as geometric gaps between
 successive mutated genes, which is an exact per-gene Bernoulli(p_m) draw.
@@ -89,8 +101,8 @@ SBX_ETA = 15.0  # distribution index of simulated binary crossover
 PM_ETA = 20.0  # distribution index of polynomial mutation
 STALL_TOLERANCE = 1e-6  # relative gain in best cost below which a generation window counts as a stall
 # Key bytes a solve's plan cache, or its dict of rankings, may hold; once they pass this it is cleared.
-# A plan entry also holds about 190 bytes of Python objects, so a cache of 20-byte keys stays below
-# about 45 MB; a ranking's 1,600-byte key (population 50) holds about 2.9 kB more, about 12 MB in all.
+# A plan entry also holds about 145 bytes of Python objects and prices, so a cache of 20-byte keys stays
+# below about 35 MB; a ranking's 1,600-byte key (population 50) holds about 2.8 kB more, about 12 MB in all.
 PLAN_CACHE_BYTES = 1 << 22
 # Generations whose random draws are made at once, never past the budget.  A generation's RNG calls
 # keep their order, so runs do not depend on it; draws made for generations after a stall are wasted.
@@ -130,13 +142,15 @@ class SolverConfig:
 class Population:
     """Generation state as stacked arrays: genes (N,L), cost (N,), violation (N,).
 
-    ``rank`` is set once the population has been ranked.
+    ``rank`` is set once the population has been ranked; ``summary``, the trace's
+    (mean cost, min violation, feasible count), by survival, else ``solve`` computes it.
     """
 
     genes: np.ndarray
     cost: np.ndarray
     violation: np.ndarray
     rank: Optional[np.ndarray] = None
+    summary: Optional[tuple] = None
 
     def __len__(self):
         return self.genes.shape[0]
@@ -360,27 +374,38 @@ def _plan_keys(genes: np.ndarray, instance: NetworkInstance) -> list:
     return packed.view(np.dtype((np.void, packed.shape[1] * packed.itemsize))).ravel().tolist()
 
 
-def _price_rows(genes: np.ndarray, instance: NetworkInstance, cache: dict):
-    """(cost, violation) of each gene row, decoding and evaluating only the rows whose plan key is new.
+class _PlanCache(dict):
+    """Plan key -> its column in ``prices`` (2, capacity), cost over violation, numbered as the keys came."""
 
-    ``cache`` maps a plan key to its (cost, violation).  The new keys'
-    first rows are priced in one batch, and the rest are read from
-    ``cache``; a row's price does not depend on its batch, so each row gets
-    the bits it would get priced alone.  Once the keys held pass
-    ``PLAN_CACHE_BYTES`` the cache is cleared.
+    prices = np.empty((2, 0))  # until _price_rows makes a solve's own at its first key
+
+
+def _price_rows(genes: np.ndarray, instance: NetworkInstance, cache: _PlanCache):
+    """(cost, violation, first) of the gene rows, decoding and evaluating only the rows whose plan key is new.
+
+    ``first`` lists the first row of each new key, in row order.  The new
+    keys' first rows are priced in one batch, and every row's price is
+    gathered from ``cache.prices``; a row's price does not depend on its
+    batch, so each row gets the bits it would get priced alone.  Once the
+    keys held pass ``PLAN_CACHE_BYTES`` the cache is cleared, so it holds at
+    most ``PLAN_CACHE_BYTES // key bytes + rows``, the room made at its first
+    key (less for keys of a byte or two; pages no key reaches stay untouched).
     """
     keys = _plan_keys(genes, instance)
-    first = {}  # each new key's first row
-    for row, key in enumerate(keys):
-        if key not in cache:
-            first.setdefault(key, row)
-    if first:
-        cost, violation = batch_evaluate(instance, *decode_batch(genes[list(first.values())], instance))
-        cache.update(zip(first, zip(cost.tolist(), violation.tolist())))
-    priced = np.array([cache[key] for key in keys])
+    held = len(cache)
+    columns = [cache.setdefault(key, len(cache)) for key in keys]  # a new key takes the next column
+    first = []
+    if len(cache) > held:
+        for row, column in enumerate(columns):
+            if column == held + len(first):  # the new keys first appear in column order
+                first.append(row)
+        if not cache.prices.size:  # a k-byte key takes at most 256**k values
+            cache.prices = np.empty((2, min(PLAN_CACHE_BYTES // len(keys[0]), 256 ** len(keys[0])) + len(keys)))
+        cache.prices[:, held : len(cache)] = batch_evaluate(instance, *decode_batch(genes[first], instance))
+    cost, violation = cache.prices[:, columns]
     if len(cache) * len(keys[0]) > PLAN_CACHE_BYTES:
         cache.clear()
-    return priced[:, 0], priced[:, 1]
+    return cost, violation, first
 
 
 def decode(chromosome: np.ndarray, instance: NetworkInstance) -> FlowPlan:
@@ -541,12 +566,28 @@ def _rank_and_crowd(cost: np.ndarray, violation: np.ndarray):
     """(ranks, crowding, survivor order) under Pareto domination on (cost, violation).
 
     The survivor order lists indices by (rank asc, crowding desc, index asc);
-    truncating it at N implements elitist survival.
+    truncating it at N implements elitist survival.  A union with no violation
+    is ranked by cost alone, in the closed form the module docstring derives.
     """
-    ranks = _front_ranks(cost, violation)
-    crowd = _crowding(ranks, (cost, violation))
+    if not violation.any():
+        by_cost = np.argsort(cost, kind="stable")
+        value = cost[by_cost]
+        starts = np.ones(cost.size + 1, dtype=bool)  # where a front starts in cost order, and past the end
+        np.not_equal(value[1:], value[:-1], out=starts[1:-1])
+        ranks = np.empty(cost.size, dtype=np.int64)
+        ranks[by_cost] = np.cumsum(starts[:-1]) - 1
+        crowd = np.zeros(cost.size)
+        crowd[by_cost[starts[:-1] | starts[1:]]] = np.inf
+    else:
+        ranks = _front_ranks(cost, violation)
+        crowd = _crowding(ranks, (cost, violation))
     order = np.lexsort((-crowd, ranks))  # stable, so ties stay in index order
     return ranks, crowd, order
+
+
+def _summary(cost: np.ndarray, violation: np.ndarray) -> tuple:
+    """The trace's (mean cost, min violation, feasible count) of a generation's survivors."""
+    return float(cost.mean()), float(violation.min()), int(np.count_nonzero(violation == 0.0))
 
 
 def select_next_generation(
@@ -556,26 +597,29 @@ def select_next_generation(
 
     The survivors keep the ranks they got in the union and are stored in
     survival order, so a survivor's index is its place in that order.
-    ``rankings`` maps a union's cost and violation bytes to
-    ``_rank_and_crowd``'s read-only result on them, so a union seen before is
-    not ranked again; it is cleared once its keys pass PLAN_CACHE_BYTES.
+    ``rankings`` maps a union's cost and violation bytes to what survival
+    takes from ``_rank_and_crowd`` on them: the survivors' union indices,
+    their read-only cost, violation and rank, and their summary.  A union
+    seen before is not ranked again, and only its genes are gathered; the
+    dict is cleared once its keys pass PLAN_CACHE_BYTES.
     """
     if len(parents) != config.population_size or len(offspring) != config.population_size:
         raise ValueError("parents and offspring must each have population_size members")
-    genes = np.concatenate([parents.genes, offspring.genes])
-    cost = np.concatenate([parents.cost, offspring.cost])
-    violation = np.concatenate([parents.violation, offspring.violation])
     rankings = {} if rankings is None else rankings
-    key = cost.tobytes() + violation.tobytes()
+    key = b"".join(a.tobytes() for a in (parents.cost, offspring.cost, parents.violation, offspring.violation))
     if key not in rankings:
         if len(rankings) * len(key) > PLAN_CACHE_BYTES:
             rankings.clear()
-        rankings[key] = _rank_and_crowd(cost, violation)
-        for a in rankings[key]:
+        cost = np.concatenate([parents.cost, offspring.cost])
+        violation = np.concatenate([parents.violation, offspring.violation])
+        ranks, _, order = _rank_and_crowd(cost, violation)
+        keep = order[: config.population_size]
+        survivors = keep, cost[keep], violation[keep], ranks[keep]
+        for a in survivors:
             a.setflags(write=False)
-    ranks, _, order = rankings[key]
-    keep = order[: config.population_size]
-    return Population(genes=genes[keep], cost=cost[keep], violation=violation[keep], rank=ranks[keep])
+        rankings[key] = (*survivors, _summary(*survivors[1:3]))
+    keep, cost, violation, ranks, summary = rankings[key]
+    return Population(np.concatenate([parents.genes, offspring.genes])[keep], cost, violation, ranks, summary)
 
 
 def _tournament_indices(drawn: np.ndarray) -> np.ndarray:
@@ -621,8 +665,8 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
     terminated_by = "max-generations"
     w = config.stall_generations
     bound = instance.derived(lower_bound) if w < config.max_generations else -np.inf
-    cache = {}  # plan key -> (cost, violation) of the children priced so far
-    rankings = {}  # a union's objectives -> their ranking
+    cache = _PlanCache()  # plan key -> the column of its price, for the children priced so far
+    rankings = {}  # a union's objectives -> its survivors
     draws = _variation_draws(n, instance.num_genes, config, rng)
 
     for gen in range(config.max_generations + 1):  # gen generations are done: test the stops, then run the next
@@ -638,23 +682,18 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
 
         child_genes = _make_offspring(pop.genes, *next(draws))
 
-        c_cost, c_viol = _price_rows(child_genes, instance, cache)
+        c_cost, c_viol, first = _price_rows(child_genes, instance, cache)
         offspring = Population(genes=child_genes, cost=c_cost, violation=c_viol)
 
-        best_genes, best_cost = _cheaper(offspring, best_genes, best_cost)  # survivors were scanned as offspring
+        # a plan priced before was scanned then, and costs no less than best_cost: scan each new key's first row
+        if first:
+            new = Population(child_genes[first], c_cost[first], c_viol[first])
+            best_genes, best_cost = _cheaper(new, best_genes, best_cost)
 
         pop = select_next_generation(pop, offspring, config, rankings)
 
-        feasible_count = int(np.count_nonzero(pop.violation == 0.0))
-        trace.append(
-            GenerationRecord(
-                generation=gen + 1,
-                best_feasible_cost=None if best_genes is None else best_cost,
-                mean_cost=float(pop.cost.mean()),
-                min_violation=float(pop.violation.min()),
-                feasible_count=feasible_count,
-            )
-        )
+        summary = pop.summary or _summary(pop.cost, pop.violation)
+        trace.append(GenerationRecord(gen + 1, None if best_genes is None else best_cost, *summary))
 
     best_feasible = None  # (FlowPlan, CostBreakdown); a row's price ignores its batch, so the total is best_cost
     if best_genes is not None:

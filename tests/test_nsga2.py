@@ -725,8 +725,11 @@ class TestSelection:
             keep = order[:size]
             assert np.array_equal(nxt.genes, genes[keep]) and np.array_equal(nxt.rank, ranks[keep])
             assert np.array_equal(nxt.cost, cost[keep]) and np.array_equal(nxt.violation, violation[keep])
+            feasible = int(np.count_nonzero(violation[keep] == 0.0))
+            assert nxt.summary == (float(cost[keep].mean()), float(violation[keep].min()), feasible)
             assert 1 <= len(rankings) <= min(len(unions), budget // (2 * size * 16) + 1)
-            assert not any(a.flags.writeable for ranked in rankings.values() for a in ranked)
+            # each entry: the survivors' union indices, cost, violation and rank, read-only, then their summary
+            assert not any(a.flags.writeable for *survivors, _ in rankings.values() for a in survivors)
 
     def test_a_repeated_union_is_ranked_once(self, monkeypatch):
         ranked, rank_and_crowd = [], nsga2._rank_and_crowd
@@ -829,6 +832,38 @@ class TestRankAndCrowd:
         violation[rng.random(n) < rng.random()] = 0.0
         for got, want in zip(_rank_and_crowd(cost, violation), matrix_rank_and_crowd(cost, violation)):
             assert np.array_equal(got, want)
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=200, deadline=None)
+    def test_a_feasible_union_is_ranked_by_cost_alone_as_the_sweep_ranks_it(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 101))
+        # a few tied cost levels, signed at random (so 0 gives 0.0 and -0.0), and costs of their own: one-point fronts
+        cost = rng.integers(-2, int(rng.integers(-1, 6)), n).astype(float)
+        own = rng.random(n) < rng.random() * 0.5
+        cost[own] = rng.random(np.count_nonzero(own)) * 10.0
+        cost[rng.random(n) < 0.5] *= -1.0
+        violation = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nsga2, "_front_ranks", None)  # the closed form never sweeps
+            patch.setattr(nsga2, "_crowding", None)
+            got = _rank_and_crowd(cost, violation)
+        ranks = _front_ranks(cost, violation)
+        crowd = _crowding(ranks, (cost, violation))
+        for a, b in zip(got, (ranks, crowd, np.lexsort((-crowd, ranks)))):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_a_union_with_a_violation_is_ranked_by_the_sweep(self, monkeypatch):
+        crowded, crowding = [], nsga2._crowding
+        monkeypatch.setattr(nsga2, "_crowding", lambda *a: crowded.append(1) or crowding(*a))
+        cost = np.array([3.0, 1.0, 2.0, 1.0, 5.0, 4.0, 2.0, 3.0])
+        _rank_and_crowd(cost, np.zeros(8))
+        assert not crowded
+        violation = np.zeros(8)
+        violation[5] = 0.5
+        for a, b in zip(_rank_and_crowd(cost, violation), matrix_rank_and_crowd(cost, violation)):
+            assert np.array_equal(a, b)
+        assert crowded == [1]
 
     def test_survivors_carry_their_union_ranks(self):
         cfg = SolverConfig(population_size=4)
@@ -1238,6 +1273,25 @@ class TestRankingsAndDrawBlocks:
         for (inst, cfg), res in zip(self.RUNS, kept):
             assert_same_solve(solve(inst, cfg), res)
         assert len(ranked) - cached == sum(res.generations_run + 1 for res in kept) > cached
+
+    def test_the_traced_survivor_statistics_are_those_of_a_union_ranked_afresh(self, monkeypatch):
+        runs = [(inst, dataclasses.replace(cfg, stall_generations=300)) for inst, cfg in self.RUNS[:2]]  # strict, aggregate
+        kept = [solve(inst, cfg) for inst, cfg in runs]
+        survivors, select = [], nsga2.select_next_generation
+
+        def afresh(parents, offspring, config, _):  # and with no summary, so solve computes the statistics itself
+            survivors.append(dataclasses.replace(select(parents, offspring, config), summary=None))
+            return survivors[-1]
+
+        monkeypatch.setattr(nsga2, "select_next_generation", afresh)
+        for (inst, cfg), res in zip(runs, kept):
+            survivors.clear()
+            assert_same_solve(solve(inst, cfg), res)
+            assert res.generations_run == len(survivors) == 300
+            for record, pop in zip(res.trace, survivors):
+                feasible = int(np.count_nonzero(pop.violation == 0.0))
+                want = (float(pop.cost.mean()).hex(), float(pop.violation.min()).hex(), feasible)
+                assert (record.mean_cost.hex(), record.min_violation.hex(), record.feasible_count) == want
 
     def test_every_layer_the_benchmark_times_is_still_called(self, monkeypatch):
         # perfbench times these names of pdnet.nsga2 as per-layer spans; a name solve stops calling reads 0 there
