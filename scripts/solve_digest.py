@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over a fixed grid of solves, to check that a change keeps every run's bits.
+"""Print one SHA-256 per mode over a fixed grid of solves, to check that a change keeps every run's bits.
 
 Each solve adds its full-precision trace, its final front (genes, cost,
 violation), its best plan's flows and cost breakdown, ``generations_run``
@@ -8,7 +8,9 @@ modes, seeds 0 .. seeds-1, with the default stall rule and with the stall
 stop off, at --generations generations; then --tiny instances drawn as
 criterion 4 draws them (``tiny_oracle_instance`` in ``tests/conftest.py``),
 in both modes, at 5 or 300 generations, population 50 or 4, and mutation
-rate 0.001 or 0.2.  Run it in two checkouts: equal digests mean equal runs.
+rate 0.001 or 0.2.  Each mode's solves feed that mode's digest in grid
+order, printed as ``aggregate <hex>`` and ``strict <hex>``.  Run it in two
+checkouts: equal digests mean equal runs in that mode.
 
 Usage: python scripts/solve_digest.py [--generations N] [--seeds N] [--tiny N]
 """
@@ -75,10 +77,11 @@ def main(argv=None):
     parser.add_argument("--tiny", type=int, default=300)
     args = parser.parse_args(argv)
 
-    digest = hashlib.sha256()
+    digests = {False: hashlib.sha256(), True: hashlib.sha256()}  # by strict_per_dc
     for instance, config in runs(args.generations, args.seeds, args.tiny):
-        feed(digest, solve(instance, config))
-    print(digest.hexdigest())
+        feed(digests[instance.strict_per_dc], solve(instance, config))
+    for mode, digest in zip(("aggregate", "strict"), digests.values()):
+        print(mode, digest.hexdigest())
     return 0
 
 

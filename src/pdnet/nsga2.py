@@ -7,12 +7,12 @@ exactly by construction.  Production and raw material are not searched for:
 given the shipments, the decoder fills the plant-DC arcs in route-cost order
 c_kj + h_j (a greedy flow decode, as in Gen, Altiparmak & Lin, OR Spectrum
 28, 2006) and buys what each plant's production needs from the cheapest
-suppliers first.  In aggregate mode any DC may ship any case and every plan
-ships the total demand, so the fill runs once per instance: each plant on
-its cheapest route, up to D_k/u.  In strict per-DC mode it covers each DC's
-shipments on the arcs into it, each arc boxed at D_k/(u*J); the boxes give
-every DC its own plant room, so that is the cheapest production for the
-shipments.
+suppliers first.  Every plant has one room D_k/u, which the arcs out of it
+share.  In aggregate mode any DC may ship any case and every plan ships the
+total demand, so the fill runs once per instance: each plant on its
+cheapest route, up to its room.  In strict per-DC mode it covers each DC's
+shipments on the arcs into it, DCs in index order, each taking from what
+the DCs before it left of the plants' room.
 
 Decoding reads a row only through its plan index (``_plan_index``): each
 retailer's favourite DC, its highest weight, in aggregate mode, and its DCs
@@ -187,13 +187,13 @@ def _greedy_fill(room: np.ndarray, need: np.ndarray, out=None) -> np.ndarray:
 class _Codec:
     """Per-instance constants of decoding, built once per instance.
 
-    ``arcs`` (G, M) lists flat plant-DC arc indices k*J + j in groups, each
-    group cheapest route c_kj + h_j first, and ``room`` (G, M) what each arc
-    may carry.  In aggregate mode the one group holds each plant's cheapest
-    route with room D_k/u, and every decoded plan ships the total demand, so
-    one ``production`` (K, J) and its ``raw`` purchase (S, K) serve every
-    plan.  In strict per-DC mode group j holds the arcs into DC j, each with
-    the arc box D_k/(u*J).
+    ``room`` (K,) is each plant's room D_k/u, which every group of arcs takes
+    from.  ``arcs`` (G, K) lists flat plant-DC arc indices k*J + j in groups,
+    one arc per plant, each group cheapest route c_kj + h_j first, and
+    ``plants`` (G, K) their plants.  In aggregate mode the one group holds
+    each plant's cheapest route, and every decoded plan ships the total
+    demand, so one ``production`` (K, J) and its ``raw`` purchase (S, K)
+    serve every plan.  In strict per-DC mode group j holds the arcs into DC j.
     """
 
     def __init__(self, instance: NetworkInstance):
@@ -205,19 +205,14 @@ class _Codec:
         self.supplier_rank = np.argsort(cheapest)  # position of each supplier in that order
         self.supplied = np.concatenate([[0.0], np.cumsum(instance.supplier_capacity[cheapest])])  # (S+1,)
         route = instance.plant_dc_unit_cost + instance.holding_unit_cost[None, :]  # (K, J)
+        self.room = instance.plant_capacity / instance.utilization
         if self.strict:
-            box = instance.plant_capacity / (instance.utilization * j)  # arc box D_k/(u*J)
-            plants = np.argsort(route, axis=0, kind="stable").T  # (J, K)
-            self.arcs = plants * j + np.arange(j)[:, None]
-            self.room = box[plants]
-            # a DC's capacity, and what its arcs supply: a few ulps under their box sum, so that the
-            # shipments decoding fits into it, added as ``network`` adds them, stay within its full arcs
-            self.dc_room = np.minimum(instance.dc_capacity, box.sum() * (1.0 - 8.0 * np.finfo(np.float64).eps))
+            self.plants = np.argsort(route, axis=0, kind="stable").T  # (J, K)
+            self.arcs = self.plants * j + np.arange(j)[:, None]
         else:
             arc = route.argmin(axis=1)  # each plant's cheapest route, the first on a tie
-            plants = np.argsort(route[np.arange(k), arc], kind="stable")
-            self.arcs = (plants * j + arc[plants])[None]
-            self.room = (instance.plant_capacity / instance.utilization)[plants][None]
+            self.plants = np.argsort(route[np.arange(k), arc], kind="stable")[None]
+            self.arcs = self.plants * j + arc[self.plants]
             need = np.full((1, 1), instance.demand.sum())
             self.production = self.fill(need, need[:, 0])[0]
             self.raw = self.raw_fill(self.production.sum(axis=1)[None])[0]
@@ -227,21 +222,24 @@ class _Codec:
         self.tiles = ()  # aggregate mode: raw (N,S,K) and production (N,K,J), repeated over the most rows decoded yet
 
     def fill(self, need: np.ndarray, total: np.ndarray) -> np.ndarray:
-        """The cheapest production (n, K, J) whose arrivals cover ``need`` (n, G) per group and ``total`` (n,).
+        """The production (n, K, J) whose arrivals cover ``need`` (n, G) per group and ``total`` (n,).
 
-        Each group fills its arcs in order from zero, each up to its room.
-        Rounding can leave the arrivals, added as ``network`` adds them, a
-        few ulps short; a group's target then rises until its arrivals cover
-        its need and, once every group of the row does, the row's arrivals
-        cover ``total``, or until its arcs are full.  So a plan never leans
-        on the production-vs-shipment tolerance.
+        The groups, in order, fill their arcs from zero, each arc up to the
+        room its plant has left.  Rounding can leave the arrivals, added as
+        ``network`` adds them, a few ulps short; a group's target then rises
+        until its arrivals cover its need and, once every group of the row
+        does, the row's arrivals cover ``total``, or until the row's plants
+        are full.  So a plan never leans on the production-vs-shipment tolerance.
         """
         n = need.shape[0]
         p = np.zeros((n, *self.shape))
         target = need
         while True:
-            take = _greedy_fill(self.room, target)
-            p.reshape(n, -1)[:, self.arcs] = take
+            left = np.repeat(self.room[None], n, axis=0)  # (n, K)
+            for plants, arcs, aim in zip(self.plants, self.arcs, target.T):
+                room = left[:, plants]
+                p.reshape(n, -1)[:, arcs] = take = _greedy_fill(room, aim)
+                left[:, plants] = room - take
             arrivals = np.einsum("nkj->nj", p)
             arrived = arrivals.sum(axis=1)
             gap = need - (arrivals if self.strict else arrived[:, None])  # (n, G), > 0 where short
@@ -249,7 +247,7 @@ class _Codec:
             if covered.all() and (arrived >= total).all():  # the usual case, tested first as it is cheaper
                 return p
             gap = np.where(covered[:, None] & (need > 0), (total - arrived)[:, None], gap)
-            short = (gap > 0) & (take != self.room).any(axis=-1)
+            short = (gap > 0) & (left > 0).any(axis=1)[:, None]
             if not short.any():
                 return p
             target = np.where(short, np.maximum(target + gap, np.nextafter(target, np.inf)), target)
@@ -285,7 +283,7 @@ def decode_batch(genes: np.ndarray, instance: NetworkInstance):
     bought for u x each plant's production, cheapest supplier first, up to
     supplier capacity.  In aggregate mode that is one read-only plan per
     instance, repeated over the rows.  In strict per-DC mode it is filled per
-    row: each DC's shipments on the arcs into it, each arc boxed at D_k/(u*J).
+    row, DC by DC in index order, from the plant room the DCs before left.
     """
     n = genes.shape[0]
     if genes.shape[1] != instance.num_genes:
@@ -317,9 +315,9 @@ def _shipments(index: np.ndarray, instance: NetworkInstance) -> np.ndarray:
 
     Each retailer goes whole to its favourite DC.  In strict per-DC mode,
     rows where that would overload a DC are filled instead: the retailers,
-    first to last, fill DCs in weight order up to the room left in each
-    (its capacity, and no more than its inbound arcs can supply); a retailer
-    that finds every DC full puts the rest on its favourite DC.
+    first to last, fill DCs in weight order up to the capacity left in
+    each; a retailer that finds every DC full puts the rest on its
+    favourite DC.
 
     Until a row's first overflow every retailer takes its favourite DC
     whole, so those retailers are assigned at once, and a running sum from
@@ -334,16 +332,16 @@ def _shipments(index: np.ndarray, instance: NetworkInstance) -> np.ndarray:
     sent[np.arange(n)[:, None], np.arange(i), favourite] = demand
     if not instance.strict_per_dc:
         return sent
-    dc_room = _codec(instance).dc_room
-    over = np.flatnonzero((np.einsum("nij->nj", sent) > dc_room).any(axis=1))
+    capacity = instance.dc_capacity
+    over = np.flatnonzero((np.einsum("nij->nj", sent) > capacity).any(axis=1))
     if over.size == 0:
         return sent
-    m, j = over.size, dc_room.size
+    m, j = over.size, capacity.size
     # room[:, r]: what each DC has left for retailer r if all before it took their favourite whole
-    room = np.cumsum(np.concatenate([np.broadcast_to(dc_room, (m, 1, j)), -sent[over]], axis=1), axis=1)
+    room = np.cumsum(np.concatenate([np.broadcast_to(capacity, (m, 1, j)), -sent[over]], axis=1), axis=1)
     # the sequential fill gives a retailer its favourite whole when the demand fits the room there
     # by more than the rounding of the fill's running sums, at most a few ulps of the total room
-    margin = 4.0 * np.finfo(np.float64).eps * dc_room.sum()
+    margin = 4.0 * np.finfo(np.float64).eps * capacity.sum()
     fits = demand <= room[np.arange(m)[:, None], np.arange(i), favourite[over]] - margin
     overflows = np.flatnonzero(~(fits | (demand <= 0)).all(axis=0))
     if overflows.size == 0:

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from typing import NamedTuple
 
@@ -64,9 +65,9 @@ def random_plan(rng, instance):
 def tiny_oracle_instance(rng):
     """Integer 1x2x2x2-or-smaller instance with u=1 and even capacity bounds.
 
-    Data are drawn so that the decode boxes have integral corners, the
-    grid-1 lattice contains the continuous optimum, and capacities admit
-    the demand.
+    Data are drawn so that plant rooms D_k/u are integral, the grid-1
+    lattice contains the continuous optimum, and capacities admit the
+    demand.
     """
     k = int(rng.integers(1, 3))
     j = int(rng.integers(1, 3))
@@ -93,14 +94,14 @@ def tiny_oracle_instance(rng):
     )
 
 
-def family_lp(instance, drop=(), arc_box=None):
+def family_lp(instance, drop=()):
     """The model's optimum as an LP over [r | p | t], or None when HiGHS finds it infeasible.
 
     Each row is a constraint of a family in ``network._Layout.columns``, but
     those named in ``drop``, read off ``network``'s own signed residuals, which
     are linear in the flows: the residuals of the zero plan and of each unit
     flow give the row's constant and coefficients, and the prices give the
-    cost vector the same way.  ``arc_box`` (K, J) bounds each plant-DC flow.
+    cost vector the same way.
     """
     s, k, j, i = instance.counts
     n = s * k + k * j + j * i
@@ -109,14 +110,11 @@ def family_lp(instance, drop=(), arc_box=None):
     cost = sum(terms)
     columns = instance.derived(_Layout).columns
     rows = np.concatenate([np.arange(res.shape[1])[cols] for name, cols in columns.items() if name not in drop])
-    upper = np.full(n, np.inf)
-    if arc_box is not None:
-        upper[s * k : s * k + k * j] = np.ravel(arc_box)
     out = linprog(  # residual(x) = res[0] + (res[1:] - res[0]).T @ x >= 0
         cost[1:] - cost[0],
         A_ub=-(res[1:, rows] - res[0, rows]).T,
         b_ub=res[0, rows],
-        bounds=np.stack([np.zeros(n), upper], axis=1),
+        bounds=(0, None),
         method="highs",
     )
     assert out.status in (0, 2), out.message  # solved, or infeasible
@@ -139,17 +137,18 @@ class Agreement(NamedTuple):
     oracle_s: float  # wall time of exact_optimum on this instance
 
 
-def oracle_agreement(master_seed, instances, seeds, generations):
+def oracle_agreement(master_seed, instances, seeds, generations, strict_per_dc=False):
     """The GA against the exact optimum on tiny instances (criterion 4): one Agreement per instance.
 
     Draws ``instances`` instances with ``tiny_oracle_instance`` from
-    ``master_seed`` and solves each with solver seeds 0 .. seeds-1 for
-    ``generations`` generations, the other settings at their defaults.
+    ``master_seed``, in strict per-DC mode if ``strict_per_dc``, and solves
+    each with solver seeds 0 .. seeds-1 for ``generations`` generations, the
+    other settings at their defaults.
     """
     rng = np.random.default_rng(master_seed)
     rows = []
     for _ in range(instances):
-        instance = tiny_oracle_instance(rng)
+        instance = dataclasses.replace(tiny_oracle_instance(rng), strict_per_dc=strict_per_dc)
         t0 = time.perf_counter()
         _, optimum = exact_optimum(instance)
         oracle_s = time.perf_counter() - t0

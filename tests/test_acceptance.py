@@ -89,20 +89,23 @@ def test_criterion_3_percent_claims(capsys):
     assert ok, (first, second)
 
 
-def test_criterion_4_oracle_agreement(capsys):
+@pytest.mark.parametrize("strict", [False, True], ids=["aggregate", "strict"])
+def test_criterion_4_oracle_agreement(capsys, strict):
+    # in strict per-DC mode the decoder reaches every instance's optimum, so every median is 0.00%
+    limit, label = (1e-9, "strict GA at the exact optimum") if strict else (0.02, "GA within 2% of the exact optimum")
     t0 = time.perf_counter()
-    rows = oracle_agreement(20260823, instances=20, seeds=10, generations=300)
+    rows = oracle_agreement(20260823, instances=20, seeds=10, generations=300, strict_per_dc=strict)
     elapsed = time.perf_counter() - t0
     medians = [row.median_gap for row in rows]
     never_below_lb = not any(row.below_bound for row in rows)
-    within_two_pct = [m <= 0.02 for m in medians]
-    ok = all(within_two_pct) and never_below_lb and elapsed < 60.0
-    announce(capsys, 4, "GA within 2% of the exact optimum", ok)
+    within_limit = [m <= limit for m in medians]
+    ok = all(within_limit) and never_below_lb and elapsed < 60.0
+    announce(capsys, 4, label, ok)
     assert never_below_lb, "a reported feasible cost fell below the lower bound"
     assert elapsed < 60.0, f"benchmark took {elapsed:.1f}s"
-    assert all(within_two_pct), (
-        f"{sum(not w for w in within_two_pct)}/20 instance medians exceed 2%: "
-        f"{sorted(round(m, 4) for m in medians if m > 0.02)}"
+    assert all(within_limit), (
+        f"{sum(not w for w in within_limit)}/20 instance medians exceed {limit:g}: "
+        f"{sorted(round(m, 4) for m in medians if m > limit)}"
     )
 
 

@@ -230,13 +230,13 @@ class TestCLI:
         assert trace.read_text().startswith("generation,")
 
     def test_solve_prints_the_lower_bound_and_the_gap_to_it(self, tmp_path, capsys):
-        # criterion-4 instance 5 in strict per-DC mode: bound 29, and seed 0's best costs 40
+        # criterion-4 instance 5 in strict per-DC mode: bound 29, and seed 0's best costs 37, the optimum
         inst_path = tmp_path / "i.json"
         save_instance(dataclasses.replace(criterion_4_instances(6)[5], strict_per_dc=True), inst_path)
         assert main(["solve", str(inst_path), "--seed", "0", "--generations", "300"]) == EXIT_OK
         out = capsys.readouterr().out.splitlines()
-        assert out[1] == "best feasible cost: 40.000000"
-        assert out[-1] == "lower bound: 29.000000 (best 37.93% above it)"
+        assert out[1] == "best feasible cost: 37.000000"
+        assert out[-1] == "lower bound: 29.000000 (best 27.59% above it)"
 
     def test_solve_that_reaches_the_bound_stops_and_says_so(self, tmp_path, capsys):
         # a single chain has one route, so every plan costs the bound 10 x (2 + 3 + 1 + 4)

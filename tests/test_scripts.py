@@ -44,4 +44,4 @@ def test_solve_digest(capsys):
     for _ in range(2):
         assert load_script("solve_digest").main(argv) == 0
         digests.append(capsys.readouterr().out)
-    assert re.fullmatch(r"[0-9a-f]{64}\n", digests[0]) and digests[1] == digests[0]
+    assert re.fullmatch(r"aggregate [0-9a-f]{64}\nstrict [0-9a-f]{64}\n", digests[0]) and digests[1] == digests[0]
