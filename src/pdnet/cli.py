@@ -123,8 +123,8 @@ def cmd_solve(args) -> int:
     bound = instance.derived(lower_bound)  # the bound the solve stopped at, if it read one
     if bound > 0:
         gap = f"best {format_percent((breakdown.total - bound) / bound)} above it"
-    else:
-        gap = "gap undefined: the bound is zero"
+    else:  # -inf when a total falls short of the demand, by less than the tolerance a plan is checked at
+        gap = f"gap undefined: the bound is {'zero' if bound == 0 else 'infinite'}"
     print(f"lower bound: {bound:.6f} ({gap})")
     return EXIT_OK
 

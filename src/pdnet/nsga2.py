@@ -38,10 +38,10 @@ diversity under the low mutation rate and stalls far from the optimum.
 
 A run ends at max_generations or on a stall: the best price gained too
 little over the last stall_generations generations.  A run whose best price,
-the initial population's included, reaches ``oracle.lower_bound`` ends as a
-stall at once, when the stall window still fits in the budget, because no
-plan can improve on it and the window would close on the same plan (branch
-and bound's pruning rule).
+the initial population's included, reaches ``oracle.lower_bound``, the
+aggregate-mode optimum, ends as a stall at once, when the stall window still
+fits in the budget: no plan of either mode improves on it, so the window
+would close on the same plan (branch and bound's pruning rule).
 
 A generation does only the work that depends on it.  What depends on the
 instance alone (the arcs in route-cost order and their room, the suppliers
@@ -94,7 +94,7 @@ from .network import (
     batch_evaluate,
     evaluate_cost,
 )
-from .oracle import lower_bound
+from .oracle import ROUNDING, lower_bound
 
 
 SBX_ETA = 15.0  # distribution index of simulated binary crossover
@@ -171,7 +171,7 @@ class SolveResult:
     final_front: Population  # the rank-0 rows of the last population, in survival order
     trace: list  # GenerationRecord per generation
     generations_run: int
-    terminated_by: str  # "max-generations" | "stall": window closed or best price at lower_bound, generation 0 included
+    terminated_by: str  # "max-generations" | "stall": window closed or best price at the bound, generation 0 included
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,8 @@ class SolveResult:
 
 def _greedy_fill(room: np.ndarray, need: np.ndarray, out=None) -> np.ndarray:
     """Amounts taken from the slots of ``room`` (..., M), first slot first, to cover ``need`` (...)."""
-    before = np.cumsum(room, axis=-1) - room
+    before = np.zeros(room.shape)  # the room of the slots before each, an exact running sum
+    np.add.accumulate(room[..., :-1], axis=-1, out=before[..., 1:])
     return np.minimum(room, np.maximum(np.asarray(need)[..., None] - before, 0.0), out=out)
 
 
@@ -648,11 +649,12 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
     """Run NSGA-II until max_generations or stall; deterministic per seed.
 
     The run also ends as a stall at the first generation ``gen`` whose best
-    price is at or below ``oracle.lower_bound`` while ``gen +
-    stall_generations <= max_generations``: no feasible plan costs less, so
-    the window would close by then on the same plan; at generation 0, the
-    initial population, it leaves an empty trace.  The bound is computed
-    only when the window is shorter than the budget, and once per instance.
+    price is at most ROUNDING above the optimum (``oracle.lower_bound`` sits
+    ROUNDING below it), while ``gen + stall_generations <= max_generations``:
+    no feasible plan costs less, so the window would close by then on the
+    same plan; at generation 0 it leaves an empty trace.  The bound is
+    computed only when the window is shorter than the budget, and once per
+    instance.
     """
     rng = np.random.default_rng(config.seed)
     n = config.population_size
@@ -662,13 +664,13 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
     trace = []
     terminated_by = "max-generations"
     w = config.stall_generations
-    bound = instance.derived(lower_bound) if w < config.max_generations else -np.inf
+    reached = instance.derived(lower_bound) * (1.0 + 2.0 * ROUNDING) if w < config.max_generations else -np.inf
     cache = _PlanCache()  # plan key -> the column of its price, for the children priced so far
     rankings = {}  # a union's objectives -> its survivors
     draws = _variation_draws(n, instance.num_genes, config, rng)
 
     for gen in range(config.max_generations + 1):  # gen generations are done: test the stops, then run the next
-        if best_cost <= bound and gen + w <= config.max_generations:
+        if best_cost <= reached and gen + w <= config.max_generations:
             terminated_by = "stall"
             break
         old = trace[-1 - w].best_feasible_cost if gen > w else None

@@ -230,7 +230,8 @@ class TestCLI:
         assert trace.read_text().startswith("generation,")
 
     def test_solve_prints_the_lower_bound_and_the_gap_to_it(self, tmp_path, capsys):
-        # criterion-4 instance 5 in strict per-DC mode: bound 29, and seed 0's best costs 37, the optimum
+        # criterion-4 instance 5 in strict per-DC mode: bound 29, the aggregate optimum, and seed 0's best costs 37,
+        # the strict optimum
         inst_path = tmp_path / "i.json"
         save_instance(dataclasses.replace(criterion_4_instances(6)[5], strict_per_dc=True), inst_path)
         assert main(["solve", str(inst_path), "--seed", "0", "--generations", "300"]) == EXIT_OK
@@ -272,6 +273,15 @@ class TestCLI:
         save_instance(single_chain(d=0.0), inst_path)
         assert main(["solve", str(inst_path), "--generations", "3"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[-1] == "lower bound: 0.000000 (gap undefined: the bound is zero)"
+
+    def test_solve_with_storage_a_hair_short_of_the_demand_prints_no_gap(self, tmp_path, capsys):
+        # storage 1e-11 below the demand of 10 fails the oracle's total check, but not a plan's 1e-9 tolerance
+        inst_path = tmp_path / "i.json"
+        save_instance(dataclasses.replace(single_chain(), dc_capacity=[10.0 - 1e-11]), inst_path)
+        assert main(["solve", str(inst_path), "--generations", "3"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "best feasible cost: 100.000000"
+        assert out[-1] == "lower bound: -inf (gap undefined: the bound is infinite)"
 
     def test_solve_is_reproducible_byte_for_byte(self, tmp_path):
         inst_path = tmp_path / "i.json"

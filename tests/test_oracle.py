@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdnet import oracle
-from pdnet.network import NetworkInstance, evaluate_constraints, evaluate_cost
-from pdnet.oracle import OracleError, brute_force_optimum, exact_optimum, lower_bound
+from pdnet.network import NetworkInstance, batch_evaluate, evaluate_constraints, evaluate_cost
+from pdnet.nsga2 import decode_batch
+from pdnet.oracle import ROUNDING, OracleError, brute_force_optimum, exact_optimum, lower_bound
 from pdnet.scenarios import default_instance
 
 from conftest import criterion_4_instances, family_lp, random_instance, single_chain, tiny_oracle_instance
@@ -152,6 +153,7 @@ class TestAgainstTheFamilyLP:
         with pytest.raises(OracleError, match="^DC storage 9 falls short of the 10 the demand needs$"):
             exact_optimum(inst)
         assert family_lp(inst) is None
+        assert lower_bound(inst) == -np.inf
         # without the storage row, aggregate mode has no other DC row; strict mode's per-DC capacity still fails
         assert (family_lp(inst, drop=("dc_storage",)) is None) == strict
 
@@ -170,6 +172,7 @@ class TestAgainstTheFamilyLP:
         with pytest.raises(OracleError, match=f"^{message} the demand needs$"):
             exact_optimum(inst)
         assert family_lp(inst) is None
+        assert lower_bound(inst) == -np.inf
 
 
 class TestAgainstTheRowByRowReference:
@@ -237,8 +240,10 @@ class TestExactOptimum:
             costs.append(cost)
         if strict:
             assert (costs[5], costs[17]) == (37.0, 58.0)
-        else:
-            assert costs == [lower_bound(inst) for inst in criterion_4_instances(20)]
+        else:  # the bound of either mode sits ROUNDING below the aggregate optimum
+            for inst, cost in zip(criterion_4_instances(20), costs):
+                for mode in (inst, dataclasses.replace(inst, strict_per_dc=True)):
+                    assert lower_bound(mode) == cost * (1.0 - ROUNDING)
 
     @pytest.mark.parametrize(
         "name, strict, optimum",
@@ -404,6 +409,26 @@ class TestExactOptimum:
             assert raised >= base
 
 
+def greedy_row(instance):
+    """Genes ranking each retailer's DCs by landed cost, cheapest highest, ties in index order.
+
+    The cost is c_ji in aggregate mode and c_ji + min_k(c_kj + h_j) in strict
+    per-DC mode, so an aggregate row sends each retailer whole to its
+    cheapest DC, the aggregate optimum's shipments.
+    """
+    landed = instance.dc_retailer_unit_cost.copy()  # (J, I)
+    if instance.strict_per_dc:
+        landed += (instance.plant_dc_unit_cost + instance.holding_unit_cost).min(axis=0)[:, None]
+    place = np.argsort(np.argsort(landed, axis=0, kind="stable"), axis=0)
+    return (1.0 - place / instance.num_dcs).T.ravel()
+
+
+def decoded_prices(instance, rows=0, seed=0):
+    """Cost and violation of the greedy row and ``rows`` uniform random rows, decoded and priced as a solve does."""
+    genes = np.vstack([greedy_row(instance), np.random.default_rng(seed).random((rows, instance.num_genes))])
+    return batch_evaluate(instance, *decode_batch(genes, instance))
+
+
 class TestLowerBound:
     def test_tight_on_single_chain(self):
         assert lower_bound(single_chain()) == pytest.approx(100.0)
@@ -418,3 +443,58 @@ class TestLowerBound:
         inst = dataclasses.replace(tiny_oracle_instance(rng), strict_per_dc=strict)
         _, cost = exact_optimum(inst)
         assert lower_bound(inst) <= cost + 1e-9
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_rounding_below_the_aggregate_optimum_in_both_modes(self, seed):
+        inst = random_instance(np.random.default_rng(seed))
+        bounds = [lower_bound(dataclasses.replace(inst, strict_per_dc=strict)) for strict in (False, True)]
+        try:
+            _, price = exact_optimum(inst)
+        except OracleError:  # a total falls short of the demand
+            assert bounds == [-np.inf, -np.inf]
+            return
+        assert bounds[0] == bounds[1]
+        assert bounds[0] < price or price == 0.0
+        assert price - bounds[0] <= ROUNDING * price + np.spacing(price)  # the margin, to one rounding
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_never_above_the_strict_optimum(self, seed):
+        inst = dataclasses.replace(random_instance(np.random.default_rng(seed)), strict_per_dc=True)
+        price = optimum_or_none(inst)
+        assert lower_bound(inst) <= (np.inf if price is None else price[1])
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_never_above_a_decoded_feasible_rows_price(self, seed, strict):
+        inst = dataclasses.replace(random_instance(np.random.default_rng(seed)), strict_per_dc=strict)
+        cost, violation = decoded_prices(inst, 32, seed)
+        assert np.all(cost[violation == 0.0] >= lower_bound(inst))
+
+    def test_never_above_the_greedy_rows_price_on_3000_random_instances(self):
+        # the aggregate greedy row is the optimum's plan, priced as the decoder adds it: on 3 draws
+        # that price is an ulp or two below exact_optimum's, and the bound's margin covers it
+        below = 0
+        for seed in range(3000):
+            inst = random_instance(np.random.default_rng(seed))
+            cost, violation = decoded_prices(inst)
+            if violation[0] == 0.0:
+                assert cost[0] >= lower_bound(inst)
+                below += cost[0] < exact_optimum(inst)[1]
+        assert below >= 1
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("name", ["baseline", "dc_expansion", "network_expansion"])
+    def test_never_above_a_decoded_feasible_rows_price_on_the_scenarios(self, name, strict):
+        inst = dataclasses.replace(default_instance(name), strict_per_dc=strict)
+        cost, violation = decoded_prices(inst, 200)
+        assert np.count_nonzero(violation == 0.0) > 100
+        assert np.all(cost[violation == 0.0] >= lower_bound(inst))
+
+    def test_network_expansion_greedy_row_prices_an_ulp_below_the_optimum_and_above_the_bound(self):
+        inst = default_instance("network_expansion")
+        cost, violation = decoded_prices(inst)
+        _, price = exact_optimum(inst)
+        assert (cost[0], violation[0], price) == (11_585_105.263157893, 0.0, 11_585_105.263157895)
+        assert price > cost[0] > lower_bound(inst)
