@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per mode over a fixed grid of solves, to check that a change keeps every run's bits.
 
-Each solve adds its full-precision trace, its final front (genes, cost,
-violation), its best plan's flows and cost breakdown, ``generations_run``
-and ``terminated_by``.  The grid is the three bundled scenarios in both
-modes, seeds 0 .. seeds-1, with the default stall rule and with the stall
-stop off, at --generations generations; then --tiny instances drawn as
-criterion 4 draws them (``tiny_oracle_instance`` in ``tests/conftest.py``),
-in both modes, at 5 or 300 generations, population 50 or 4, and mutation
-rate 0.001 or 0.2.  Each mode's solves feed that mode's digest in grid
+Each solve adds its full-precision trace (generation, best cost, mean
+cost), its final front (genes, cost), its best plan's flows and cost
+breakdown, ``generations_run`` and ``terminated_by``.  The grid is the three
+bundled scenarios in both modes, seeds 0 .. seeds-1, with the default stall
+rule and with the stall stop off, at --generations generations; then --tiny
+instances drawn as criterion 4 draws them (``tiny_oracle_instance`` in
+``tests/conftest.py``), in both modes, at 5 or 300 generations, population
+50 or 4, and mutation rate 0.001 or 0.2.  Each mode's solves feed that mode's digest in grid
 order, printed as ``aggregate <hex>`` and ``strict <hex>``.  Run it in two
 checkouts: equal digests mean equal runs in that mode.
 
@@ -58,15 +58,18 @@ def runs(generations, seeds, tiny):
 
 
 def feed(digest, result):
-    """Add everything ``result`` holds to ``digest``: floats by repr, arrays by shape and bytes."""
+    """Add everything ``result`` holds to ``digest``: floats by repr, arrays by shape and bytes.
+
+    Each field is named, not taken as a whole record, so that a checkout whose
+    results hold more fields gives the same digest for the same runs.
+    """
     parts = [result.generations_run, result.terminated_by]
-    parts += [dataclasses.astuple(record) for record in result.trace]
+    parts += [(r.generation, r.best_feasible_cost, r.mean_cost) for r in result.trace]
     front = result.final_front
-    parts += [(a.shape, a.tobytes()) for a in (front.genes, front.cost, front.violation)]
-    if result.best_feasible is not None:
-        plan, breakdown = result.best_feasible
-        parts += [(a.shape, a.tobytes()) for a in dataclasses.astuple(plan)]
-        parts.append(dataclasses.astuple(breakdown))
+    parts += [(a.shape, a.tobytes()) for a in (front.genes, front.cost)]
+    plan, breakdown = result.best_feasible
+    parts += [(a.shape, a.tobytes()) for a in dataclasses.astuple(plan)]
+    parts.append(dataclasses.astuple(breakdown))
     digest.update(repr(parts).encode())
 
 

@@ -1,6 +1,6 @@
 """Command-line surface: solve, check, audit, compare, oracle, scenario.
 
-Exit codes: 0 success, 1 infeasible / no result, 2 input error, 141 stdout
+Exit codes: 0 success, 1 infeasible, 2 input error, 141 stdout
 closed by its reader (128 + SIGPIPE).
 """
 
@@ -102,7 +102,11 @@ def cmd_solve(args) -> int:
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         except OSError as exc:
             return _file_error(path, exc)
-    result = solve(instance, config)
+    try:
+        result = solve(instance, config)
+    except OracleError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_NO_RESULT
     for path, write in ((args.out, save_result), (args.trace, emit_trace)):
         if path:
             try:
@@ -110,21 +114,17 @@ def cmd_solve(args) -> int:
             except OSError as exc:
                 return _file_error(path, exc)
     print(f"generations run: {result.generations_run} (terminated by {result.terminated_by})")
-    if result.best_feasible is None:
-        best_viol = result.final_front.violation.min()
-        print(f"no feasible plan found; minimum violation on final front: {best_viol:.6g}")
-        return EXIT_NO_RESULT
     _, breakdown = result.best_feasible
     print(f"best feasible cost: {breakdown.total:.6f}")
     print(
         f"  raw {breakdown.raw_cost:.6f} | plant->dc {breakdown.plant_to_dc_cost:.6f} | "
         f"holding {breakdown.holding_cost:.6f} | dc->retailer {breakdown.dc_to_retailer_cost:.6f}"
     )
-    bound = instance.derived(lower_bound)  # the bound the solve stopped at, if it read one
+    bound = instance.derived(lower_bound)  # the bound the solve read
     if bound > 0:
         gap = f"best {format_percent((breakdown.total - bound) / bound)} above it"
-    else:  # -inf when a total falls short of the demand, by less than the tolerance a plan is checked at
-        gap = f"gap undefined: the bound is {'zero' if bound == 0 else 'infinite'}"
+    else:
+        gap = "gap undefined: the bound is zero"
     print(f"lower bound: {bound:.6f} ({gap})")
     return EXIT_OK
 

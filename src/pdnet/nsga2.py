@@ -25,16 +25,18 @@ where the optimum lies, and the genes stay continuous and are never
 rewritten, so crossover and mutation can move a retailer to another DC by
 changing which of its weights is highest.
 
-The engine minimizes the pair (total cost, total constraint violation) as a
-genuine bi-objective tradeoff and reports the cheapest zero-violation plan
-ever seen.  A plan has one price, the total ``network`` gives it: ranking,
-the best plan, the trace, the stall test and the result all read the same
-number.  Each generation is ranked once, by a sort-and-sweep over the two
-objectives.  Every population, the initial one included, is stored in
-survival order, so the tournament compares two indices.  Ranking with plain
-Pareto domination keeps a spread of near-feasible individuals alive;
-collapsing feasible comparisons to cost alone starves the population of
-diversity under the low mutation rate and stalls far from the optimum.
+The engine minimizes one objective, the network's total cost, and reports
+the cheapest plan ever seen.  ``solve`` first reads ``oracle.lower_bound``,
+which raises OracleError naming the total that falls short when no plan is
+feasible.  Past that check every decoded plan is feasible: shipments meet
+demand, a strict-mode retailer spills past a DC's room only when the DCs'
+total room is short, the fill covers every DC while any plant has room, and
+raw material is bought up to the suppliers' total.  So pricing checks that
+each row meets the constraints rather than ranking how far it misses them.
+A plan has one price, the total ``network`` gives it: ranking, the best
+plan, the trace, the stall test and the result all read the same number.
+Every population, the initial one included, is stored in survival order, so
+the tournament compares two indices.
 
 A run ends at max_generations or on a stall: the best price gained too
 little over the last stall_generations generations.  A run whose best price,
@@ -50,26 +52,24 @@ raw purchase, the lower bound) is built on first use and kept with the
 instance.  A decoded plan is a function of its plan key, the packed plan
 index, because decoding reads nothing else of a row.  The population
 collapses onto a few plans, so a solve keeps a dict from each child's plan
-key to its column in one price array, cost over violation, made at the first
-key with room for all the dict can hold.  It decodes and evaluates, in one
-batch, only the children whose key is new, and gathers every child's price
-from its column; a row's price does not depend on its batch, so the run is
-the same bit for bit.  The dict lives for one solve, from generation 1 on,
-and is cleared whenever its keys pass PLAN_CACHE_BYTES.  Only new plans are
-scanned for the best plan: one priced before was scanned then, so it costs
-no less than the best.  The best plan is decoded and priced once, after the
-run; the final front is returned as population rows.  Survival ranks the
-parent+offspring union by its objectives alone, and a collapsed population
-repeats its unions, so a solve also keeps a dict from each union's
-objectives to its survivors' indices, their read-only cost, violation and
-rank, and the trace's statistics of them, cleared by the same rule; a
-repeated union costs one gather of genes.  A union with no violation (every
-union ranked in 2000-generation solves of the bundled scenarios, seeds 1-5)
-is ranked by cost alone: an earlier distinct point dominates a later one iff
-its violation is no larger, so with every violation 0 the fronts are the
-distinct costs in order, and a front's points are identical.  Every crowding
-span is then 0, so crowding is +inf at each front's first and last point and
-0 between, as the sweep and the crowding pass give it, bit for bit.
+key to its column in one cost array, made at the first key with room for
+all the dict can hold.  It decodes and evaluates, in one batch, only the
+children whose key is new, and gathers every child's cost from its column;
+a row's price does not depend on its batch, so the run is the same bit for
+bit.  The dict lives for one solve, from generation 1 on, and is cleared
+whenever its keys pass PLAN_CACHE_BYTES.  Only new plans are scanned for the
+best plan: one priced before was scanned then, so it costs no less than the
+best.  The best plan is decoded and priced once, after the run; the final
+front is returned as population rows.  Survival ranks the parent+offspring
+union by cost alone, and a collapsed population repeats its unions, so a
+solve also keeps a dict from each union's costs to its survivors' indices,
+their read-only cost and their mean cost, cleared by the same rule; a
+repeated union costs one gather of genes.  With one objective the fronts of
+Pareto domination are the distinct costs in order, and a front's points are
+identical.  Every crowding span is then 0, so crowding is +inf at each
+front's first and last point and 0 between, as the sweep (``_front_ranks``)
+and the crowding pass (``_crowding``) give it on the pairs (cost, 0), bit
+for bit; ``_rank_and_crowd`` computes that closed form.
 Variation draws random numbers only where they are used: spread factors for
 the pairs that cross, and the mutation sites as geometric gaps between
 successive mutated genes, which is an exact per-gene Bernoulli(p_m) draw.
@@ -87,7 +87,6 @@ from typing import Optional
 import numpy as np
 
 from .network import (
-    CostBreakdown,
     DimensionMismatchError,
     FlowPlan,
     NetworkInstance,
@@ -101,8 +100,8 @@ SBX_ETA = 15.0  # distribution index of simulated binary crossover
 PM_ETA = 20.0  # distribution index of polynomial mutation
 STALL_TOLERANCE = 1e-6  # relative gain in best cost below which a generation window counts as a stall
 # Key bytes a solve's plan cache, or its dict of rankings, may hold; once they pass this it is cleared.
-# A plan entry also holds about 145 bytes of Python objects and prices, so a cache of 20-byte keys stays
-# below about 35 MB; a ranking's 1,600-byte key (population 50) holds about 2.8 kB more, about 12 MB in all.
+# A plan entry also holds about 125 bytes of Python objects and its cost, so a cache of 20-byte keys stays
+# below about 30 MB; a ranking's 800-byte key (population 50) holds about 1.7 kB more, about 13 MB in all.
 PLAN_CACHE_BYTES = 1 << 22
 # Generations whose random draws are made at once, never past the budget.  A generation's RNG calls
 # keep their order, so runs do not depend on it; draws made for generations after a stall are wasted.
@@ -140,17 +139,11 @@ class SolverConfig:
 
 @dataclass
 class Population:
-    """Generation state as stacked arrays: genes (N,L), cost (N,), violation (N,).
-
-    ``rank`` is set once the population has been ranked; ``summary``, the trace's
-    (mean cost, min violation, feasible count), by survival, else ``solve`` computes it.
-    """
+    """Generation state as stacked arrays: genes (N,L) and cost (N,); ``mean_cost``, the trace's, is set by survival."""
 
     genes: np.ndarray
     cost: np.ndarray
-    violation: np.ndarray
-    rank: Optional[np.ndarray] = None
-    summary: Optional[tuple] = None
+    mean_cost: Optional[float] = None
 
     def __len__(self):
         return self.genes.shape[0]
@@ -159,16 +152,14 @@ class Population:
 @dataclass
 class GenerationRecord:
     generation: int
-    best_feasible_cost: Optional[float]
+    best_feasible_cost: float
     mean_cost: float
-    min_violation: float
-    feasible_count: int
 
 
 @dataclass
 class SolveResult:
-    best_feasible: Optional[tuple]  # (FlowPlan, CostBreakdown)
-    final_front: Population  # the rank-0 rows of the last population, in survival order
+    best_feasible: tuple  # (FlowPlan, CostBreakdown)
+    final_front: Population  # the last population's rows at its first, cheapest, cost, in survival order
     trace: list  # GenerationRecord per generation
     generations_run: int
     terminated_by: str  # "max-generations" | "stall": window closed or best price at the bound, generation 0 included
@@ -258,8 +249,7 @@ class _Codec:
 
         Raw cost depends only on the supplier, so this is the cheapest raw
         plan for the given production.  Plants are served in index order;
-        once the suppliers run dry the rest stays uncovered and shows as a
-        violation.
+        once the suppliers run dry the rest stays uncovered.
         """
         need = self.utilization * production  # (n, K)
         need_before = np.cumsum(need, axis=1) - need
@@ -373,14 +363,27 @@ def _plan_keys(genes: np.ndarray, instance: NetworkInstance) -> list:
     return packed.view(np.dtype((np.void, packed.shape[1] * packed.itemsize))).ravel().tolist()
 
 
-class _PlanCache(dict):
-    """Plan key -> its column in ``prices`` (2, capacity), cost over violation, numbered as the keys came."""
+def _price(genes: np.ndarray, instance: NetworkInstance) -> np.ndarray:
+    """Cost (n,) of gene rows (n, I*J), decoded and evaluated in one batch.
 
-    prices = np.empty((2, 0))  # until _price_rows makes a solve's own at its first key
+    ``solve`` prices rows only on an instance whose totals carry the demand,
+    where every decoded plan is feasible (the module docstring says why), so
+    a row that breaks a constraint is a fault of the decoder: RuntimeError.
+    """
+    cost, violation = batch_evaluate(instance, *decode_batch(genes, instance))
+    if violation.any():
+        raise RuntimeError(f"a decoded plan breaks the constraints by {violation.max():.6g}")
+    return cost
+
+
+class _PlanCache(dict):
+    """Plan key -> its column in ``prices`` (capacity,), the cost of its plan, numbered as the keys came."""
+
+    prices = np.empty(0)  # until _price_rows makes a solve's own at its first key
 
 
 def _price_rows(genes: np.ndarray, instance: NetworkInstance, cache: _PlanCache):
-    """(cost, violation, first) of the gene rows, decoding and evaluating only the rows whose plan key is new.
+    """(cost, first) of the gene rows, decoding and evaluating only the rows whose plan key is new.
 
     ``first`` lists the first row of each new key, in row order.  The new
     keys' first rows are priced in one batch, and every row's price is
@@ -399,12 +402,12 @@ def _price_rows(genes: np.ndarray, instance: NetworkInstance, cache: _PlanCache)
             if column == held + len(first):  # the new keys first appear in column order
                 first.append(row)
         if not cache.prices.size:  # a k-byte key takes at most 256**k values
-            cache.prices = np.empty((2, min(PLAN_CACHE_BYTES // len(keys[0]), 256 ** len(keys[0])) + len(keys)))
-        cache.prices[:, held : len(cache)] = batch_evaluate(instance, *decode_batch(genes[first], instance))
-    cost, violation = cache.prices[:, columns]
+            cache.prices = np.empty(min(PLAN_CACHE_BYTES // len(keys[0]), 256 ** len(keys[0])) + len(keys))
+        cache.prices[held : len(cache)] = _price(genes[first], instance)
+    cost = cache.prices[columns]
     if len(cache) * len(keys[0]) > PLAN_CACHE_BYTES:
         cache.clear()
-    return cost, violation, first
+    return cost, first
 
 
 def decode(chromosome: np.ndarray, instance: NetworkInstance) -> FlowPlan:
@@ -414,11 +417,11 @@ def decode(chromosome: np.ndarray, instance: NetworkInstance) -> FlowPlan:
 
 
 def init_population(instance: NetworkInstance, config: SolverConfig, rng) -> Population:
-    """Uniform random genes on [0,1], decoded, evaluated, ranked and stored in survival order."""
+    """Uniform random genes on [0,1], priced, ranked and stored in survival order."""
     genes = rng.random((config.population_size, instance.num_genes))
-    cost, violation = batch_evaluate(instance, *decode_batch(genes, instance))
-    ranks, _, order = _rank_and_crowd(cost, violation)
-    return Population(genes=genes[order], cost=cost[order], violation=violation[order], rank=ranks[order])
+    cost = _price(genes, instance)
+    _, _, order = _rank_and_crowd(cost)
+    return Population(genes=genes[order], cost=cost[order])
 
 
 # ---------------------------------------------------------------------------
@@ -561,32 +564,22 @@ def _crowding(ranks: np.ndarray, objectives) -> np.ndarray:
     return dist
 
 
-def _rank_and_crowd(cost: np.ndarray, violation: np.ndarray):
-    """(ranks, crowding, survivor order) under Pareto domination on (cost, violation).
+def _rank_and_crowd(cost: np.ndarray):
+    """(ranks, crowding, survivor order) of the costs, in the closed form the module docstring derives.
 
     The survivor order lists indices by (rank asc, crowding desc, index asc);
-    truncating it at N implements elitist survival.  A union with no violation
-    is ranked by cost alone, in the closed form the module docstring derives.
+    truncating it at N implements elitist survival.
     """
-    if not violation.any():
-        by_cost = np.argsort(cost, kind="stable")
-        value = cost[by_cost]
-        starts = np.ones(cost.size + 1, dtype=bool)  # where a front starts in cost order, and past the end
-        np.not_equal(value[1:], value[:-1], out=starts[1:-1])
-        ranks = np.empty(cost.size, dtype=np.int64)
-        ranks[by_cost] = np.cumsum(starts[:-1]) - 1
-        crowd = np.zeros(cost.size)
-        crowd[by_cost[starts[:-1] | starts[1:]]] = np.inf
-    else:
-        ranks = _front_ranks(cost, violation)
-        crowd = _crowding(ranks, (cost, violation))
+    by_cost = np.argsort(cost, kind="stable")
+    value = cost[by_cost]
+    starts = np.ones(cost.size + 1, dtype=bool)  # where a front starts in cost order, and past the end
+    np.not_equal(value[1:], value[:-1], out=starts[1:-1])
+    ranks = np.empty(cost.size, dtype=np.int64)
+    ranks[by_cost] = np.cumsum(starts[:-1]) - 1
+    crowd = np.zeros(cost.size)
+    crowd[by_cost[starts[:-1] | starts[1:]]] = np.inf
     order = np.lexsort((-crowd, ranks))  # stable, so ties stay in index order
     return ranks, crowd, order
-
-
-def _summary(cost: np.ndarray, violation: np.ndarray) -> tuple:
-    """The trace's (mean cost, min violation, feasible count) of a generation's survivors."""
-    return float(cost.mean()), float(violation.min()), int(np.count_nonzero(violation == 0.0))
 
 
 def select_next_generation(
@@ -594,31 +587,28 @@ def select_next_generation(
 ) -> Population:
     """Elitist survival from the parent+offspring union by (rank, crowding).
 
-    The survivors keep the ranks they got in the union and are stored in
-    survival order, so a survivor's index is its place in that order.
-    ``rankings`` maps a union's cost and violation bytes to what survival
-    takes from ``_rank_and_crowd`` on them: the survivors' union indices,
-    their read-only cost, violation and rank, and their summary.  A union
-    seen before is not ranked again, and only its genes are gathered; the
-    dict is cleared once its keys pass PLAN_CACHE_BYTES.
+    The survivors are stored in survival order, so a survivor's index is its
+    place in that order.  ``rankings`` maps a union's cost bytes to what
+    survival takes from ``_rank_and_crowd`` on them: the survivors' union
+    indices, their read-only cost and their mean cost.  A union seen before
+    is not ranked again, and only its genes are gathered; the dict is
+    cleared once its keys pass PLAN_CACHE_BYTES.
     """
     if len(parents) != config.population_size or len(offspring) != config.population_size:
         raise ValueError("parents and offspring must each have population_size members")
     rankings = {} if rankings is None else rankings
-    key = b"".join(a.tobytes() for a in (parents.cost, offspring.cost, parents.violation, offspring.violation))
+    key = parents.cost.tobytes() + offspring.cost.tobytes()
     if key not in rankings:
         if len(rankings) * len(key) > PLAN_CACHE_BYTES:
             rankings.clear()
         cost = np.concatenate([parents.cost, offspring.cost])
-        violation = np.concatenate([parents.violation, offspring.violation])
-        ranks, _, order = _rank_and_crowd(cost, violation)
-        keep = order[: config.population_size]
-        survivors = keep, cost[keep], violation[keep], ranks[keep]
-        for a in survivors:
+        keep = _rank_and_crowd(cost)[2][: config.population_size]
+        cost = cost[keep]
+        for a in (keep, cost):
             a.setflags(write=False)
-        rankings[key] = (*survivors, _summary(*survivors[1:3]))
-    keep, cost, violation, ranks, summary = rankings[key]
-    return Population(np.concatenate([parents.genes, offspring.genes])[keep], cost, violation, ranks, summary)
+        rankings[key] = keep, cost, float(cost.mean())
+    keep, cost, mean_cost = rankings[key]
+    return Population(np.concatenate([parents.genes, offspring.genes])[keep], cost, mean_cost)
 
 
 def _tournament_indices(drawn: np.ndarray) -> np.ndarray:
@@ -636,45 +626,44 @@ def _tournament_indices(drawn: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _cheaper(pop: Population, genes, cost):
-    """The genes and price of ``pop``'s cheapest feasible row if it costs less than ``cost``, else the arguments."""
-    feasible = np.flatnonzero(pop.violation == 0.0)
-    if feasible.size:
-        q = feasible[np.argmin(pop.cost[feasible])]
-        if pop.cost[q] < cost:
-            return pop.genes[q], float(pop.cost[q])
+    """The genes and price of ``pop``'s first cheapest row if it costs less than ``cost``, else the arguments."""
+    q = np.argmin(pop.cost)
+    if pop.cost[q] < cost:
+        return pop.genes[q], float(pop.cost[q])
     return genes, cost
 
 
 def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> SolveResult:
     """Run NSGA-II until max_generations or stall; deterministic per seed.
 
-    The run also ends as a stall at the first generation ``gen`` whose best
-    price is at most ROUNDING above the optimum (``oracle.lower_bound`` sits
-    ROUNDING below it), while ``gen + stall_generations <= max_generations``:
-    no feasible plan costs less, so the window would close by then on the
-    same plan; at generation 0 it leaves an empty trace.  The bound is
-    computed only when the window is shorter than the budget, and once per
-    instance.
+    The bound, ``oracle.lower_bound``, is read first, once per instance: it
+    raises OracleError, naming the total that falls short of the demand, when
+    no plan is feasible.  The run also ends as a stall at the first
+    generation ``gen`` whose best price is at most ROUNDING above the optimum
+    (the bound sits ROUNDING below it), while ``gen + stall_generations <=
+    max_generations``: no plan costs less, so the window would close by then
+    on the same plan; at generation 0 it leaves an empty trace.
     """
+    bound = instance.derived(lower_bound)
     rng = np.random.default_rng(config.seed)
     n = config.population_size
     pop = init_population(instance, config, rng)
 
-    best_genes, best_cost = _cheaper(pop, None, np.inf)  # the cheapest feasible plan seen, its batch price
+    best_genes, best_cost = _cheaper(pop, None, np.inf)  # the cheapest plan seen, its batch price
     trace = []
     terminated_by = "max-generations"
     w = config.stall_generations
-    reached = instance.derived(lower_bound) * (1.0 + 2.0 * ROUNDING) if w < config.max_generations else -np.inf
+    reached = bound * (1.0 + 2.0 * ROUNDING) if w < config.max_generations else -np.inf
     cache = _PlanCache()  # plan key -> the column of its price, for the children priced so far
-    rankings = {}  # a union's objectives -> its survivors
+    rankings = {}  # a union's costs -> its survivors
     draws = _variation_draws(n, instance.num_genes, config, rng)
 
     for gen in range(config.max_generations + 1):  # gen generations are done: test the stops, then run the next
         if best_cost <= reached and gen + w <= config.max_generations:
             terminated_by = "stall"
             break
-        old = trace[-1 - w].best_feasible_cost if gen > w else None
-        if old is not None and (old - best_cost) < STALL_TOLERANCE * max(1.0, abs(old)):
+        old = trace[-1 - w].best_feasible_cost if gen > w else np.inf
+        if old - best_cost < STALL_TOLERANCE * max(1.0, abs(old)):  # never true before generation w + 1
             terminated_by = "stall"
             break
         if gen == config.max_generations:
@@ -682,27 +671,20 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
 
         child_genes = _make_offspring(pop.genes, *next(draws))
 
-        c_cost, c_viol, first = _price_rows(child_genes, instance, cache)
-        offspring = Population(genes=child_genes, cost=c_cost, violation=c_viol)
+        c_cost, first = _price_rows(child_genes, instance, cache)
 
         # a plan priced before was scanned then, and costs no less than best_cost: scan each new key's first row
         if first:
-            new = Population(child_genes[first], c_cost[first], c_viol[first])
-            best_genes, best_cost = _cheaper(new, best_genes, best_cost)
+            best_genes, best_cost = _cheaper(Population(child_genes[first], c_cost[first]), best_genes, best_cost)
 
-        pop = select_next_generation(pop, offspring, config, rankings)
+        pop = select_next_generation(pop, Population(child_genes, c_cost), config, rankings)
+        trace.append(GenerationRecord(gen + 1, best_cost, pop.mean_cost))
 
-        summary = pop.summary or _summary(pop.cost, pop.violation)
-        trace.append(GenerationRecord(gen + 1, None if best_genes is None else best_cost, *summary))
-
-    best_feasible = None  # (FlowPlan, CostBreakdown); a row's price ignores its batch, so the total is best_cost
-    if best_genes is not None:
-        plan = decode(best_genes, instance)
-        best_feasible = (plan, evaluate_cost(instance, plan))
-    front = pop.rank == 0
+    plan = decode(best_genes, instance)  # a row's price ignores its batch, so the breakdown's total is best_cost
+    front = pop.cost == pop.cost[0]
     return SolveResult(
-        best_feasible=best_feasible,
-        final_front=Population(pop.genes[front], pop.cost[front], pop.violation[front], pop.rank[front]),
+        best_feasible=(plan, evaluate_cost(instance, plan)),
+        final_front=Population(pop.genes[front], pop.cost[front]),
         trace=trace,
         generations_run=len(trace),
         terminated_by=terminated_by,

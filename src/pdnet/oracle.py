@@ -33,14 +33,18 @@ class OracleError(Exception):
 
 
 def _check_totals(instance: NetworkInstance):
-    """Raise OracleError naming the first total that cannot carry the demand."""
+    """Raise OracleError naming the first total that cannot carry the demand.
+
+    A total falls short when it is below its need by more than ROUNDING of it:
+    demand [0.1, 0.2] sums to 0.30000000000000004, which storage 0.3 carries.
+    """
     u, demand = instance.utilization, instance.demand.sum()
     for name, have, need in (
         ("supplier capacity", instance.supplier_capacity.sum(), u * demand),
         ("plant capacity", instance.plant_capacity.sum() / u, demand),
         ("DC storage", instance.dc_capacity.sum(), demand),
     ):
-        if have < need:
+        if have < need * (1.0 - ROUNDING):
             raise OracleError(f"{name} {have:.6g} falls short of the {need:.6g} the demand needs")
 
 
@@ -141,11 +145,9 @@ def brute_force_optimum(instance: NetworkInstance, grid_step: float = 1.0):
 
 
 def lower_bound(instance: NetworkInstance) -> float:
-    """The aggregate-mode optimum's price less ROUNDING of it, -inf when no plan is feasible.
+    """The aggregate-mode optimum's price less ROUNDING of it.
 
-    Strict mode only adds constraints, so no plan of either mode prices below it, rounding included.
+    Raises OracleError, as ``exact_optimum`` does, when no plan is feasible.  Strict mode
+    only adds constraints, so no plan of either mode prices below it, rounding included.
     """
-    try:
-        return exact_optimum(dataclasses.replace(instance, strict_per_dc=False))[1] * (1.0 - ROUNDING)
-    except OracleError:
-        return -np.inf
+    return exact_optimum(dataclasses.replace(instance, strict_per_dc=False))[1] * (1.0 - ROUNDING)

@@ -183,14 +183,10 @@ def load_instance_file(path) -> NetworkInstance:
 # ---------------------------------------------------------------------------
 
 def result_document(result: SolveResult) -> dict:
-    front = result.final_front
-    best = None
-    if result.best_feasible is not None:
-        plan, breakdown = result.best_feasible
-        best = {"cost_breakdown": breakdown, **{name: getattr(plan, name) for name in FLOW_AXES}}
+    plan, breakdown = result.best_feasible
     return {
-        "best_feasible": best,
-        "final_front": [dict(cost=c, violation=v) for c, v in zip(front.cost, front.violation)],
+        "best_feasible": {"cost_breakdown": breakdown, **{name: getattr(plan, name) for name in FLOW_AXES}},
+        "final_front": [dict(cost=c) for c in result.final_front.cost],
         "generations_run": result.generations_run,
         "terminated_by": result.terminated_by,
     }
@@ -201,13 +197,9 @@ def save_result(result: SolveResult, path):
 
 
 def trace_csv(result: SolveResult) -> str:
-    lines = ["generation,best_feasible_cost,mean_cost,min_violation,feasible_count"]
+    lines = ["generation,best_feasible_cost,mean_cost"]
     for rec in result.trace:
-        best = "" if rec.best_feasible_cost is None else "%.12g" % rec.best_feasible_cost
-        lines.append(
-            f"{rec.generation},{best},{'%.12g' % rec.mean_cost},"
-            f"{'%.12g' % rec.min_violation},{rec.feasible_count}"
-        )
+        lines.append("%d,%.12g,%.12g" % (rec.generation, rec.best_feasible_cost, rec.mean_cost))
     return "\n".join(lines) + "\n"
 
 

@@ -131,7 +131,7 @@ class Agreement(NamedTuple):
     instance: NetworkInstance
     optimum: float  # oracle.exact_optimum
     bound: float  # oracle.lower_bound
-    median_gap: float  # median over seeds of (cost - optimum) / optimum, inf for a run with no feasible plan
+    median_gap: float  # median over seeds of (cost - optimum) / optimum
     below_bound: bool  # some feasible cost fell more than 1e-9 below the bound
     generations: tuple  # generations_run of each seed's solve
     oracle_s: float  # wall time of exact_optimum on this instance
@@ -157,7 +157,7 @@ def oracle_agreement(master_seed, instances, seeds, generations, strict_per_dc=F
         runs = []
         for seed in range(seeds):
             result = solve(instance, SolverConfig(seed=seed, max_generations=generations))
-            costs.append(np.inf if result.best_feasible is None else result.best_feasible[1].total)
+            costs.append(result.best_feasible[1].total)
             runs.append(result.generations_run)
         costs = np.array(costs)
         median_gap = float(np.median((costs - optimum) / optimum))

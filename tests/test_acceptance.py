@@ -117,14 +117,12 @@ def test_criterion_5_feasibility_soundness(capsys):
         # a window as long as the budget: the final front is generation 120's, not the one the bound stops at
         config = SolverConfig(seed=int(rng.integers(0, 100)), max_generations=120, stall_generations=120)
         result = solve(instance, config)
-        if result.best_feasible is None:
-            continue
         plan, _ = result.best_feasible
         if evaluate_constraints(instance, plan, tolerance=1e-9).total_violation != 0.0:
             sound = False
         front = result.final_front
-        r, p, t = decode_batch(front.genes, instance)  # the front's plans, in one decode
-        for q in np.flatnonzero(front.violation == 0.0):
+        r, p, t = decode_batch(front.genes, instance)  # the front's plans, in one decode; every one is feasible
+        for q in range(len(front)):
             if evaluate_constraints(instance, FlowPlan(r[q], p[q], t[q]), tolerance=1e-9).total_violation != 0.0:
                 sound = False
 

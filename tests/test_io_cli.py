@@ -15,7 +15,7 @@ from pdnet import cli, nsga2
 from pdnet.cli import EXIT_INPUT, EXIT_NO_RESULT, EXIT_OK, main
 from pdnet.network import FLOW_AXES, FlowPlan, evaluate_constraints, evaluate_cost
 from pdnet.nsga2 import SolverConfig, solve
-from pdnet.oracle import lower_bound
+from pdnet.oracle import OracleError, lower_bound
 from pdnet.scenarios import SCENARIO_NAMES, default_instance
 from pdnet.serialize import (
     InstanceLoadError,
@@ -150,19 +150,22 @@ class TestResultIO:
     def test_trace_shape_and_monotonicity(self):
         res = solve(single_chain(), SolverConfig(seed=4, max_generations=30, stall_generations=10**6))
         lines = trace_csv(res).splitlines()
-        assert lines[0] == "generation,best_feasible_cost,mean_cost,min_violation,feasible_count"
+        assert lines[0] == "generation,best_feasible_cost,mean_cost"
         assert len(lines) == 1 + res.generations_run
-        best = [float(l.split(",")[1]) for l in lines[1:] if l.split(",")[1]]
+        best = [float(l.split(",")[1]) for l in lines[1:]]
         assert all(b <= a for a, b in zip(best, best[1:]))
 
-    def test_infeasible_run_leaves_best_column_empty(self):
-        res = solve(single_chain(d=30.0, cap=20.0), SolverConfig(seed=0, max_generations=10))
-        lines = trace_csv(res).splitlines()[1:]
-        assert all(l.split(",")[1] == "" for l in lines)
-        min_viol = [float(l.split(",")[3]) for l in lines]
-        assert all(v > 0 for v in min_viol)
+    def test_result_document_holds_the_best_plan_and_the_front_costs(self):
+        # a window as long as the budget keeps the run from stopping at the bound at once
+        res = solve(criterion_4_instances(1)[0], SolverConfig(seed=4, max_generations=30, stall_generations=30))
         doc = result_document(res)
-        assert doc["best_feasible"] is None
+        assert list(doc) == ["best_feasible", "final_front", "generations_run", "terminated_by"]
+        assert list(doc["best_feasible"]) == ["cost_breakdown", *FLOW_AXES]
+        assert doc["final_front"] == [{"cost": c} for c in res.final_front.cost] and len(res.final_front) > 0
+
+    def test_an_infeasible_instance_has_no_result_to_write(self):
+        with pytest.raises(OracleError, match="^supplier capacity 20 falls short of the 30 the demand needs$"):
+            solve(single_chain(d=30.0, cap=20.0), SolverConfig(seed=0, max_generations=10))
 
 
 def file_mode(path):
@@ -274,14 +277,14 @@ class TestCLI:
         assert main(["solve", str(inst_path), "--generations", "3"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[-1] == "lower bound: 0.000000 (gap undefined: the bound is zero)"
 
-    def test_solve_with_storage_a_hair_short_of_the_demand_prints_no_gap(self, tmp_path, capsys):
-        # storage 1e-11 below the demand of 10 fails the oracle's total check, but not a plan's 1e-9 tolerance
+    def test_solve_with_storage_a_hair_short_of_the_demand_is_refused_as_the_oracle_refuses_it(self, tmp_path, capsys):
+        # storage 1e-11 below the demand of 10 falls short by more than ROUNDING of it, though not by a plan's
+        # 1e-9 tolerance: solve refuses what the oracle and the bound refuse
         inst_path = tmp_path / "i.json"
         save_instance(dataclasses.replace(single_chain(), dc_capacity=[10.0 - 1e-11]), inst_path)
-        assert main(["solve", str(inst_path), "--generations", "3"]) == EXIT_OK
-        out = capsys.readouterr().out.splitlines()
-        assert out[1] == "best feasible cost: 100.000000"
-        assert out[-1] == "lower bound: -inf (gap undefined: the bound is infinite)"
+        for command in ("solve", "oracle"):
+            assert main([command, str(inst_path)]) == EXIT_NO_RESULT
+            assert capsys.readouterr() == ("", "infeasible: DC storage 10 falls short of the 10 the demand needs\n")
 
     def test_solve_is_reproducible_byte_for_byte(self, tmp_path):
         inst_path = tmp_path / "i.json"
@@ -308,12 +311,16 @@ class TestCLI:
         result = json.loads(blobs[0][0])
         assert (result["generations_run"], result["terminated_by"]) == (0, "stall")
         assert result["best_feasible"] is not None
-        assert blobs[0][1] == b"generation,best_feasible_cost,mean_cost,min_violation,feasible_count\n"
+        assert blobs[0][1] == b"generation,best_feasible_cost,mean_cost\n"
 
-    def test_solve_infeasible_exits_one(self, tmp_path):
+    def test_solve_infeasible_exits_one(self, tmp_path, capsys):
         inst_path = tmp_path / "i.json"
         save_instance(single_chain(d=30.0, cap=20.0), inst_path)
-        assert main(["solve", str(inst_path), "--generations", "10"]) == EXIT_NO_RESULT
+        out, trace = tmp_path / "r.json", tmp_path / "t.csv"
+        argv = ["solve", str(inst_path), "--generations", "10", "--out", str(out), "--trace", str(trace)]
+        assert main(argv) == EXIT_NO_RESULT
+        assert capsys.readouterr() == ("", "infeasible: supplier capacity 20 falls short of the 30 the demand needs\n")
+        assert sorted(os.listdir(tmp_path)) == ["i.json"]  # neither the result nor the trace is written
 
     @pytest.mark.parametrize(
         "flag, value, field",

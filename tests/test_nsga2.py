@@ -28,7 +28,7 @@ from pdnet.nsga2 import (
     _shipments,
     _tournament_indices,
 )
-from pdnet.oracle import ROUNDING, exact_optimum, lower_bound
+from pdnet.oracle import ROUNDING, OracleError, _check_totals, exact_optimum, lower_bound
 from pdnet.scenarios import default_instance
 
 from conftest import criterion_4_instances, random_instance, single_chain, tiny_oracle_instance
@@ -504,6 +504,53 @@ class TestInit:
         assert 0.48 <= genes.mean() <= 0.52
 
 
+def tight(instance):
+    """``instance`` with supplier capacity, plant capacity and DC storage each scaled to what the demand needs."""
+    u, demand = instance.utilization, instance.demand.sum()
+    return dataclasses.replace(
+        instance,
+        supplier_capacity=instance.supplier_capacity * (u * demand / instance.supplier_capacity.sum()),
+        plant_capacity=instance.plant_capacity * (u * demand / instance.plant_capacity.sum()),
+        dc_capacity=instance.dc_capacity * (demand / instance.dc_capacity.sum()),
+    )
+
+
+def totals_carry_the_demand(instance):
+    try:
+        _check_totals(instance)
+    except OracleError:
+        return False
+    return True
+
+
+def decoded_violations(instance, rows, seed):
+    """Total violation of ``rows`` uniform random gene rows, decoded and priced as a solve does."""
+    genes = np.random.default_rng(seed).random((rows, instance.num_genes))
+    return batch_evaluate(instance, *decode_batch(genes, instance))[1]
+
+
+class TestFeasibleByConstruction:
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_every_decoded_row_is_feasible_iff_the_totals_carry_the_demand(self, seed, strict, tight_totals):
+        inst = dataclasses.replace(random_instance(np.random.default_rng(seed)), strict_per_dc=strict)
+        if tight_totals:
+            inst = tight(inst)
+        violation = decoded_violations(inst, 64, seed)
+        if totals_carry_the_demand(inst):
+            assert not violation.any()
+        else:
+            assert np.all(violation > 0.0)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("name", ["baseline", "dc_expansion", "network_expansion"])
+    def test_every_decoded_row_of_a_scenario_is_feasible(self, name, strict):
+        inst = dataclasses.replace(default_instance(name), strict_per_dc=strict)
+        assert totals_carry_the_demand(inst) and totals_carry_the_demand(tight(inst))
+        for instance in (inst, tight(inst)):
+            assert not decoded_violations(instance, 200, 0).any()
+
+
 def breed(parents, config, rng):
     """Children of the mating pool ``parents``, paired as they stand, from one generation's draws as in ``solve``."""
     n, length = parents.shape
@@ -689,36 +736,33 @@ class TestCrowding:
             assert np.isinf(d[np.argmax(objs[:, m])])
 
 
-def pop_from(genes, cost, violation):
-    return Population(
-        genes=np.asarray(genes, dtype=float),
-        cost=np.asarray(cost, dtype=float),
-        violation=np.asarray(violation, dtype=float),
-    )
+def pop_from(genes, cost):
+    return Population(genes=np.asarray(genes, dtype=float), cost=np.asarray(cost, dtype=float))
 
 
 class TestSelection:
     def test_dominated_offspring_are_discarded(self):
         cfg = SolverConfig(population_size=4)
-        parents = pop_from(np.eye(4), [1, 2, 3, 4], [0, 0, 0, 0])
-        offspring = pop_from(np.eye(4) * 2, [5, 6, 7, 8], [1, 1, 1, 1])
+        parents = pop_from(np.eye(4), [1, 2, 3, 4])
+        offspring = pop_from(np.eye(4) * 2, [5, 6, 7, 8])
         nxt = select_next_generation(parents, offspring, cfg)
         assert sorted(nxt.cost.tolist()) == [1, 2, 3, 4]
 
     def test_dominating_offspring_survives(self):
         cfg = SolverConfig(population_size=4)
-        parents = pop_from(np.eye(4), [10, 11, 12, 13], [1, 1, 1, 1])
-        offspring = pop_from(np.eye(4) * 2, [1, 20, 21, 22], [0, 2, 2, 2])
+        parents = pop_from(np.eye(4), [10, 11, 12, 13])
+        offspring = pop_from(np.eye(4) * 2, [1, 20, 21, 22])
         nxt = select_next_generation(parents, offspring, cfg)
         assert 1.0 in nxt.cost
 
     def test_full_front_zero_fills_generation(self):
         cfg = SolverConfig(population_size=4)
-        # four mutually non-dominated points plus four dominated ones
-        parents = pop_from(np.eye(4), [1, 2, 3, 4], [4, 3, 2, 1])
-        offspring = pop_from(np.eye(4) * 2, [10, 10, 10, 10], [10, 10, 10, 10])
+        # four identical points, front zero, plus four dominated ones
+        parents = pop_from(np.eye(4), [10, 10, 10, 10])
+        offspring = pop_from(np.eye(4) * 2, [1, 1, 1, 1])
         nxt = select_next_generation(parents, offspring, cfg)
-        assert sorted(nxt.cost.tolist()) == [1, 2, 3, 4]
+        assert nxt.cost.tolist() == [1, 1, 1, 1]
+        assert {tuple(g) for g in nxt.genes} == {tuple(g) for g in offspring.genes}
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=100, deadline=None)
@@ -726,47 +770,43 @@ class TestSelection:
         rng = np.random.default_rng(seed)
         size = 2 * int(rng.integers(2, 26))
         cfg = SolverConfig(population_size=size)
-        # a few distinct points, repeated, make a few unions; each is drawn again and again with new genes
-        points = rng.integers(0, int(rng.integers(1, 5)), size=(int(rng.integers(1, 6)), 2)).astype(float)
-        points[rng.random(len(points)) < 0.5, 1] = 0.0
-        unions = [points[rng.integers(0, len(points), 2 * size)].T for _ in range(int(rng.integers(1, 4)))]
-        rankings, budget = {}, int(rng.integers(1, 4)) * 2 * size * 8 * 2  # room for one to three unions
+        # a few distinct costs, repeated, make a few unions; each is drawn again and again with new genes
+        points = rng.integers(0, int(rng.integers(1, 5)), size=int(rng.integers(1, 6))).astype(float)
+        unions = [points[rng.integers(0, len(points), 2 * size)] for _ in range(int(rng.integers(1, 4)))]
+        rankings, budget = {}, int(rng.integers(1, 4)) * 2 * size * 8  # room for one to three unions
         for _ in range(12):
-            cost, violation = unions[int(rng.integers(0, len(unions)))]
+            cost = unions[int(rng.integers(0, len(unions)))]
             genes = rng.random((2 * size, 3))
-            parents = pop_from(genes[:size], cost[:size], violation[:size])
-            offspring = pop_from(genes[size:], cost[size:], violation[size:])
+            parents = pop_from(genes[:size], cost[:size])
+            offspring = pop_from(genes[size:], cost[size:])
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(nsga2, "PLAN_CACHE_BYTES", budget)
                 nxt = select_next_generation(parents, offspring, cfg, rankings)
-            ranks, _, order = _rank_and_crowd(cost, violation)
-            keep = order[:size]
-            assert np.array_equal(nxt.genes, genes[keep]) and np.array_equal(nxt.rank, ranks[keep])
-            assert np.array_equal(nxt.cost, cost[keep]) and np.array_equal(nxt.violation, violation[keep])
-            feasible = int(np.count_nonzero(violation[keep] == 0.0))
-            assert nxt.summary == (float(cost[keep].mean()), float(violation[keep].min()), feasible)
-            assert 1 <= len(rankings) <= min(len(unions), budget // (2 * size * 16) + 1)
-            # each entry: the survivors' union indices, cost, violation and rank, read-only, then their summary
+            keep = _rank_and_crowd(cost)[2][:size]
+            assert np.array_equal(nxt.genes, genes[keep]) and np.array_equal(nxt.cost, cost[keep])
+            assert nxt.mean_cost == float(cost[keep].mean())
+            assert 1 <= len(rankings) <= min(len(unions), budget // (2 * size * 8) + 1)
+            # each entry: the survivors' union indices and cost, read-only, then their mean cost
             assert not any(a.flags.writeable for *survivors, _ in rankings.values() for a in survivors)
 
     def test_a_repeated_union_is_ranked_once(self, monkeypatch):
         ranked, rank_and_crowd = [], nsga2._rank_and_crowd
         monkeypatch.setattr(nsga2, "_rank_and_crowd", lambda *a: ranked.append(1) or rank_and_crowd(*a))
         cfg = SolverConfig(population_size=4)
-        parents = pop_from(np.eye(4), [1, 2, 3, 4], [4, 3, 2, 1])
-        offspring = pop_from(np.eye(4) * 2, [1, 2, 10, 10], [4, 3, 10, 10])
+        parents = pop_from(np.eye(4), [1, 2, 3, 4])
+        offspring = pop_from(np.eye(4) * 2, [1, 2, 10, 10])
         rankings = {}
         first = select_next_generation(parents, offspring, cfg, rankings)
-        again = select_next_generation(pop_from(np.eye(4) * 3, parents.cost, parents.violation), offspring, cfg, rankings)
+        again = select_next_generation(pop_from(np.eye(4) * 3, parents.cost), offspring, cfg, rankings)
         assert len(ranked) == 1 and len(rankings) == 1
-        assert np.array_equal(again.rank, first.rank) and np.array_equal(again.cost, first.cost)
+        assert np.array_equal(again.cost, first.cost) and again.mean_cost == first.mean_cost
         assert not np.array_equal(again.genes, first.genes)
 
     def test_size_mismatch_rejected(self):
         cfg = SolverConfig(population_size=4)
-        parents = pop_from(np.eye(4), [1, 2, 3, 4], [0] * 4)
+        parents = pop_from(np.eye(4), [1, 2, 3, 4])
         with pytest.raises(ValueError):
-            select_next_generation(parents, pop_from(np.eye(3), [1, 2, 3], [0] * 3), cfg)
+            select_next_generation(parents, pop_from(np.eye(3), [1, 2, 3]), cfg)
 
 
 def matrix_rank_and_crowd(cost, violation):
@@ -832,11 +872,10 @@ class TestRankAndCrowd:
     def test_survivor_order_matches_explicit_index_keys_on_duplicates_and_ties(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 101))
-        # a few distinct points, each repeated, on a coarse grid: duplicates, equal crowding and equal values
-        distinct = rng.integers(0, int(rng.integers(1, 6)), size=(int(rng.integers(1, 9)), 2)).astype(float)
-        distinct[rng.random(len(distinct)) < 0.5, 1] = 0.0
-        cost, violation = distinct[rng.integers(0, len(distinct), n)].T
-        for got, want in zip(_rank_and_crowd(cost, violation), keyed_rank_and_crowd(cost, violation)):
+        # a few distinct costs, each repeated, on a coarse grid: duplicates, equal crowding and equal values
+        distinct = rng.integers(0, int(rng.integers(1, 6)), size=int(rng.integers(1, 9))).astype(float)
+        cost = distinct[rng.integers(0, len(distinct), n)]
+        for got, want in zip(_rank_and_crowd(cost), keyed_rank_and_crowd(cost, np.zeros(n))):
             assert np.array_equal(got, want)
 
     @given(st.integers(0, 10**9))
@@ -844,11 +883,8 @@ class TestRankAndCrowd:
     def test_matches_the_matrix_reference_on_tie_heavy_cases(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 101))
-        levels = int(rng.integers(1, 8))
-        cost = rng.integers(0, levels, n).astype(float)
-        violation = rng.integers(0, levels, n).astype(float)
-        violation[rng.random(n) < rng.random()] = 0.0
-        for got, want in zip(_rank_and_crowd(cost, violation), matrix_rank_and_crowd(cost, violation)):
+        cost = rng.integers(0, int(rng.integers(1, 8)), n).astype(float)
+        for got, want in zip(_rank_and_crowd(cost), matrix_rank_and_crowd(cost, np.zeros(n))):
             assert np.array_equal(got, want)
 
     @given(st.integers(0, 10**9))
@@ -862,37 +898,12 @@ class TestRankAndCrowd:
         cost[own] = rng.random(np.count_nonzero(own)) * 10.0
         cost[rng.random(n) < 0.5] *= -1.0
         violation = np.where(rng.random(n) < 0.5, 0.0, -0.0)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(nsga2, "_front_ranks", None)  # the closed form never sweeps
-            patch.setattr(nsga2, "_crowding", None)
-            got = _rank_and_crowd(cost, violation)
+        got = _rank_and_crowd(cost)
         ranks = _front_ranks(cost, violation)
         crowd = _crowding(ranks, (cost, violation))
         for a, b in zip(got, (ranks, crowd, np.lexsort((-crowd, ranks)))):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    def test_a_union_with_a_violation_is_ranked_by_the_sweep(self, monkeypatch):
-        crowded, crowding = [], nsga2._crowding
-        monkeypatch.setattr(nsga2, "_crowding", lambda *a: crowded.append(1) or crowding(*a))
-        cost = np.array([3.0, 1.0, 2.0, 1.0, 5.0, 4.0, 2.0, 3.0])
-        _rank_and_crowd(cost, np.zeros(8))
-        assert not crowded
-        violation = np.zeros(8)
-        violation[5] = 0.5
-        for a, b in zip(_rank_and_crowd(cost, violation), matrix_rank_and_crowd(cost, violation)):
-            assert np.array_equal(a, b)
-        assert crowded == [1]
-
-    def test_survivors_carry_their_union_ranks(self):
-        cfg = SolverConfig(population_size=4)
-        parents = pop_from(np.eye(4), [1, 2, 3, 4], [4, 3, 2, 1])
-        offspring = pop_from(np.eye(4) * 2, [2, 3, 10, 10], [4, 3, 10, 10])
-        nxt = select_next_generation(parents, offspring, cfg)
-        ranks, _, order = _rank_and_crowd(
-            np.concatenate([parents.cost, offspring.cost]), np.concatenate([parents.violation, offspring.violation])
-        )
-        keep = order[:4]
-        assert np.array_equal(nxt.rank, ranks[keep])
 
 
 def rank_crowd_tournament(ranks, crowd, rng, n_select):
@@ -913,10 +924,8 @@ class TestTournament:
     def test_earlier_in_survival_order_is_the_rank_crowd_rule(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 61))
-        levels = int(rng.integers(1, 6))
-        cost = rng.integers(0, levels, n).astype(float)
-        violation = rng.integers(0, levels, n).astype(float)
-        ranks, crowd, order = _rank_and_crowd(cost, violation)
+        cost = rng.integers(0, int(rng.integers(1, 6)), n).astype(float)
+        ranks, crowd, order = _rank_and_crowd(cost)
         # a population is stored in survival order: member m is the m-th of that order
         got = _tournament_indices(np.random.default_rng(seed).integers(0, n, size=(3 * n, 2)))
         want = rank_crowd_tournament(ranks[order], crowd[order], np.random.default_rng(seed), 3 * n)
@@ -950,8 +959,9 @@ class TestTournament:
         monkeypatch.setattr(nsga2, "_make_offspring", recording_offspring)
         monkeypatch.setattr(nsga2, "DRAW_BLOCK", 3)
         cfg = SolverConfig(population_size=20, max_generations=4, seed=3)
-        # 3^8 assignments for 20 rows: the initial population holds no duplicate points to reorder
-        solve(random_instance(np.random.default_rng(3), s=2, k=2, j=3, i=8), cfg)
+        # 3^8 assignments for 20 rows: the initial population holds no duplicate costs to reorder (draw 3 of
+        # these sizes was used until infeasible instances were refused; its suppliers cannot carry the demand)
+        solve(random_instance(np.random.default_rng(1), s=2, k=2, j=3, i=8), cfg)
         # the tournaments draw among 20 members, for a block of three generations and then the one left
         assert [drawn.shape for drawn in tournaments] == [(3, 20, 2), (1, 20, 2)] and len(survivals) == 4
         winners = np.concatenate([tournament(drawn) for drawn in tournaments])
@@ -961,13 +971,11 @@ class TestTournament:
         assert len(pools) == 4
         for (genes, mating), pop, won in zip(pools, drawn, winners):
             assert genes is pop.genes and np.array_equal(mating, won)
-        ranks, _, order = _rank_and_crowd(initial[0].cost, initial[0].violation)
-        assert np.array_equal(order, np.arange(20)) and np.array_equal(initial[0].rank, ranks)
+        assert np.array_equal(_rank_and_crowd(initial[0].cost)[2], np.arange(20))
         for parents, offspring, nxt in survivals:
             cost = np.concatenate([parents.cost, offspring.cost])
-            violation = np.concatenate([parents.violation, offspring.violation])
             genes = np.vstack([parents.genes, offspring.genes])
-            _, _, order = _rank_and_crowd(cost, violation)
+            _, _, order = _rank_and_crowd(cost)
             assert np.array_equal(nxt.genes, genes[order[:20]]) and np.array_equal(nxt.cost, cost[order[:20]])
 
 
@@ -1043,7 +1051,7 @@ class TestSolve:
         full = [solve(inst, cfg) for cfg in configs]
         for a, b, cfg in zip(stopped, full, configs):
             initial = init_population(inst, cfg, np.random.default_rng(cfg.seed))  # generation 0
-            traced = [(0, c) for c in initial.cost[initial.violation == 0.0]]
+            traced = [(0, c) for c in initial.cost]
             traced += [(r.generation, r.best_feasible_cost) for r in b.trace if r.best_feasible_cost is not None]
             at_bound = [g for g, best in traced if best <= reached]
             if index == 5:
@@ -1064,8 +1072,8 @@ class TestSolve:
         assert evaluate_constraints(inst, plan).total_violation == 0.0
         assert breakdown.total == exact_optimum(inst)[1]
         initial = init_population(inst, cfg, np.random.default_rng(cfg.seed))
-        front = initial.rank == 0
-        for name in ("genes", "cost", "violation", "rank"):
+        front = initial.cost == initial.cost.min()
+        for name in ("genes", "cost"):
             assert np.array_equal(getattr(res.final_front, name), getattr(initial, name)[front])
 
     def test_criterion_4_solves_reach_the_optimum_and_stop_in_generation_zero(self):
@@ -1078,7 +1086,7 @@ class TestSolve:
                 cfg = SolverConfig(seed=seed, max_generations=300)
                 res = solve(inst, cfg)
                 initial = init_population(inst, cfg, np.random.default_rng(seed))
-                assert initial.cost[initial.violation == 0.0].min() == optimum
+                assert initial.cost.min() == optimum
                 assert res.best_feasible[1].total == optimum
                 assert (res.terminated_by, res.generations_run, res.trace) == ("stall", 0, [])
 
@@ -1122,9 +1130,9 @@ class TestSolve:
         cfg = SolverConfig(seed=1, max_generations=40, stall_generations=40)
         a = solve(inst, cfg)
         calls = []
-        monkeypatch.setattr(nsga2, "lower_bound", lambda instance: calls.append(instance) or -np.inf)
+        monkeypatch.setattr(nsga2, "lower_bound", lambda instance: calls.append(instance) or np.inf)  # every plan at it
         b = solve(inst, cfg)
-        assert not calls  # a run that cannot stop early does not compute the bound
+        assert len(calls) == 1  # read once, as the feasibility check, but a run that cannot stop early runs on
         assert a.trace == b.trace and a.generations_run == 40
         assert np.array_equal(a.final_front.genes, b.final_front.genes)
 
@@ -1147,17 +1155,16 @@ class TestSolve:
         res = solve(default_instance(scenario), SolverConfig(seed=seed, max_generations=300))
         assert res.trace[-1].best_feasible_cost == res.best_feasible[1].total
 
-    def test_final_front_mutually_non_dominated(self):
-        res = solve(single_chain(), SolverConfig(seed=5, max_generations=40))
-        objs = list(zip(res.final_front.cost, res.final_front.violation))
-        for a in range(len(objs)):
-            for b in range(len(objs)):
-                if a == b:
-                    continue
-                dominates = all(x <= y for x, y in zip(objs[a], objs[b])) and any(
-                    x < y for x, y in zip(objs[a], objs[b])
-                )
-                assert not dominates
+    def test_final_front_is_the_last_populations_rows_at_its_cheapest_cost(self, monkeypatch):
+        survivors, select = [], nsga2.select_next_generation
+        monkeypatch.setattr(nsga2, "select_next_generation", lambda *a: survivors.append(select(*a)) or survivors[-1])
+        inst = dataclasses.replace(random_instance(np.random.default_rng(4), s=2, k=3, j=3, i=6), strict_per_dc=True)
+        res = solve(inst, SolverConfig(seed=5, max_generations=40, stall_generations=40))
+        last = survivors[-1]
+        cheapest = np.flatnonzero(last.cost == last.cost.min())
+        assert np.array_equal(cheapest, np.arange(len(res.final_front)))  # first in survival order
+        assert np.array_equal(res.final_front.genes, last.genes[cheapest])
+        assert np.array_equal(res.final_front.cost, last.cost[cheapest])
 
     def test_a_solve_decodes_and_prices_its_best_plan_once(self, monkeypatch):
         calls = {"decode": 0, "evaluate_cost": 0}
@@ -1176,43 +1183,40 @@ class TestSolve:
         runs = [(inst, seed) for inst in criterion_4_instances(20) for seed in range(2)]
         scenarios = ("baseline", "dc_expansion", "network_expansion")
         runs += [(dataclasses.replace(default_instance(s), strict_per_dc=True), seed) for s in scenarios for seed in range(3)]
-        runs.append((single_chain(d=30.0, cap=20.0), 0))  # never feasible
         for inst, seed in runs:
             calls.update(decode=0, evaluate_cost=0)
             res = solve(inst, SolverConfig(seed=seed, max_generations=300))
-            improved_twice += len({r.best_feasible_cost for r in res.trace} - {None}) >= 2
-            once = int(res.best_feasible is not None)
-            assert calls == {"decode": once, "evaluate_cost": once}
-        assert res.best_feasible is None and improved_twice >= 5
+            improved_twice += len({r.best_feasible_cost for r in res.trace}) >= 2
+            assert calls == {"decode": 1, "evaluate_cost": 1}
+        assert improved_twice >= 5
 
     def test_the_initial_population_counts_for_the_best_plan(self, monkeypatch):
         inst = criterion_4_instances(6)[5]  # two DCs and two retailers: four plans
         cfg = SolverConfig(seed=0, max_generations=3, stall_generations=3)
         pop = init_population(inst, cfg, np.random.default_rng(cfg.seed))
-        feasible = pop.violation == 0.0
-        assert feasible.any()
-        # offspring priced as infeasible, so only the initial population has a best plan
+        # offspring priced above every plan, so the best plan is the initial population's
         evaluate, decode_rows, decoded, priced = nsga2.batch_evaluate, nsga2.decode_batch, [], []
 
         def keyed_decode(genes, instance):
             decoded.append(nsga2._plan_keys(genes, instance))
             return decode_rows(genes, instance)
 
-        def offspring_infeasible(instance, *flows):
+        def offspring_costlier(instance, *flows):
             priced.append(decoded[-1])  # the plan keys of the rows priced
             cost, violation = evaluate(instance, *flows)
-            return cost, violation + (len(priced) > 1)  # the first call prices the initial population
+            return cost + 1e6 * (len(priced) > 1), violation  # the first call prices the initial population
 
         monkeypatch.setattr(nsga2, "decode_batch", keyed_decode)
-        monkeypatch.setattr(nsga2, "batch_evaluate", offspring_infeasible)
+        monkeypatch.setattr(nsga2, "batch_evaluate", offspring_costlier)
         res = solve(inst, cfg)
         assert len(priced[0]) == 50 and len(priced) > 1
         seen = set()
         for keys in priced[1:]:  # each plan of the offspring is decoded and priced once
             assert len(set(keys)) == len(keys) and not seen & set(keys)
             seen |= set(keys)
-        assert [r.best_feasible_cost for r in res.trace] == [pop.cost[feasible].min()] * 3
-        assert res.best_feasible[1].total == pop.cost[feasible].min()
+        assert [r.best_feasible_cost for r in res.trace] == [pop.cost.min()] * 3
+        assert res.best_feasible[1].total == pop.cost.min()
+        assert [r.mean_cost for r in res.trace] == [float(pop.cost.mean())] * 3  # no offspring survives
 
     def test_final_front_rows_are_their_genes_evaluated(self):
         strict = dataclasses.replace(random_instance(np.random.default_rng(4), s=2, k=3, j=3, i=6), strict_per_dc=True)
@@ -1221,16 +1225,28 @@ class TestSolve:
             front = solve(inst, SolverConfig(seed=4, max_generations=generations)).final_front
             sizes.append(len(front))
             cost, violation = batch_evaluate(inst, *decode_batch(front.genes, inst))
-            assert np.array_equal(cost, front.cost) and np.array_equal(violation, front.violation)
-            assert np.array_equal(front.rank, np.zeros(len(front)))
+            assert np.array_equal(cost, front.cost) and not violation.any()
         assert sizes[0] > 1 and max(sizes) == 50
 
-    def test_infeasible_instance_reports_no_best(self):
-        # demand exceeds what the DC can store: never feasible
-        inst = single_chain(d=30.0, cap=20.0)
-        res = solve(inst, SolverConfig(seed=0, max_generations=20))
-        assert res.best_feasible is None
-        assert res.final_front.violation.min() > 0
+    def test_an_infeasible_instance_is_refused_by_name_before_any_plan_is_priced(self, monkeypatch):
+        # demand 30 exceeds supplier capacity 20 (and plant and DC capacity): never feasible
+        monkeypatch.setattr(nsga2, "decode_batch", None)
+        with pytest.raises(OracleError, match="^supplier capacity 20 falls short of the 30 the demand needs$"):
+            solve(single_chain(d=30.0, cap=20.0), SolverConfig(seed=0, max_generations=20))
+
+    @pytest.mark.parametrize("at", [1, 2], ids=["initial-population", "offspring"])
+    def test_a_priced_row_that_breaks_a_constraint_stops_the_solve(self, at, monkeypatch):
+        evaluate, calls = nsga2.batch_evaluate, []
+
+        def breaking(instance, *flows):
+            calls.append(1)
+            cost, violation = evaluate(instance, *flows)
+            return cost, violation + 0.5 * (len(calls) == at)
+
+        monkeypatch.setattr(nsga2, "batch_evaluate", breaking)
+        inst = dataclasses.replace(default_instance("baseline"), strict_per_dc=True)
+        with pytest.raises(RuntimeError, match="^a decoded plan breaks the constraints by 0.5$"):
+            solve(inst, SolverConfig(seed=0, max_generations=5))
 
 
 def decoded_rows(monkeypatch):
@@ -1248,7 +1264,7 @@ def decoded_rows(monkeypatch):
 def assert_same_solve(a, b):
     assert (a.trace, a.generations_run, a.terminated_by) == (b.trace, b.generations_run, b.terminated_by)
     assert a.best_feasible == b.best_feasible  # FlowPlan compares with array_equal
-    for name in ("genes", "cost", "violation", "rank"):
+    for name in ("genes", "cost"):
         assert getattr(a.final_front, name).tobytes() == getattr(b.final_front, name).tobytes()
 
 
@@ -1327,8 +1343,8 @@ class TestRankingsAndDrawBlocks:
         kept = [solve(inst, cfg) for inst, cfg in runs]
         survivors, select = [], nsga2.select_next_generation
 
-        def afresh(parents, offspring, config, _):  # and with no summary, so solve computes the statistics itself
-            survivors.append(dataclasses.replace(select(parents, offspring, config), summary=None))
+        def afresh(parents, offspring, config, _):
+            survivors.append(select(parents, offspring, config))
             return survivors[-1]
 
         monkeypatch.setattr(nsga2, "select_next_generation", afresh)
@@ -1337,9 +1353,7 @@ class TestRankingsAndDrawBlocks:
             assert_same_solve(solve(inst, cfg), res)
             assert res.generations_run == len(survivors) == 300
             for record, pop in zip(res.trace, survivors):
-                feasible = int(np.count_nonzero(pop.violation == 0.0))
-                want = (float(pop.cost.mean()).hex(), float(pop.violation.min()).hex(), feasible)
-                assert (record.mean_cost.hex(), record.min_violation.hex(), record.feasible_count) == want
+                assert record.mean_cost.hex() == float(pop.cost.mean()).hex()
 
     def test_every_layer_the_benchmark_times_is_still_called(self, monkeypatch):
         # perfbench times these names of pdnet.nsga2 as per-layer spans; a name solve stops calling reads 0 there

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from pdnet import oracle
 from pdnet.network import NetworkInstance, batch_evaluate, evaluate_constraints, evaluate_cost
-from pdnet.nsga2 import decode_batch
+from pdnet.nsga2 import SolverConfig, decode_batch, solve
 from pdnet.oracle import ROUNDING, OracleError, brute_force_optimum, exact_optimum, lower_bound
 from pdnet.scenarios import default_instance
 
@@ -150,10 +151,10 @@ class TestAgainstTheFamilyLP:
     def test_only_the_dc_storage_row_fails(self, strict):
         # DC storage holds 9 of the 10 cases; suppliers and plants hold 20
         inst = chain(strict, dc_capacity=[9.0])
-        with pytest.raises(OracleError, match="^DC storage 9 falls short of the 10 the demand needs$"):
-            exact_optimum(inst)
+        for refuse in (exact_optimum, lower_bound):
+            with pytest.raises(OracleError, match="^DC storage 9 falls short of the 10 the demand needs$"):
+                refuse(inst)
         assert family_lp(inst) is None
-        assert lower_bound(inst) == -np.inf
         # without the storage row, aggregate mode has no other DC row; strict mode's per-DC capacity still fails
         assert (family_lp(inst, drop=("dc_storage",)) is None) == strict
 
@@ -169,10 +170,34 @@ class TestAgainstTheFamilyLP:
     )
     def test_a_total_that_falls_short_is_named(self, fields, message, strict):
         inst = chain(strict, **fields)
-        with pytest.raises(OracleError, match=f"^{message} the demand needs$"):
-            exact_optimum(inst)
+        for refuse in (exact_optimum, lower_bound):
+            with pytest.raises(OracleError, match=f"^{message} the demand needs$"):
+                refuse(inst)
         assert family_lp(inst) is None
-        assert lower_bound(inst) == -np.inf
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_a_total_a_rounding_short_of_its_need_carries_it(self, strict):
+        # demand 0.1 + 0.2 sums to 0.30000000000000004; DC storage 0.3 is 1 ulp short, which a sum's rounding explains
+        inst = NetworkInstance(
+            num_suppliers=1,
+            num_plants=1,
+            num_dcs=1,
+            num_retailers=2,
+            supplier_capacity=[1.0],
+            plant_capacity=[1.0],
+            dc_capacity=[0.3],
+            demand=[0.1, 0.2],
+            raw_unit_cost=[1.0],
+            holding_unit_cost=[1.0],
+            plant_dc_unit_cost=[[1.0]],
+            dc_retailer_unit_cost=[[1.0, 1.0]],
+            utilization=1.0,
+            strict_per_dc=strict,
+        )
+        plan, price = exact_optimum(inst)
+        assert evaluate_constraints(inst, plan).total_violation == 0.0
+        best = solve(inst, SolverConfig(max_generations=5)).best_feasible[1].total
+        assert price == best == 1.2000000000000002 and lower_bound(inst) < price
 
 
 class TestAgainstTheRowByRowReference:
@@ -448,12 +473,14 @@ class TestLowerBound:
     @settings(max_examples=200, deadline=None)
     def test_rounding_below_the_aggregate_optimum_in_both_modes(self, seed):
         inst = random_instance(np.random.default_rng(seed))
-        bounds = [lower_bound(dataclasses.replace(inst, strict_per_dc=strict)) for strict in (False, True)]
         try:
             _, price = exact_optimum(inst)
-        except OracleError:  # a total falls short of the demand
-            assert bounds == [-np.inf, -np.inf]
+        except OracleError as exc:  # a total falls short of the demand: the bound refuses it by the same name
+            for strict in (False, True):
+                with pytest.raises(OracleError, match=f"^{re.escape(str(exc))}$"):
+                    lower_bound(dataclasses.replace(inst, strict_per_dc=strict))
             return
+        bounds = [lower_bound(dataclasses.replace(inst, strict_per_dc=strict)) for strict in (False, True)]
         assert bounds[0] == bounds[1]
         assert bounds[0] < price or price == 0.0
         assert price - bounds[0] <= ROUNDING * price + np.spacing(price)  # the margin, to one rounding
@@ -463,14 +490,19 @@ class TestLowerBound:
     def test_never_above_the_strict_optimum(self, seed):
         inst = dataclasses.replace(random_instance(np.random.default_rng(seed)), strict_per_dc=True)
         price = optimum_or_none(inst)
-        assert lower_bound(inst) <= (np.inf if price is None else price[1])
+        if price is None:
+            with pytest.raises(OracleError):
+                lower_bound(inst)
+        else:
+            assert lower_bound(inst) <= price[1]
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_never_above_a_decoded_feasible_rows_price(self, seed, strict):
         inst = dataclasses.replace(random_instance(np.random.default_rng(seed)), strict_per_dc=strict)
         cost, violation = decoded_prices(inst, 32, seed)
-        assert np.all(cost[violation == 0.0] >= lower_bound(inst))
+        if np.any(violation == 0.0):
+            assert np.all(cost[violation == 0.0] >= lower_bound(inst))
 
     def test_never_above_the_greedy_rows_price_on_3000_random_instances(self):
         # the aggregate greedy row is the optimum's plan, priced as the decoder adds it: on 3 draws
