@@ -26,17 +26,18 @@ rewritten, so crossover and mutation can move a retailer to another DC by
 changing which of its weights is highest.
 
 The engine minimizes one objective, the network's total cost, and reports
-the cheapest plan ever seen.  ``solve`` first reads ``oracle.lower_bound``,
-which raises OracleError naming the total that falls short when no plan is
-feasible.  Past that check every decoded plan is feasible: shipments meet
-demand, a strict-mode retailer spills past a DC's room only when the DCs'
-total room is short, the fill covers every DC while any plant has room, and
-raw material is bought up to the suppliers' total.  So pricing checks that
-each row meets the constraints rather than ranking how far it misses them.
-A plan has one price, the total ``network`` gives it: ranking, the best
-plan, the trace, the stall test and the result all read the same number.
-Every population, the initial one included, is stored in survival order, so
-the tournament compares two indices.
+the cheapest plan ever seen: survival is elitist and orders the union by
+cost, so that plan is always the population's first.  ``solve`` first reads
+``oracle.lower_bound``, which raises OracleError naming the total that falls
+short when no plan is feasible.  Past that check every decoded plan is
+feasible: shipments meet demand, a strict-mode retailer spills past a DC's
+room only when the DCs' total room is short, the fill covers every DC while
+any plant has room, and raw material is bought up to the suppliers' total.
+So pricing checks that each row meets the constraints rather than ranking
+how far it misses them.  A plan has one price, the total ``network`` gives
+it: ranking, the best plan, the trace, the stall test and the result all
+read the same number.  Every population, the initial one included, is
+stored in survival order, so the tournament compares two indices.
 
 A run ends at max_generations or on a stall: the best price gained too
 little over the last stall_generations generations.  A run whose best price,
@@ -57,19 +58,18 @@ all the dict can hold.  It decodes and evaluates, in one batch, only the
 children whose key is new, and gathers every child's cost from its column;
 a row's price does not depend on its batch, so the run is the same bit for
 bit.  The dict lives for one solve, from generation 1 on, and is cleared
-whenever its keys pass PLAN_CACHE_BYTES.  Only new plans are scanned for the
-best plan: one priced before was scanned then, so it costs no less than the
-best.  The best plan is decoded and priced once, after the run; the final
-front is returned as population rows.  Survival ranks the parent+offspring
-union by cost alone, and a collapsed population repeats its unions, so a
-solve also keeps a dict from each union's costs to its survivors' indices,
-their read-only cost and their mean cost, cleared by the same rule; a
-repeated union costs one gather of genes.  With one objective the fronts of
-Pareto domination are the distinct costs in order, and a front's points are
-identical.  Every crowding span is then 0, so crowding is +inf at each
-front's first and last point and 0 between, as the sweep (``_front_ranks``)
-and the crowding pass (``_crowding``) give it on the pairs (cost, 0), bit
-for bit; ``_rank_and_crowd`` computes that closed form.
+whenever its keys pass PLAN_CACHE_BYTES.  The best plan is decoded and
+priced once, after the run; the final front is returned as population rows.
+Survival ranks the parent+offspring union by cost alone, and a collapsed
+population repeats its unions, so a solve also keeps a dict from each
+union's costs to its survivors' indices, their read-only cost and their mean
+cost, cleared by the same rule; a repeated union costs one gather of genes.
+With one objective the fronts of Pareto domination are the distinct costs in
+order, and a front's points are identical.  Every crowding span is then 0,
+so crowding is +inf at each front's first and last point and 0 between, as
+the sweep (``_front_ranks``) and the crowding pass (``_crowding``) give it
+on the pairs (cost, 0), bit for bit; ``_rank_and_crowd`` computes that
+closed form.
 Variation draws random numbers only where they are used: spread factors for
 the pairs that cross, and the mutation sites as geometric gaps between
 successive mutated genes, which is an exact per-gene Bernoulli(p_m) draw.
@@ -236,8 +236,6 @@ class _Codec:
             arrived = arrivals.sum(axis=1)
             gap = need - (arrivals if self.strict else arrived[:, None])  # (n, G), > 0 where short
             covered = (gap <= 0).all(axis=1)
-            if covered.all() and (arrived >= total).all():  # the usual case, tested first as it is cheaper
-                return p
             gap = np.where(covered[:, None] & (need > 0), (total - arrived)[:, None], gap)
             short = (gap > 0) & (left > 0).any(axis=1)[:, None]
             if not short.any():
@@ -311,10 +309,12 @@ def _shipments(index: np.ndarray, instance: NetworkInstance) -> np.ndarray:
     favourite DC.
 
     Until a row's first overflow every retailer takes its favourite DC
-    whole, so those retailers are assigned at once, and a running sum from
-    each DC's room gives the room they leave, rounded as the sequential fill
-    rounds it.  The fill goes retailer by retailer only from the earliest
-    overflow in any row on.
+    whole, so those retailers are assigned at once.  A running sum from each
+    DC's room gives the room they leave: it makes the sequential fill's
+    subtractions in the same order, so it has the same bits, and the fill
+    gives a retailer its favourite whole exactly when the demand is at most
+    the room there.  The fill goes retailer by retailer only from the
+    earliest overflow in any row on.
     """
     favourite = index[..., 0] if instance.strict_per_dc else index
     n, i = favourite.shape
@@ -330,11 +330,8 @@ def _shipments(index: np.ndarray, instance: NetworkInstance) -> np.ndarray:
     m, j = over.size, capacity.size
     # room[:, r]: what each DC has left for retailer r if all before it took their favourite whole
     room = np.cumsum(np.concatenate([np.broadcast_to(capacity, (m, 1, j)), -sent[over]], axis=1), axis=1)
-    # the sequential fill gives a retailer its favourite whole when the demand fits the room there
-    # by more than the rounding of the fill's running sums, at most a few ulps of the total room
-    margin = 4.0 * np.finfo(np.float64).eps * capacity.sum()
-    fits = demand <= room[np.arange(m)[:, None], np.arange(i), favourite[over]] - margin
-    overflows = np.flatnonzero(~(fits | (demand <= 0)).all(axis=0))
+    fits = demand <= room[np.arange(m)[:, None], np.arange(i), favourite[over]]
+    overflows = np.flatnonzero(~fits.all(axis=0))
     if overflows.size == 0:
         return sent
     start = overflows[0]
@@ -382,11 +379,10 @@ class _PlanCache(dict):
     prices = np.empty(0)  # until _price_rows makes a solve's own at its first key
 
 
-def _price_rows(genes: np.ndarray, instance: NetworkInstance, cache: _PlanCache):
-    """(cost, first) of the gene rows, decoding and evaluating only the rows whose plan key is new.
+def _price_rows(genes: np.ndarray, instance: NetworkInstance, cache: _PlanCache) -> np.ndarray:
+    """Cost (n,) of the gene rows, decoding and evaluating only the rows whose plan key is new.
 
-    ``first`` lists the first row of each new key, in row order.  The new
-    keys' first rows are priced in one batch, and every row's price is
+    The new keys' first rows are priced in one batch, and every row's price is
     gathered from ``cache.prices``; a row's price does not depend on its
     batch, so each row gets the bits it would get priced alone.  Once the
     keys held pass ``PLAN_CACHE_BYTES`` the cache is cleared, so it holds at
@@ -396,8 +392,8 @@ def _price_rows(genes: np.ndarray, instance: NetworkInstance, cache: _PlanCache)
     keys = _plan_keys(genes, instance)
     held = len(cache)
     columns = [cache.setdefault(key, len(cache)) for key in keys]  # a new key takes the next column
-    first = []
     if len(cache) > held:
+        first = []
         for row, column in enumerate(columns):
             if column == held + len(first):  # the new keys first appear in column order
                 first.append(row)
@@ -407,7 +403,7 @@ def _price_rows(genes: np.ndarray, instance: NetworkInstance, cache: _PlanCache)
     cost = cache.prices[columns]
     if len(cache) * len(keys[0]) > PLAN_CACHE_BYTES:
         cache.clear()
-    return cost, first
+    return cost
 
 
 def decode(chromosome: np.ndarray, instance: NetworkInstance) -> FlowPlan:
@@ -625,14 +621,6 @@ def _tournament_indices(drawn: np.ndarray) -> np.ndarray:
 # Main loop
 # ---------------------------------------------------------------------------
 
-def _cheaper(pop: Population, genes, cost):
-    """The genes and price of ``pop``'s first cheapest row if it costs less than ``cost``, else the arguments."""
-    q = np.argmin(pop.cost)
-    if pop.cost[q] < cost:
-        return pop.genes[q], float(pop.cost[q])
-    return genes, cost
-
-
 def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> SolveResult:
     """Run NSGA-II until max_generations or stall; deterministic per seed.
 
@@ -642,14 +630,17 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
     generation ``gen`` whose best price is at most ROUNDING above the optimum
     (the bound sits ROUNDING below it), while ``gen + stall_generations <=
     max_generations``: no plan costs less, so the window would close by then
-    on the same plan; at generation 0 it leaves an empty trace.
+    on the same plan; at generation 0 it leaves an empty trace.  Survival
+    puts the first cheapest row of the parent+offspring union first, and the
+    parents come first in the union, so the best plan, a population's first
+    row, changes only when a child costs less.
     """
     bound = instance.derived(lower_bound)
     rng = np.random.default_rng(config.seed)
     n = config.population_size
     pop = init_population(instance, config, rng)
 
-    best_genes, best_cost = _cheaper(pop, None, np.inf)  # the cheapest plan seen, its batch price
+    best_cost = float(pop.cost[0])  # survival order puts the first cheapest plan seen first
     trace = []
     terminated_by = "max-generations"
     w = config.stall_generations
@@ -670,17 +661,12 @@ def solve(instance: NetworkInstance, config: SolverConfig = SolverConfig()) -> S
             break
 
         child_genes = _make_offspring(pop.genes, *next(draws))
-
-        c_cost, first = _price_rows(child_genes, instance, cache)
-
-        # a plan priced before was scanned then, and costs no less than best_cost: scan each new key's first row
-        if first:
-            best_genes, best_cost = _cheaper(Population(child_genes[first], c_cost[first]), best_genes, best_cost)
-
-        pop = select_next_generation(pop, Population(child_genes, c_cost), config, rankings)
+        offspring = Population(child_genes, _price_rows(child_genes, instance, cache))
+        pop = select_next_generation(pop, offspring, config, rankings)
+        best_cost = float(pop.cost[0])
         trace.append(GenerationRecord(gen + 1, best_cost, pop.mean_cost))
 
-    plan = decode(best_genes, instance)  # a row's price ignores its batch, so the breakdown's total is best_cost
+    plan = decode(pop.genes[0], instance)  # a row's price ignores its batch, so the breakdown's total is best_cost
     front = pop.cost == pop.cost[0]
     return SolveResult(
         best_feasible=(plan, evaluate_cost(instance, plan)),

@@ -37,6 +37,8 @@ def _check_totals(instance: NetworkInstance):
 
     A total falls short when it is below its need by more than ROUNDING of it:
     demand [0.1, 0.2] sums to 0.30000000000000004, which storage 0.3 carries.
+    The message gives each total as its shortest round-trip text, so a total
+    a hair short reads apart from its need.
     """
     u, demand = instance.utilization, instance.demand.sum()
     for name, have, need in (
@@ -45,7 +47,8 @@ def _check_totals(instance: NetworkInstance):
         ("DC storage", instance.dc_capacity.sum(), demand),
     ):
         if have < need * (1.0 - ROUNDING):
-            raise OracleError(f"{name} {have:.6g} falls short of the {need:.6g} the demand needs")
+            have, need = (repr(float(x)).removesuffix(".0") for x in (have, need))
+            raise OracleError(f"{name} {have} falls short of the {need} the demand needs")
 
 
 def _in_order(supply: np.ndarray, need: np.ndarray) -> np.ndarray:

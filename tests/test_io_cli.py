@@ -284,7 +284,7 @@ class TestCLI:
         save_instance(dataclasses.replace(single_chain(), dc_capacity=[10.0 - 1e-11]), inst_path)
         for command in ("solve", "oracle"):
             assert main([command, str(inst_path)]) == EXIT_NO_RESULT
-            assert capsys.readouterr() == ("", "infeasible: DC storage 10 falls short of the 10 the demand needs\n")
+            assert capsys.readouterr() == ("", "infeasible: DC storage 9.99999999999 falls short of the 10 the demand needs\n")
 
     def test_solve_is_reproducible_byte_for_byte(self, tmp_path):
         inst_path = tmp_path / "i.json"

@@ -301,10 +301,15 @@ def sequential_delivery(w, instance):
 def overloaded_population(rng, rows=30):
     """A strict instance whose DCs hold about the total demand, and weights with ties and zeros.
 
-    About half the draws are integer-valued, so that demands meet the room left exactly.
+    About half the draws are integer-valued, so that demands meet the room left exactly.  In about a
+    quarter every row gives each retailer one favourite, and each DC holds the float running sum, in
+    retailer order, of its retailers' demands, some DCs scaled down and some a few ulps short: a
+    retailer then meets a room equal to its demand or an ulp away from it, and a row's first overflow
+    is often by an ulp.
     """
     s, k, j, i = (int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(2, 10)), int(rng.integers(2, 25)))
-    integer = rng.random() < 0.5
+    kind = rng.random()
+    integer = kind < 0.5
     demand = rng.integers(0, 6, i).astype(float) if integer else rng.uniform(0, 10, i) * (rng.random(i) > 0.1)
     dc_capacity = demand.sum() / j * rng.uniform(0.6, 1.4, j)
     inst = NetworkInstance(
@@ -324,6 +329,17 @@ def overloaded_population(rng, rows=30):
         strict_per_dc=True,
     )
     w = np.round(rng.random((rows, i, j)), 1)  # ties between DCs and all-zero weights occur
+    if 0.5 <= kind < 0.75:
+        favourite = rng.integers(0, j, i)
+        w[:, np.arange(i), favourite] = 1.0  # a tie at 1.0 goes to the lower index
+        dc_capacity = np.zeros(j)
+        for r, d in enumerate(demand):
+            dc_capacity[favourite[r]] += d
+        low = rng.random(j)  # some DCs scaled down, some a few ulps short of their favourites' demand
+        dc_capacity = np.where(low < 0.15, dc_capacity * rng.uniform(0.5, 1.0, j), dc_capacity)
+        short = np.maximum(dc_capacity - np.spacing(dc_capacity) * rng.integers(1, 4, j), 0.0)
+        dc_capacity = np.where((0.15 <= low) & (low < 0.6), short, dc_capacity)
+        inst = dataclasses.replace(inst, dc_capacity=dc_capacity)
     return inst, w
 
 
@@ -784,6 +800,10 @@ class TestSelection:
                 nxt = select_next_generation(parents, offspring, cfg, rankings)
             keep = _rank_and_crowd(cost)[2][:size]
             assert np.array_equal(nxt.genes, genes[keep]) and np.array_equal(nxt.cost, cost[keep])
+            # solve's best plan is the first survivor: the union's first row at the least cost, ranked or looked up
+            first = np.flatnonzero(cost == cost.min())[0]
+            for pop in (nxt, select_next_generation(parents, offspring, cfg)):
+                assert pop.cost[0] == cost.min() and np.array_equal(pop.genes[0], genes[first])
             assert nxt.mean_cost == float(cost[keep].mean())
             assert 1 <= len(rankings) <= min(len(unions), budget // (2 * size * 8) + 1)
             # each entry: the survivors' union indices and cost, read-only, then their mean cost
@@ -1008,7 +1028,7 @@ class TestSolve:
     def test_trace_best_cost_non_increasing(self):
         # a window as long as the budget keeps the run from stopping at the bound at once
         res = solve(single_chain(), SolverConfig(seed=11, max_generations=60, stall_generations=60))
-        best = [r.best_feasible_cost for r in res.trace if r.best_feasible_cost is not None]
+        best = [r.best_feasible_cost for r in res.trace]
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
 
     def test_the_best_price_never_rises(self):
@@ -1019,7 +1039,7 @@ class TestSolve:
             inst = random_instance(rng)
         assert inst.counts == (1, 1, 3, 2) and not inst.strict_per_dc
         res = solve(inst, SolverConfig(seed=12, max_generations=150, stall_generations=150))
-        best = [r.best_feasible_cost for r in res.trace if r.best_feasible_cost is not None]
+        best = [r.best_feasible_cost for r in res.trace]
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
         assert res.best_feasible[1].total == min(best)
 
@@ -1052,7 +1072,7 @@ class TestSolve:
         for a, b, cfg in zip(stopped, full, configs):
             initial = init_population(inst, cfg, np.random.default_rng(cfg.seed))  # generation 0
             traced = [(0, c) for c in initial.cost]
-            traced += [(r.generation, r.best_feasible_cost) for r in b.trace if r.best_feasible_cost is not None]
+            traced += [(r.generation, r.best_feasible_cost) for r in b.trace]
             at_bound = [g for g, best in traced if best <= reached]
             if index == 5:
                 assert not at_bound  # the optimum stays above the bound: no early stop
@@ -1194,7 +1214,8 @@ class TestSolve:
         inst = criterion_4_instances(6)[5]  # two DCs and two retailers: four plans
         cfg = SolverConfig(seed=0, max_generations=3, stall_generations=3)
         pop = init_population(inst, cfg, np.random.default_rng(cfg.seed))
-        # offspring priced above every plan, so the best plan is the initial population's
+        # offspring priced above every plan, so no child survives and the best plan, the first survivor,
+        # stays the initial population's first row
         evaluate, decode_rows, decoded, priced = nsga2.batch_evaluate, nsga2.decode_batch, [], []
 
         def keyed_decode(genes, instance):
@@ -1354,6 +1375,11 @@ class TestRankingsAndDrawBlocks:
             assert res.generations_run == len(survivors) == 300
             for record, pop in zip(res.trace, survivors):
                 assert record.mean_cost.hex() == float(pop.cost.mean()).hex()
+                assert record.best_feasible_cost == float(pop.cost[0])  # the best plan is the first survivor
+            assert len({record.best_feasible_cost for record in res.trace}) > 1  # and it changed during the run
+            plan = decode(res.final_front.genes[0], inst)
+            for field in dataclasses.fields(plan):
+                assert getattr(res.best_feasible[0], field.name).tobytes() == getattr(plan, field.name).tobytes()
 
     def test_every_layer_the_benchmark_times_is_still_called(self, monkeypatch):
         # perfbench times these names of pdnet.nsga2 as per-layer spans; a name solve stops calling reads 0 there
